@@ -97,6 +97,13 @@ class SourceError(click.ClickException):
     exit_code = 2
 
 
+def _numeric_spectrum(graph: G.Graph):
+    try:
+        return G.numeric_spectrum(graph)
+    except ValueError as exc:  # above the eigensolver cap
+        raise SourceError(str(exc))
+
+
 def _load_source(family: Optional[str], file: Optional[str], ring: Optional[str],
                  srg: Optional[str], params: dict):
     """Resolve the graph source options to (label, spectrum, k, exact, graph)."""
@@ -104,12 +111,16 @@ def _load_source(family: Optional[str], file: Optional[str], ring: Optional[str]
     if len(chosen) != 1:
         raise SourceError("provide exactly one of --family, --file, --ring, --srg")
     if family:
-        exact = D.exact_spectrum_of_family(family, **params)
-        graph = G.gen_named(family, **params)
+        try:
+            # gen_named first: it names the family's parameters when some are missing
+            graph = G.gen_named(family, **params)
+            exact = D.exact_spectrum_of_family(family, **params)
+        except ValueError as exc:  # InfeasibleParams included
+            raise SourceError(f"family {family} with {params}: {exc}")
         k = G.regularity(graph)
         if k is None:
             raise SourceError(f"family {family} with {params} is not regular")
-        spec = exact if exact is not None else G.numeric_spectrum(graph)
+        spec = exact if exact is not None else _numeric_spectrum(graph)
         label = f"{family}({', '.join(f'{p}={v}' for p, v in params.items())})"
         return label, spec, k, exact is not None, graph
     if file:
@@ -121,7 +132,7 @@ def _load_source(family: Optional[str], file: Optional[str], ring: Optional[str]
         k = G.regularity(graph)
         if k is None:
             raise SourceError("graph in file is not regular")
-        return file, G.numeric_spectrum(graph), k, False, graph
+        return file, _numeric_spectrum(graph), k, False, graph
     if ring:
         try:
             profile = R.RingProfile.parse(ring)

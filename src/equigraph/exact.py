@@ -412,7 +412,7 @@ class ExactValue:
         return hash(self._terms)
 
     def __float__(self) -> float:
-        return sum(float(c) * (d ** 0.5) for d, c in self._terms)
+        return sum((float(c) * (d ** 0.5) for d, c in self._terms), 0.0)
 
     # -- arithmetic ---------------------------------------------------------
 

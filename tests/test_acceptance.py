@@ -173,6 +173,7 @@ def test_criterion_11_oracle_coherence():
     results, elapsed = _suite("coherence", V.verify_oracle_coherence)
     _record("criterion 11: numeric eigensolver matches every exact spectrum "
             "(1e-7, exact multiplicity grouping)", results, elapsed)
+    assert elapsed < 8.0
 
 
 def test_zz_summary():

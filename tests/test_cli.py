@@ -66,6 +66,27 @@ def test_check_file_needs_assume_exact_at_branch_points(runner, tmp_path):
     assert snapped.exit_code == 0       # crowns are equienergetic with their complements
 
 
+@pytest.mark.parametrize("family_args", [
+    ["--family", "crown", "--t", "1"],
+    ["--family", "paley", "--q", "6"],
+    ["--family", "lattice", "--n", "1"],
+    ["--family", "triangular", "--n", "2"],
+])
+def test_check_rejects_invalid_family_parameters(runner, family_args):
+    result = runner.invoke(main, ["check", *family_args])
+    assert result.exit_code == 2        # an error, not the "not equal" verdict
+    assert result.output.startswith("Error: family ")
+
+
+def test_check_file_above_eigensolver_cap(runner, tmp_path):
+    from equigraph.graphs import MAX_EIGEN_N, cycle
+    path = tmp_path / "big_cycle.g"
+    path.write_text(write_graph(cycle(MAX_EIGEN_N + 1)))
+    result = runner.invoke(main, ["check", "--file", str(path)])
+    assert result.exit_code == 2
+    assert "eigensolver cap" in result.output
+
+
 def test_check_rejects_ambiguous_source(runner):
     result = runner.invoke(main, ["check", "--family", "crown", "--t", "3",
                                   "--ring", "2:2"])

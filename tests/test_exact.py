@@ -134,6 +134,12 @@ def test_exact_sum_empty_and_cancellation():
     assert exact_sum([(Surd(1), 3), (Surd(-1), 3)]).is_zero
 
 
+def test_exact_value_float_of_zero():
+    # a zero value has no terms; float() must still return a float
+    assert float(ExactValue.from_rational(0)) == 0.0
+    assert float(exact_sum([(Surd(2), 1), (Surd(-2), 1)])) == 0.0
+
+
 def test_exact_value_comparison():
     v = ExactValue([(1, 3), (5, 1)])      # 3 + sqrt(5)
     assert v > 5

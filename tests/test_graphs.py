@@ -1,8 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equigraph.fields import GF, is_prime_power, prime_power_decompose
 from equigraph.graphs import (
+    NUMERIC_RADIUS,
+    Graph,
     cayley,
     cartesian,
     complement,
@@ -31,7 +37,7 @@ from equigraph.graphs import (
     unitary_cayley_concrete,
     write_graph,
 )
-from equigraph.jacobi import jacobi_eigenvalues
+from equigraph.jacobi import JacobiResult, _schedule, jacobi_eigenvalues
 from equigraph.spectra import Spectrum, spectra_match
 
 
@@ -93,6 +99,71 @@ def test_jacobi_trivial_sizes():
     assert jacobi_eigenvalues(np.array([[5.0]]))[0] == 5.0
     vals = jacobi_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.allclose(vals, [-1.0, 1.0])
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 16, 42])
+def test_jacobi_schedule_pairs_everything_once_per_sweep(m):
+    a, _, _, _ = _schedule(m)
+    h = m // 2
+    players = np.arange(m)              # the player at each position
+    seen = set()
+    for _ in range(m - 1):
+        seen.update(frozenset(p) for p in zip(players[:h].tolist(), players[h:].tolist()))
+        players = players[a]
+    assert len(seen) == m * (m - 1) // 2
+    assert np.array_equal(players, np.arange(m))   # a sweep ends where it began
+
+
+def _property_matrix(kind: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        m = rng.normal(size=(n, n))
+        return (m + m.T) / 2
+    if kind == "adjacency":             # repeated eigenvalues
+        upper = np.triu(rng.integers(0, 2, size=(n, n)), 1)
+        return (upper + upper.T).astype(np.float64)
+    if kind == "zero":                  # no rotation is live
+        return np.zeros((n, n))
+    return np.diag(rng.normal(size=n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["normal", "adjacency", "zero", "diagonal"]))
+def test_jacobi_property_against_lapack(n, seed, kind):
+    m = _property_matrix(kind, n, seed)
+    lapack = np.linalg.eigvalsh(m)
+    result = jacobi_eigenvalues(m, full=True)
+    assert np.max(np.abs(result.values - lapack)) < 1e-9
+    assert result.off_norm <= 1e-12 * n
+    assert np.array_equal(result.values, jacobi_eigenvalues(m))
+    if kind == "adjacency":
+        # every LAPACK eigenvalue lies inside the interval of its merged group
+        start = 0
+        for eig, mult in reversed(numeric_spectrum(Graph(m.astype(bool))).entries):
+            group = lapack[start:start + mult]
+            start += mult
+            assert eig.lo <= group[0] and group[-1] <= eig.hi
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=st.lists(st.sampled_from([0.0, 1e-12, 2e-8, 4e-8, 1e-3, 1.0]), max_size=30),
+       off_norm=st.sampled_from([0.0, 1e-13, 3e-9]))
+def test_numeric_spectrum_radius_covers_group_spread(steps, off_norm):
+    # values 2e-8..4e-8 apart chain into one group however wide it grows
+    values = np.cumsum([-2.0] + steps)
+    rounding = 1e-12
+    fake = JacobiResult(values, off_norm, rounding)
+    with mock.patch("equigraph.graphs.jacobi_eigenvalues", return_value=fake):
+        spec = numeric_spectrum(Graph(np.zeros((len(values), len(values)), dtype=bool)))
+    start = 0
+    for eig, mult in reversed(spec.entries):
+        group = values[start:start + mult]
+        start += mult
+        half_spread = (group[-1] - group[0]) / 2
+        assert eig.radius >= max(NUMERIC_RADIUS, off_norm + rounding + half_spread)
+        assert eig.lo <= group[0] and group[-1] <= eig.hi
+    assert start == len(values)
 
 
 # -- constructions -----------------------------------------------------------------
