@@ -63,6 +63,10 @@ def squarefree_decompose(d: int) -> tuple[int, int]:
     return f, s
 
 
+_EXACT_FLOAT_INT = 2 ** 53
+_ZERO = Fraction(0)
+
+
 class Surd:
     """Canonical ``a + b*sqrt(D)``: D squarefree, and D == 1 whenever b == 0."""
 
@@ -72,21 +76,21 @@ class Surd:
         if type(a) is not Fraction:
             a = Fraction(a)
         if type(b) is not Fraction:
-            b = Fraction(b)
+            b = Fraction(b) if b else _ZERO
         d = int(d)
         if d < 0:
             raise ValueError("radicand must be nonnegative")
-        if b != 0:
+        if b:
             f, s = squarefree_decompose(d)
             b *= f
             d = s
             if d == 0:
-                b = Fraction(0)
+                b = _ZERO
                 d = 1
             elif d == 1:
                 a += b
-                b = Fraction(0)
-        if b == 0:
+                b = _ZERO
+        if not b:
             d = 1
         self.a = a
         self.b = b
@@ -109,13 +113,33 @@ class Surd:
         return format_surd(self)
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        # canonical form: equal surds have equal numerators and denominators
+        a, b = self.a, self.b
+        return hash((a.numerator, a.denominator, b.numerator, b.denominator, self.d))
 
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
 
     def __float__(self) -> float:
+        if not self.b:
+            return float(self.a)
         return float(self.a) + float(self.b) * (self.d ** 0.5)
+
+    def float_error(self) -> float:
+        """An upper bound on ``|float(self) - self|``.
+
+        ``float(a)`` is correctly rounded and ``d ** 0.5`` is within an ulp,
+        so the error is at most a few units in the last place of the two
+        parts: 2**-52 relative for a rational, 2**-50 relative to
+        ``|a| + |b|*sqrt(d)`` otherwise, plus the subnormal spacing.
+        Integers of magnitude at most 2**53 convert exactly.
+        """
+        a, b = self.a, self.b
+        if not b:
+            if a.denominator == 1 and -_EXACT_FLOAT_INT <= a.numerator <= _EXACT_FLOAT_INT:
+                return 0.0
+            return abs(float(a)) * 2.0 ** -52 + 2.0 ** -1072
+        return (abs(float(a)) + abs(float(b)) * self.d ** 0.5) * 2.0 ** -50 + 2.0 ** -1072
 
     # -- arithmetic (closed within a single radicand) --------------------
 
@@ -198,8 +222,8 @@ class Surd:
     def sign(self) -> int:
         """Exact sign of ``a + b*sqrt(d)`` by rational squaring."""
         a, b, d = self.a, self.b, self.d
-        if b == 0:
-            return _sign(a)
+        if not b:
+            return _sign(a.numerator)
         if a == 0:
             return _sign(b)
         sa, sb = _sign(a), _sign(b)
@@ -344,6 +368,13 @@ class ExactValue:
             c *= f
             acc[s] = acc.get(s, Fraction(0)) + c
         self._terms = tuple(sorted((d, c) for d, c in acc.items() if c != 0))
+
+    @classmethod
+    def _from_squarefree(cls, acc: dict[int, RationalLike]) -> "ExactValue":
+        """From per-radicand coefficients whose radicands are already squarefree."""
+        value = cls.__new__(cls)
+        value._terms = tuple(sorted((d, Fraction(c)) for d, c in acc.items() if c))
+        return value
 
     @classmethod
     def from_surd(cls, s: Surd) -> "ExactValue":
@@ -505,11 +536,24 @@ class ExactValue:
 
 
 def exact_sum(values: Iterable[tuple[Surd, int]]) -> ExactValue:
-    """Multiset sum of (surd, multiplicity) pairs, grouped by radicand."""
-    terms: list[tuple[int, Fraction]] = []
+    """Multiset sum of (surd, multiplicity) pairs, accumulated per radicand.
+
+    Numerators are summed as integers per (radicand, denominator), so no
+    ``Fraction`` is built per entry.  A ``Surd``'s radicand is squarefree
+    already, so the sum also skips the squarefree pass of the generic
+    ``ExactValue`` constructor.
+    """
+    acc: dict[tuple[int, int], int] = {}
     for s, mult in values:
         if mult <= 0:
             raise ValueError("multiplicities must be positive")
-        terms.append((1, s.a * mult))
-        terms.append((s.d, s.b * mult))
-    return ExactValue(terms)
+        a, b = s.a, s.b
+        key = (1, a.denominator)
+        acc[key] = acc.get(key, 0) + a.numerator * mult
+        if b:
+            key = (s.d, b.denominator)
+            acc[key] = acc.get(key, 0) + b.numerator * mult
+    coefficients: dict[int, Fraction] = {}
+    for (d, den), num in acc.items():
+        coefficients[d] = coefficients.get(d, 0) + Fraction(num, den)
+    return ExactValue._from_squarefree(coefficients)

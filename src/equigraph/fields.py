@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import isqrt
 
-__all__ = ["GF", "is_prime", "prime_power_decompose", "is_prime_power", "prime_powers_up_to"]
+__all__ = ["GF", "is_prime", "prime_power_decompose", "is_prime_power"]
 
 
 def is_prime(n: int) -> bool:
@@ -47,10 +47,6 @@ def prime_power_decompose(q: int):
 
 def is_prime_power(q: int) -> bool:
     return prime_power_decompose(q) is not None
-
-
-def prime_powers_up_to(limit: int) -> list[int]:
-    return [q for q in range(2, limit + 1) if is_prime_power(q)]
 
 
 # Conway polynomials, stored as ascending coefficient tuples including the

@@ -16,9 +16,8 @@ from math import prod
 from typing import Iterable
 
 from .fields import is_prime_power, prime_power_decompose
-from .spectra import Spectrum, check_equienergetic
+from .spectra import Eig, Spectrum, check_equienergetic
 from .srg import two_fields_srg
-from .exact import Surd
 
 __all__ = [
     "RingProfile",
@@ -97,6 +96,22 @@ class RingProfile:
         return ",".join(f"{q}:{m}" for q, m in self.factors)
 
 
+def _subset_products(xs: Iterable[int]) -> dict[int, int]:
+    """``(-1)^{|C|} prod_{i in C} x_i`` -> number of index subsets C giving it.
+
+    Built by a per-factor convolution: each factor either stays out of C
+    or multiplies in with a sign flip, so equal products from different
+    subsets share one slot instead of being listed 2^s times.
+    """
+    counts = {1: 1}
+    for x in xs:
+        nxt = dict(counts)
+        for p, c in counts.items():
+            nxt[-p * x] = nxt.get(-p * x, 0) + c
+        counts = nxt
+    return counts
+
+
 def unitary_spectrum(profile: RingProfile) -> Spectrum:
     """Eigenvalues of X(R, R*) from the profile.
 
@@ -105,29 +120,19 @@ def unitary_spectrum(profile: RingProfile) -> Spectrum:
     prod_{j in C} (q_j - 1); zero fills up the remaining |R| - prod q_i
     slots.  Coinciding eigenvalues from different subsets are merged.
     """
-    s = profile.s
     units = profile.units
     qs = [q for q, _ in profile.factors]
     eig_mult: dict[int, int] = {}
-    for mask in range(1 << s):
-        p_c = 1
-        bits = 0
-        for i in range(s):
-            if mask >> i & 1:
-                p_c *= qs[i] - 1
-                bits += 1
-        lam = (-1 if bits % 2 else 1) * (units // p_c)
-        eig_mult[lam] = eig_mult.get(lam, 0) + p_c
+    for p_c, count in _subset_products(q - 1 for q in qs).items():
+        lam = units // p_c  # sign included: p_c carries (-1)^{|C|}
+        eig_mult[lam] = eig_mult.get(lam, 0) + count * abs(p_c)
     zero_mult = profile.order - prod(qs)
     if zero_mult:
         eig_mult[0] = eig_mult.get(0, 0) + zero_mult
-    entries = [(Surd(lam), mult) for lam, mult in eig_mult.items()]
-    spec = Spectrum.from_values(entries)
+    spec = Spectrum([(Eig.from_exact(lam), mult) for lam, mult in eig_mult.items()],
+                    principal_value=units)
     assert spec.n == profile.order
-    principal = next(
-        i for i, (eig, _) in enumerate(spec.entries) if eig.exact == Surd(units)
-    )
-    return Spectrum(spec.entries, n=spec.n, principal=principal)
+    return spec
 
 
 @dataclass(frozen=True)
@@ -139,27 +144,19 @@ class SubsetSums:
 
 
 def subset_sums(profile: RingProfile) -> SubsetSums:
-    """S_e over even 0 < |C| < s and S_o over odd |C| < s, by direct enumeration."""
+    """S_e over even 0 < |C| < s and S_o over odd |C| < s of prod_{j in C} (q_j - 1)."""
     s = profile.s
     qs = [q for q, _ in profile.factors]
-    total = 0
-    s_even = 0
-    s_odd = 0
-    for mask in range(1 << s):
-        p_c = 1
-        bits = 0
-        for i in range(s):
-            if mask >> i & 1:
-                p_c *= qs[i] - 1
-                bits += 1
-        total += p_c
-        if bits % 2 == 0 and 0 < bits < s:
-            s_even += p_c
-        elif bits % 2 == 1 and bits < s:
-            s_odd += p_c
-    assert total == prod(qs), "subset identity violated"
-    return SubsetSums(S_e=s_even, S_o=s_odd, M=profile.ideal_product,
-                      full_product=prod(q - 1 for q in qs))
+    full = prod(q - 1 for q in qs)
+    products = _subset_products(q - 1 for q in qs)
+    s_even = sum(p * c for p, c in products.items() if p > 0) - 1  # drop C = {}
+    s_odd = -sum(p * c for p, c in products.items() if p < 0)
+    if s % 2 == 0:
+        s_even -= full  # drop C = the whole index set
+    else:
+        s_odd -= full
+    assert s_even + s_odd + 1 + full == prod(qs), "subset identity violated"
+    return SubsetSums(S_e=s_even, S_o=s_odd, M=profile.ideal_product, full_product=full)
 
 
 @dataclass(frozen=True)
@@ -218,26 +215,15 @@ def search_field_products(s: int, q_max: int) -> list[tuple[int, ...]]:
 
     def partial_sum(chosen: list[int], pad: int | None) -> Fraction:
         """The odd-proper-subset reciprocal sum with remaining slots at x = pad
-        (None means remaining terms vanish, the limit of large fields)."""
-        xs = [Fraction(q - 1) for q in chosen]
-        filler = 0 if pad is None else (pad - 1)
-        full = xs + [Fraction(filler) if filler else None] * (s - len(chosen))
-        total = Fraction(0)
-        for mask in range(1, 1 << s):
-            bits = bin(mask).count("1")
-            if bits % 2 != 1 or bits >= s:
-                continue
-            denom = Fraction(1)
-            dead = False
-            for i in range(s):
-                if mask >> i & 1:
-                    if full[i] is None:
-                        dead = True
-                        break
-                    denom *= full[i]
-            if not dead:
-                total += 1 / denom
-        return total
+        (None means remaining terms vanish, the limit of large fields).
+
+        Over all subsets, the odd ones sum to (prod(1 + r_i) - prod(1 - r_i))/2
+        with r_i = 1/x_i; s is odd, so the full set is odd and is taken out.
+        A vanishing slot has r = 0.
+        """
+        rs = [Fraction(1, q - 1) for q in chosen]
+        rs += [Fraction(0) if pad is None else Fraction(1, pad - 1)] * (s - len(chosen))
+        return (prod(1 + r for r in rs) - prod(1 - r for r in rs)) / 2 - prod(rs)
 
     def recurse(chosen: list[int], start_idx: int):
         if len(chosen) == s:

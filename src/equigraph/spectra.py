@@ -81,45 +81,82 @@ class Eig:
         return f"{self.value!r}(+-{self.radius:g})"
 
 
-def _cmp_eig(x: Eig, y: Eig) -> int:
-    """Descending canonical order: larger value first, exact before approx."""
-    if x.exact is not None and y.exact is not None:
-        return -x.exact.compare(y.exact)
-    if x.value != y.value:
-        return -1 if x.value > y.value else 1
-    if x.is_exact != y.is_exact:
-        return -1 if x.is_exact else 1
-    if x.radius != y.radius:
-        return -1 if x.radius < y.radius else 1
-    return 0
+def _float_key(entry: tuple[Eig, int]) -> tuple[float, bool, float]:
+    """The canonical order on float values: larger value first, exact before
+    approximate, then the smaller radius."""
+    eig = entry[0]
+    return -eig.value, eig.exact is None, eig.radius
+
+
+_exact_key = cmp_to_key(lambda p, q: q[0].exact.compare(p[0].exact))
+
+
+def _sort_entries(entries: list[tuple[Eig, int]]) -> None:
+    """Sort descending: by float value, then exactly on near-ties.
+
+    Two exact entries whose floats are in the wrong order lie at most
+    ``tol`` apart, ``tol`` being twice the largest ``Surd.float_error``
+    present, and so does every entry sorted between them.  Runs of
+    adjacent exact entries at most ``tol`` apart are therefore re-sorted
+    with the exact comparator.  Distinct integers up to 2**53 convert
+    exactly (``tol`` is 0), so their spectra never reach it.  Approximate
+    entries are ordered against every other entry by float value.
+    """
+    entries.sort(key=_float_key)
+    tol = 2 * max((eig.exact.float_error() for eig, _ in entries if eig.exact is not None),
+                  default=0.0)
+    start = 0
+    for i in range(1, len(entries) + 1):
+        if i < len(entries):
+            upper, lower = entries[i - 1][0], entries[i][0]
+            if (upper.exact is not None and lower.exact is not None
+                    and upper.value - lower.value <= tol):
+                continue
+        if i - start > 1:
+            entries[start:i] = sorted(entries[start:i], key=_exact_key)
+        start = i
 
 
 class Spectrum:
-    """Multiset of eigenvalues with multiplicities, sorted descending."""
+    """Multiset of eigenvalues with multiplicities, sorted descending.
+
+    ``principal`` is the index of the principal (degree) entry in the
+    sorted entries; ``principal_value`` locates it by its exact value
+    instead.  A spectrum is not changed after it is built.
+    """
 
     __slots__ = ("entries", "n", "principal")
 
     def __init__(self, entries: Iterable[tuple[Eig, int]], n: Optional[int] = None,
-                 principal: int = 0):
-        merged: list[tuple[Eig, int]] = []
+                 principal: Optional[int] = None, *,
+                 principal_value: Union[Surd, int, Fraction, None] = None):
+        # exact entries merge on their canonical value; approximate ones never merge
+        merged: dict[object, list] = {}
         for eig, mult in entries:
             if mult <= 0:
                 raise ValueError("multiplicities must be positive")
-            for i, (other, m) in enumerate(merged):
-                if eig.exact is not None and other.exact is not None and eig.exact == other.exact:
-                    merged[i] = (other, m + mult)
-                    break
-            else:
-                merged.append((eig, mult))
-        merged.sort(key=cmp_to_key(lambda p, q: _cmp_eig(p[0], q[0])))
-        total = sum(m for _, m in merged)
+            key = eig.exact if eig.exact is not None else object()
+            merged.setdefault(key, [eig, 0])[1] += mult
+        ordered = [(eig, mult) for eig, mult in merged.values()]
+        _sort_entries(ordered)
+        total = sum(m for _, m in ordered)
         if n is None:
             n = total
         elif n != total:
             raise ValueError(f"multiplicities sum to {total}, expected n={n}")
-        if merged and not 0 <= principal < len(merged):
+        if principal_value is not None:
+            if principal is not None:
+                raise ValueError("give principal or principal_value, not both")
+            target = principal_value if isinstance(principal_value, Surd) else Surd(principal_value)
+            principal = next((i for i, (eig, _) in enumerate(ordered) if eig.exact == target),
+                             None)
+            if principal is None:
+                raise ValueError(f"principal value {target} is not an eigenvalue")
+        elif principal is None:
+            principal = 0
+        if ordered and not 0 <= principal < len(ordered):
             raise ValueError("principal index out of range")
-        self.entries = tuple(merged)
+        self.entries = tuple(ordered)
         self.n = n
         self.principal = principal
 
@@ -248,15 +285,46 @@ def _certify_region(e: Eig, assume_exact: bool) -> str:
     return "unit_neg"
 
 
+_ONE = Surd(1)
+_MINUS_ONE = Surd(-1)
+
+
+def _exact_branch(x: Surd, value: float) -> str:
+    """The discrepancy term an exact eigenvalue ``x`` (float ``value``) feeds:
+    'sigma+' (x >= 1), 'sigma-' (x <= -1), 'm0' (x == 0), 'T' (0 < x < 1)
+    or 'S' (-1 < x < 0).
+
+    The float decides when it is exact or farther than ``x.float_error()``
+    from -1, 0 and 1; otherwise the exact comparisons do.
+    """
+    err = x.float_error()
+    if value - err >= 1:
+        return "sigma+"
+    if value + err <= -1:
+        return "sigma-"
+    if err == 0.0:  # an integer strictly between -1 and 1
+        return "m0"
+    if err < value < 1 - err:
+        return "T"
+    if -1 + err < value < -err:
+        return "S"
+    sign = x.sign()
+    if sign == 0:
+        return "m0"
+    if sign > 0:
+        return "sigma+" if x.compare(_ONE) >= 0 else "T"
+    return "sigma-" if x.compare(_MINUS_ONE) <= 0 else "S"
+
+
 def delta_of(x: Eig, assume_exact: bool = False) -> ExactValue:
     """The piecewise-linear term ``|1 + x| - |x|`` of one eigenvalue."""
     if x.exact is not None:
-        v = x.exact
-        if v.sign() >= 0:
-            return ExactValue.from_rational(1)
-        if v.compare(Surd(-1)) <= 0:
+        branch = _exact_branch(x.exact, x.value)
+        if branch == "sigma-":
             return ExactValue.from_rational(-1)
-        return ExactValue.from_surd(v * 2 + 1)
+        if branch == "S":
+            return ExactValue.from_surd(x.exact * 2 + 1)
+        return ExactValue.from_rational(1)
     region = _certify_region(x, assume_exact)
     if region == "nonneg":
         return ExactValue.from_rational(1)
@@ -306,17 +374,17 @@ def discrepancy(s: Spectrum, assume_exact: bool = False) -> DiscrepancyBreakdown
     s_terms = ExactValue()
     for eig, mult in _sp_prime(s):
         if eig.exact is not None:
-            v = eig.exact
-            if v.compare(Surd(1)) >= 0:
+            branch = _exact_branch(eig.exact, eig.value)
+            if branch == "sigma+":
                 sigma += mult
-            elif v.compare(Surd(-1)) <= 0:
+            elif branch == "sigma-":
                 sigma -= mult
-            elif v.sign() == 0:
+            elif branch == "m0":
                 m0 += mult
-            elif v.sign() > 0:
+            elif branch == "T":
                 t_count += mult
             else:
-                s_terms = s_terms + ExactValue.from_surd(v * 2 + 1).scaled(mult)
+                s_terms = s_terms + ExactValue.from_surd(eig.exact * 2 + 1).scaled(mult)
         else:
             region = _certify_region(eig, assume_exact)
             if region == "le_m1":
@@ -326,10 +394,13 @@ def discrepancy(s: Spectrum, assume_exact: bool = False) -> DiscrepancyBreakdown
                     (2 * _assumed_value(eig) + 1) * mult
                 )
             else:
-                v = _assumed_value(eig) if assume_exact else Fraction(eig.value)
-                if v >= 1:
+                # an interval that reaches 1 counts as sigma whatever its
+                # midpoint's last digits, so the split does not depend on
+                # the labelling; sigma and T both add +1 to the total
+                reading = _assumed_value(eig) if assume_exact else None
+                if eig.hi >= 1 or (reading is not None and reading >= 1):
                     sigma += mult
-                elif v == 0 and (assume_exact or eig.radius == 0):
+                elif reading == 0 or (eig.value == 0 and eig.radius == 0):
                     m0 += mult
                 else:
                     t_count += mult
@@ -359,21 +430,17 @@ def complement_spectrum(s: Spectrum, k: int, loops: bool = False) -> Spectrum:
     maps eig -> -eig.  The principal entry is replaced by n - k - 1.
     """
     n = s.n
-    new_entries: list[tuple[Eig, int]] = [(Eig.from_exact(Surd(n - k - 1)), 1)]
+    degree = Surd(n - k - 1)
+    new_entries: list[tuple[Eig, int]] = [(Eig.from_exact(degree), 1)]
     for eig, mult in _sp_prime(s):
-        if eig.exact is not None:
-            mapped = -eig.exact if loops else Surd(-1) - eig.exact
+        x = eig.exact
+        if x is not None:
+            mapped = -x if loops else Surd(-1 - x.a, -x.b, x.d)
             new_entries.append((Eig.from_exact(mapped), mult))
         else:
             v = -eig.value if loops else -1.0 - eig.value
             new_entries.append((Eig.from_approx(v, eig.radius), mult))
-    out = Spectrum(new_entries, n=n)
-    target = Surd(n - k - 1)
-    principal = next(
-        i for i, (eig, _) in enumerate(out.entries)
-        if eig.exact is not None and eig.exact == target
-    )
-    return Spectrum(out.entries, n=n, principal=principal)
+    return Spectrum(new_entries, n=n, principal_value=degree)
 
 
 @dataclass(frozen=True)

@@ -142,7 +142,7 @@ def test_criterion_09_unitary_cayley_even():
     results, elapsed = _suite("rings_even", V.verify_rings_even, 4096)
     _record("criterion 9: even factor counts up to order 4096 pass exactly "
             "for two-field products, both routes agreeing", results, elapsed)
-    assert elapsed < 30.0
+    assert elapsed < 12.0
 
 
 def test_criterion_10_field_search_as_pinned():

@@ -180,3 +180,53 @@ def test_rendering_matches_convention():
     assert str(Surd(2, -3, 7)) == "2 - 3*sqrt(7)"
     assert str(Surd(0, 1, 3)) == "sqrt(3)"
     assert str(Surd(5)) == "5"
+
+
+# -- exact_sum's per-radicand accumulation against the generic constructor ---------
+
+def _pell_cancellations():
+    """p - q*sqrt(2) with p*p - 2*q*q = +-1: tiny values, large float error."""
+    p, q = 1, 1
+    out = []
+    for _ in range(40):
+        out.append(Surd(p, -q, 2))
+        p, q = p + 2 * q, p + q
+    return out
+
+
+wide_surds_st = st.one_of(
+    surds_st,
+    st.builds(Surd, st.fractions(max_denominator=10 ** 6), st.fractions(max_denominator=10 ** 6),
+              st.integers(0, 10 ** 6)),
+    st.integers(-2 ** 60, 2 ** 60).map(Surd),
+    st.sampled_from(_pell_cancellations()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(wide_surds_st, st.integers(1, 50)), max_size=20))
+def test_exact_sum_matches_generic_construction(pairs):
+    generic = ExactValue([t for s, m in pairs for t in ((1, s.a * m), (s.d, s.b * m))])
+    got = exact_sum(pairs)
+    assert got == generic
+    assert got.terms == generic.terms
+    assert all(type(c) is Fraction for _, c in got.terms)
+
+
+# -- the float error bound behind the float-sorted Spectrum -------------------------
+
+@settings(max_examples=500, deadline=None)
+@given(wide_surds_st)
+def test_float_error_bounds_the_conversion(s):
+    err = s.float_error()
+    gap = Surd(Fraction(float(s))) - s
+    assert abs(gap).compare(Surd(Fraction(err))) <= 0
+
+
+def test_float_error_is_zero_exactly_for_exactly_representable_integers():
+    assert Surd(2 ** 53).float_error() == 0.0
+    assert Surd(-(2 ** 53)).float_error() == 0.0
+    assert Surd(7).float_error() == 0.0
+    assert Surd(2 ** 53 + 1).float_error() > 0.5
+    assert Surd(Fraction(1, 2)).float_error() > 0.0
+    assert Surd(0, 1, 2).float_error() > 0.0

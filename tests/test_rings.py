@@ -1,9 +1,17 @@
+from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import prod
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equigraph.exact import ExactValue, Surd
+from equigraph.fields import is_prime_power
 from equigraph.graphs import numeric_spectrum, unitary_cayley_concrete
 from equigraph.rings import (
     RingProfile,
+    _subset_products,
     equien_check,
     profiles_with_order_up_to,
     search_field_products,
@@ -182,3 +190,75 @@ def test_search_input_validation():
         search_field_products(9, 16)
     with pytest.raises(ValueError):
         search_field_products(3, 1000)
+
+
+# -- the subset-product helper against brute-force mask enumeration -----------------
+
+def _masks(s):
+    """Every subset of range(s) as a tuple of indices."""
+    return [tuple(i for i in range(s) if mask >> i & 1) for mask in range(1 << s)]
+
+
+_DESCRIPTORS = [(2, 1), (2, 2), (2, 4), (3, 1), (3, 3), (4, 1), (4, 2), (5, 1), (5, 5),
+                (7, 1), (8, 1), (8, 2), (9, 1), (9, 3), (11, 1), (13, 1), (16, 1)]
+_profiles = st.lists(st.sampled_from(_DESCRIPTORS), min_size=1, max_size=7).map(
+    lambda fs: RingProfile.of(*fs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 15), max_size=8))
+def test_subset_products_match_masks(xs):
+    want = {}
+    for c in _masks(len(xs)):
+        key = (-1) ** len(c) * prod(xs[i] for i in c)
+        want[key] = want.get(key, 0) + 1
+    assert _subset_products(xs) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(_profiles)
+def test_unitary_spectrum_matches_masks(profile):
+    qs = [q for q, _ in profile.factors]
+    want = {}
+    for c in _masks(profile.s):
+        p_c = prod(qs[i] - 1 for i in c)
+        lam = (-1) ** len(c) * (profile.units // p_c)
+        want[lam] = want.get(lam, 0) + p_c
+    if profile.order > prod(qs):
+        want[0] = want.get(0, 0) + profile.order - prod(qs)
+    spec = unitary_spectrum(profile)
+    assert {int(e.exact.a): m for e, m in spec.entries} == want
+    values = [e.exact for e, _ in spec.entries]
+    assert values == sorted(values, reverse=True)
+    assert spec.principal_eig.exact == Surd(profile.units)
+    assert spec.principal == values.index(Surd(profile.units))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_profiles)
+def test_subset_sums_match_masks(profile):
+    s = profile.s
+    xs = [q - 1 for q, _ in profile.factors]
+    even = sum(prod(xs[i] for i in c) for c in _masks(s) if len(c) % 2 == 0 and 0 < len(c) < s)
+    odd = sum(prod(xs[i] for i in c) for c in _masks(s) if len(c) % 2 == 1 and len(c) < s)
+    sums = subset_sums(profile)
+    assert (sums.S_e, sums.S_o, sums.full_product) == (even, odd, prod(xs))
+
+
+def _odd_reciprocal_sum_by_masks(qs):
+    s = len(qs)
+    return sum(Fraction(1, prod(qs[i] - 1 for i in c))
+               for c in _masks(s) if len(c) % 2 == 1 and len(c) < s)
+
+
+@pytest.mark.parametrize("s, q_max", [(3, 32), (5, 37)])
+def test_search_field_products_matches_masks(s, q_max):
+    qs = [q for q in range(3, q_max + 1) if is_prime_power(q)]
+    want = [t for t in combinations_with_replacement(qs, s)
+            if _odd_reciprocal_sum_by_masks(t) == 1
+            and equien_check(RingProfile.of(*[(q, 1) for q in t])).equal]
+    assert search_field_products(s, q_max) == want
+
+
+def test_search_field_products_s3_q64():
+    assert search_field_products(3, 64) == [(3, 4, 7), (3, 5, 5), (4, 4, 4)]

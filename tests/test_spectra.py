@@ -1,8 +1,13 @@
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from equigraph import graphs as G
 from equigraph.exact import ExactValue, Surd, surd_abs
 from equigraph.spectra import (
     Approximate,
@@ -16,6 +21,7 @@ from equigraph.spectra import (
     discrepancy,
     energy,
 )
+from equigraph.spectra import _sp_prime
 
 
 def spec(values, principal=0):
@@ -258,3 +264,212 @@ def test_spectrum_json_round_trip():
     back = Spectrum.from_json(s.to_json())
     assert back == s
     assert back.principal == s.principal
+
+
+# -- the float-sorted, hash-merged constructor against the exact reference ---------
+
+def _pell(count):
+    """Convergents p/q of sqrt(2): p*p - 2*q*q = +-1."""
+    p, q = 1, 1
+    out = []
+    for _ in range(count):
+        out.append((p, q))
+        p, q = p + 2 * q, p + q
+    return out
+
+
+_PELL = _pell(30)
+_NEAR_TIES = [Surd(1, 1, 2), Surd(Fraction(3363, 2378) + 1), Surd(Fraction(3363, 1393)),
+              Surd(0, 1, 2), Surd(10 ** 17), Surd(10 ** 17 + 1), Surd(10 ** 17 - 1),
+              Surd(Fraction(10 ** 17 * 3 + 1, 3))]
+for _p, _q in _PELL:
+    _NEAR_TIES += [Surd(Fraction(_p, _q)), Surd(1 + Fraction(_p, _q)),
+                   Surd(_p, -_q, 2),        # +-1/(p + q*sqrt(2)), large float error
+                   Surd(1 + _p, -_q, 2), Surd(-1 + _p, -_q, 2)]
+
+_rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
+_mixed_surds = st.builds(Surd, _rationals, _rationals.filter(bool),
+                         st.sampled_from([2, 3, 5, 6, 7, 10, 8, 12]))
+_exact_values = st.one_of(
+    st.integers(-40, 40).map(Surd),
+    _rationals.map(Surd),
+    _mixed_surds,
+    st.sampled_from(_NEAR_TIES),
+)
+# approximate values sit on a grid that no near-tie above straddles, so the
+# reference comparator (exact between exact entries, float otherwise) is a
+# consistent order on every drawn spectrum
+_approx_eigs = st.builds(Eig.from_approx,
+                         st.integers(-80, 79).map(lambda k: (k + 0.5) / 4),
+                         st.sampled_from([0.0, 1e-9, 1e-8, 1e-7]))
+_eigs = st.one_of(_exact_values.map(Eig.from_exact), _approx_eigs)
+_entry_lists = st.lists(st.tuples(_eigs, st.integers(1, 4)), min_size=1, max_size=24)
+_exact_entry_lists = st.lists(st.tuples(_exact_values.map(Eig.from_exact), st.integers(1, 4)),
+                              min_size=1, max_size=24)
+
+
+def _reference_cmp(p, q):
+    x, y = p[0], q[0]
+    if x.exact is not None and y.exact is not None:
+        return -x.exact.compare(y.exact)
+    if x.value != y.value:
+        return -1 if x.value > y.value else 1
+    if x.is_exact != y.is_exact:
+        return -1 if x.is_exact else 1
+    if x.radius != y.radius:
+        return -1 if x.radius < y.radius else 1
+    return 0
+
+
+def _reference_entries(entries):
+    """Linear merge of equal exact values, then a sort on exact comparisons."""
+    merged = []
+    for eig, mult in entries:
+        for i, (other, m) in enumerate(merged):
+            if eig.exact is not None and other.exact is not None and eig.exact == other.exact:
+                merged[i] = (other, m + mult)
+                break
+        else:
+            merged.append((eig, mult))
+    merged.sort(key=cmp_to_key(_reference_cmp))
+    return merged
+
+
+def _rows(entries):
+    return [(e.exact, e.value, e.radius, m) for e, m in entries]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_entry_lists)
+def test_spectrum_matches_reference_merge_and_sort(entries):
+    assert _rows(Spectrum(entries).entries) == _rows(_reference_entries(entries))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exact_entry_lists, st.data())
+def test_spectrum_principal_value_matches_index(entries, data):
+    ref = _reference_entries(entries)
+    i = data.draw(st.integers(0, len(ref) - 1))
+    s = Spectrum(entries, principal_value=ref[i][0].exact)
+    assert s.principal == i
+    assert s == Spectrum(entries, principal=i)
+
+
+def test_spectrum_float_ties_use_the_exact_order():
+    big = [(Eig.from_exact(10 ** 17), 1), (Eig.from_exact(10 ** 17 + 1), 1),
+           (Eig.from_exact(10 ** 17 - 1), 2)]
+    assert float(10 ** 17) == float(10 ** 17 + 1)
+    s = Spectrum(big)
+    assert [e.exact for e, _ in s.entries] == [Surd(10 ** 17 + 1), Surd(10 ** 17),
+                                                Surd(10 ** 17 - 1)]
+    p, q = _PELL[-1]
+    near = Spectrum([(Eig.from_exact(Surd(0, 1, 2)), 1), (Eig.from_exact(Fraction(p, q)), 1)])
+    assert near.entries[0][0].value == near.entries[1][0].value
+    assert (near.entries[0][0].exact > near.entries[1][0].exact)
+
+
+def test_spectrum_exact_comparator_only_on_float_near_ties(monkeypatch):
+    calls = []
+    original = Surd.compare
+
+    def counted(self, other):
+        calls.append((self, other))
+        return original(self, other)
+
+    monkeypatch.setattr(Surd, "compare", counted)
+    Spectrum.from_values([(v, 1) for v in range(-300, 300, 7)] + [(3, 2), (-2, 5)])
+    Spectrum.from_values([(Surd(0, 1, 2), 1), (Surd(Fraction(1, 3)), 1), (Surd(1, -1, 5), 2)])
+    assert calls == []
+    Spectrum.from_values([(10 ** 17, 1), (10 ** 17 + 1, 1), (5, 3)])
+    assert calls and all({x, y} == {Surd(10 ** 17), Surd(10 ** 17 + 1)} for x, y in calls)
+
+
+def test_spectrum_principal_value_errors():
+    entries = [(Eig.from_exact(2), 1), (Eig.from_exact(-2), 1)]
+    with pytest.raises(ValueError):
+        Spectrum(entries, principal_value=3)
+    with pytest.raises(ValueError):
+        Spectrum(entries, principal=1, principal_value=2)
+    assert Spectrum(entries, principal_value=-2).principal == 1
+
+
+def _reference_complement(s, k, loops):
+    """The former two-step build: construct, then look the degree up and rebuild."""
+    n = s.n
+    new_entries = [(Eig.from_exact(Surd(n - k - 1)), 1)]
+    for eig, mult in _sp_prime(s):
+        if eig.exact is not None:
+            mapped = -eig.exact if loops else Surd(-1) - eig.exact
+            new_entries.append((Eig.from_exact(mapped), mult))
+        else:
+            v = -eig.value if loops else -1.0 - eig.value
+            new_entries.append((Eig.from_approx(v, eig.radius), mult))
+    ref = _reference_entries(new_entries)
+    principal = next(i for i, (eig, _) in enumerate(ref)
+                     if eig.exact is not None and eig.exact == Surd(n - k - 1))
+    return ref, principal
+
+
+@settings(max_examples=200, deadline=None)
+@given(_entry_lists, st.booleans(), st.data())
+def test_complement_single_build_matches_two_step(entries, loops, data):
+    ref = _reference_entries(entries)
+    principal = data.draw(st.integers(0, len(ref) - 1))
+    s = Spectrum(entries, principal=principal)
+    k = data.draw(st.integers(0, max(0, s.n - 1)))
+    got = complement_spectrum(s, k, loops=loops)
+    want, want_principal = _reference_complement(s, k, loops)
+    assert _rows(got.entries) == _rows(want)
+    assert got.principal == want_principal
+    assert got.n == s.n
+
+
+def _reference_discrepancy(s):
+    sigma = t_count = m0 = 0
+    s_terms = ExactValue()
+    for eig, mult in _sp_prime(s):
+        v = eig.exact
+        if v.compare(Surd(1)) >= 0:
+            sigma += mult
+        elif v.compare(Surd(-1)) <= 0:
+            sigma -= mult
+        elif v.sign() == 0:
+            m0 += mult
+        elif v.sign() > 0:
+            t_count += mult
+        else:
+            s_terms = s_terms + ExactValue.from_surd(v * 2 + 1).scaled(mult)
+    return sigma, t_count, m0, s_terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exact_entry_lists)
+def test_discrepancy_matches_exact_comparisons(entries):
+    s = Spectrum(entries)
+    b = discrepancy(s)
+    assert (b.sigma, b.T, b.m0, b.S) == _reference_discrepancy(s)
+    for eig, _ in s.entries:
+        v = eig.exact
+        assert delta_of(eig) == ExactValue.from_surd(abs(v + 1)) - ExactValue.from_surd(abs(v))
+
+
+# -- the sigma/T split of a numeric interval does not depend on the labelling -------
+
+@pytest.mark.parametrize("perm", [[4, 5, 2, 6, 3, 8, 7, 0, 1],
+                                  [8, 0, 7, 1, 3, 6, 2, 4, 5]])
+def test_co_lattice_breakdown_independent_of_labelling(perm):
+    # co-lattice(3) has Sp' = {1^4, -2^4}: sigma = 0, T = 0 exactly.  Under the
+    # second labelling the eigensolver returns the 1s at 0.9999999999999998.
+    g = G.complement(G.lattice(3))
+    h = G.Graph(g.adj[np.ix_(perm, perm)])
+    b = discrepancy(G.numeric_spectrum(h))
+    assert (b.sigma, b.T, b.m0) == (0, 0, 0)
+    assert b.delta_total == ExactValue()
+
+
+def test_interval_reaching_one_counts_as_sigma():
+    below = Spectrum([(Eig.from_exact(4), 1), (Eig.from_approx(1 - 1e-12, 1e-8), 4),
+                      (Eig.from_approx(0.5, 1e-8), 1)])
+    b = discrepancy(below)
+    assert (b.sigma, b.T) == (4, 1)
+    assert b.delta_total == ExactValue.from_rational(5)
