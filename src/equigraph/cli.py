@@ -8,6 +8,7 @@ Exit codes for `check`: 0 equal, 1 not equal, 2 error.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -45,13 +46,6 @@ def _resolve_format(fmt: str, as_json: bool, as_csv: bool) -> str:
     if as_csv:
         return "csv"
     return fmt
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get("EQUIGRAPH_JOBS", "1")))
-    except ValueError:
-        return 1
 
 
 def _render_value(v) -> object:
@@ -97,6 +91,19 @@ class SourceError(click.ClickException):
     exit_code = 2
 
 
+def _parse_srg(text: str, derive):
+    """Parse an n,k,e,d tuple into (params, derive(params)); any failure,
+    including an infeasible tuple, is a SourceError."""
+    try:
+        parts = [int(x) for x in text.split(",")]
+        if len(parts) != 4:
+            raise ValueError("expected four comma-separated integers")
+        p = S.SrgParams(*parts)
+        return p, derive(p)
+    except (ValueError, S.InfeasibleParams) as exc:
+        raise SourceError(f"bad srg tuple {text!r}: {exc}")
+
+
 def _numeric_spectrum(graph: G.Graph):
     try:
         return G.numeric_spectrum(graph)
@@ -106,7 +113,7 @@ def _numeric_spectrum(graph: G.Graph):
 
 def _load_source(family: Optional[str], file: Optional[str], ring: Optional[str],
                  srg: Optional[str], params: dict):
-    """Resolve the graph source options to (label, spectrum, k, exact, graph)."""
+    """Resolve the graph source options to (label, spectrum, k, exact)."""
     chosen = [x for x in (family, file, ring, srg) if x]
     if len(chosen) != 1:
         raise SourceError("provide exactly one of --family, --file, --ring, --srg")
@@ -122,7 +129,7 @@ def _load_source(family: Optional[str], file: Optional[str], ring: Optional[str]
             raise SourceError(f"family {family} with {params} is not regular")
         spec = exact if exact is not None else _numeric_spectrum(graph)
         label = f"{family}({', '.join(f'{p}={v}' for p, v in params.items())})"
-        return label, spec, k, exact is not None, graph
+        return label, spec, k, exact is not None
     if file:
         try:
             text = open(file, "r", encoding="utf-8").read()
@@ -132,23 +139,16 @@ def _load_source(family: Optional[str], file: Optional[str], ring: Optional[str]
         k = G.regularity(graph)
         if k is None:
             raise SourceError("graph in file is not regular")
-        return file, _numeric_spectrum(graph), k, False, graph
+        return file, _numeric_spectrum(graph), k, False
     if ring:
         try:
             profile = R.RingProfile.parse(ring)
         except ValueError as exc:
             raise SourceError(str(exc))
         spec = R.unitary_spectrum(profile)
-        return f"ring {profile}", spec, profile.units, True, None
-    try:
-        parts = [int(x) for x in srg.split(",")]
-        if len(parts) != 4:
-            raise ValueError
-        p = S.SrgParams(*parts)
-        spec = S.spectrum_of(p)
-    except (ValueError, S.InfeasibleParams) as exc:
-        raise SourceError(f"bad srg tuple {srg!r}: {exc}")
-    return str(p), spec, p.k, True, None
+        return f"ring {profile}", spec, profile.units, True
+    p, spec = _parse_srg(srg, S.spectrum_of)
+    return str(p), spec, p.k, True
 
 
 def _source_options(fn):
@@ -177,7 +177,7 @@ def main():
 def spectrum(family, file, ring, srg, assume_exact, fmt, as_json, as_csv, **params):
     """Spectrum, energy and discrepancy breakdown of a graph source."""
     fmt = _resolve_format(fmt, as_json, as_csv)
-    label, spec, k, exact, _ = _load_source(family, file, ring, srg, _family_params(params))
+    label, spec, k, exact = _load_source(family, file, ring, srg, _family_params(params))
     report = {
         "command": "spectrum",
         "source": label,
@@ -226,7 +226,7 @@ def check(family, file, ring, srg, loops, assume_exact, fmt, as_json, as_csv, **
     uncertifiable eigenvalue intervals).
     """
     fmt = _resolve_format(fmt, as_json, as_csv)
-    label, spec, k, exact, _ = _load_source(family, file, ring, srg, _family_params(params))
+    label, spec, k, exact = _load_source(family, file, ring, srg, _family_params(params))
     try:
         report = check_equienergetic(spec, k=k, loops=loops, assume_exact=assume_exact)
     except UncertifiableBranch as exc:
@@ -257,30 +257,10 @@ def _class_name(cls) -> str:
     return f"not-equienergetic({cls.reason})" if cls.reason else "not-equienergetic"
 
 
-@main.command()
-@click.option("--srg", required=True, help="strongly regular tuple n,k,e,d")
-@FORMATS
-@JSON_FLAG
-@CSV_FLAG
-def classify(srg, fmt, as_json, as_csv):
-    """Classify an srg tuple under the complementary-equienergy trichotomy."""
-    fmt = _resolve_format(fmt, as_json, as_csv)
-    try:
-        parts = [int(x) for x in srg.split(",")]
-        if len(parts) != 4:
-            raise ValueError("expected four comma-separated integers")
-        p = S.SrgParams(*parts)
-        data = S.eigen_data(p)
-    except (ValueError, S.InfeasibleParams) as exc:
-        raise SourceError(f"bad srg tuple {srg!r}: {exc}")
-    if not S.is_primitive(p):
-        cls_name = "imprimitive"
-    else:
-        cls_name = _class_name(S.classify(p))
+def _srg_fields(p: S.SrgParams, cls_name: str, data: S.SrgEigenData) -> dict:
+    """The class ... oa fields that classify and enumerate print for a tuple."""
     oa = S.oa_params(p)
-    payload = {
-        "command": "classify",
-        "params": str(p),
+    return {
         "class": cls_name,
         "alpha": data.alpha,
         "r": format_surd(data.r),
@@ -290,65 +270,70 @@ def classify(srg, fmt, as_json, as_csv):
         "energy": str(S.energy_closed(p)),
         "oa": f"OA({oa[0]},{oa[1]})" if oa else "",
     }
+
+
+@main.command()
+@click.option("--srg", required=True, help="strongly regular tuple n,k,e,d")
+@FORMATS
+@JSON_FLAG
+@CSV_FLAG
+def classify(srg, fmt, as_json, as_csv):
+    """Classify an srg tuple under the complementary-equienergy trichotomy."""
+    fmt = _resolve_format(fmt, as_json, as_csv)
+    p, data = _parse_srg(srg, S.eigen_data)
+    cls_name = _class_name(S.classify(p)) if S.is_primitive(p) else "imprimitive"
+    payload = {"command": "classify", "params": str(p), **_srg_fields(p, cls_name, data)}
     _emit(payload, fmt)
 
 
 def _enumerate_rows(bounds: tuple[int, int]) -> list[dict]:
+    """The enumerate rows of one shard n_min <= n <= n_max."""
     lo, hi = bounds
-    rows = []
-    for p, cls in S.enumerate_equien(hi):
-        if p.n < lo:
-            continue
-        data = S.eigen_data(p)
-        oa = S.oa_params(p)
-        rows.append({
-            "n": p.n, "k": p.k, "e": p.e, "d": p.d,
-            "class": _class_name(cls),
-            "alpha": data.alpha,
-            "r": format_surd(data.r),
-            "s": format_surd(data.s),
-            "m_r": _render_value(data.m_r),
-            "m_s": _render_value(data.m_s),
-            "energy": str(S.energy_closed(p)),
-            "oa": f"OA({oa[0]},{oa[1]})" if oa else "",
-        })
-    return rows
+    return [{"n": p.n, "k": p.k, "e": p.e, "d": p.d,
+             **_srg_fields(p, _class_name(cls), S.eigen_data(p))}
+            for p, cls in S.enumerate_equien(hi, n_min=lo)]
 
 
 ENUM_COLUMNS = ["n", "k", "e", "d", "class", "alpha", "r", "s", "m_r", "m_s", "energy", "oa"]
 
 
+def _csv_text(rows: list[dict], header: bool = False) -> str:
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=ENUM_COLUMNS)
+    if header:
+        writer.writeheader()
+    writer.writerows(rows)
+    return out.getvalue()
+
+
 @main.command()
-@click.option("--n-max", type=int, required=True, help="largest vertex count")
-@click.option("--jobs", type=int, default=None,
-              help="worker processes (default: EQUIGRAPH_JOBS or 1)")
+@click.option("--n-max", type=click.IntRange(max=S.ENUMERATION_CAP), required=True,
+              help="largest vertex count")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              help="worker processes")
 @FORMATS
 @JSON_FLAG
 @CSV_FLAG
 def enumerate(n_max, jobs, fmt, as_json, as_csv):
     """Stream every equienergetic parameter tuple with n <= N as CSV/JSON."""
     fmt = _resolve_format(fmt, as_json, as_csv)
-    jobs = jobs if jobs is not None else _default_jobs()
-    if jobs > 1:
-        from multiprocessing import Pool
-        step = max(64, n_max // (4 * jobs))
-        chunks = [(lo, min(lo + step - 1, n_max)) for lo in range(2, n_max + 1, step)]
-        with Pool(jobs) as pool:
-            parts = pool.map(_enumerate_rows, chunks)
-        rows = [row for part in parts for row in part]
-    else:
-        rows = _enumerate_rows((2, n_max))
-    rows.sort(key=lambda r: (r["n"], r["k"], r["d"]))
-    if fmt == "json":
-        click.echo(json.dumps({"command": "enumerate", "n_max": n_max, "rows": rows},
-                              indent=2))
-        return
-    out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=ENUM_COLUMNS)
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    click.echo(out.getvalue().rstrip("\n"))
+    step = max(64, n_max // (4 * jobs))
+    shards = [(lo, min(lo + step - 1, n_max)) for lo in range(2, n_max + 1, step)]
+    workers = min(jobs, len(shards), os.cpu_count() or 1)
+    with contextlib.ExitStack() as stack:
+        if workers > 1:
+            from multiprocessing import Pool
+            parts = stack.enter_context(Pool(workers)).imap(_enumerate_rows, shards)
+        else:
+            parts = map(_enumerate_rows, shards)
+        if fmt == "json":
+            rows = [row for part in parts for row in part]
+            click.echo(json.dumps({"command": "enumerate", "n_max": n_max, "rows": rows},
+                                  indent=2))
+            return
+        click.echo(_csv_text([], header=True), nl=False)
+        for part in parts:
+            click.echo(_csv_text(part), nl=False)
 
 
 @main.command("rings-search")

@@ -412,16 +412,6 @@ class ExactValue:
     def rational_part(self) -> Fraction:
         return self.coefficient(1)
 
-    def as_surd(self) -> Surd:
-        """Convert when at most one irrational radicand is present."""
-        irr = [(d, c) for d, c in self._terms if d != 1]
-        if not irr:
-            return Surd(self.rational_part)
-        if len(irr) > 1:
-            raise ValueError("value mixes several radicands")
-        d, c = irr[0]
-        return Surd(self.rational_part, c, d)
-
     def __repr__(self):
         return f"ExactValue({self})"
 

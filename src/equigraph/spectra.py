@@ -251,10 +251,10 @@ class Approximate:
 
 def _assumed_value(e: Eig) -> Fraction:
     """assume-exact reading of an interval: the midpoint, snapped to the
-    nearest integer when it is within the merge threshold (numeric spectra
-    of integral graphs land there)."""
+    nearest integer when that integer lies within the interval's own radius
+    (numeric spectra of integral graphs land there)."""
     nearest = round(e.value)
-    if abs(e.value - nearest) <= MERGE_THRESHOLD:
+    if abs(e.value - nearest) <= e.radius:
         return Fraction(nearest)
     return Fraction(e.value)
 
@@ -490,15 +490,6 @@ class SpectrumFlags:
     integral: bool
     symmetric: bool
     almost_symmetric: bool
-
-
-def _mult_map_exact(s: Spectrum) -> dict[Surd, int]:
-    out: dict[Surd, int] = {}
-    for eig, mult in s.entries:
-        if eig.exact is None:
-            continue
-        out[eig.exact] = out.get(eig.exact, 0) + mult
-    return out
 
 
 def classify_spectrum(s: Spectrum) -> SpectrumFlags:

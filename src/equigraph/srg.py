@@ -52,7 +52,7 @@ __all__ = [
     "two_fields_srg",
 ]
 
-ENUMERATION_CAP = 10 ** 6
+ENUMERATION_CAP = 10_000
 
 
 class InfeasibleParams(ValueError):
@@ -105,9 +105,9 @@ def eigen_data(p: SrgParams) -> SrgEigenData:
     alpha = ed * ed + 4 * (p.k - p.d)
     if alpha <= 0:
         raise InfeasibleParams(f"nonpositive discriminant for {p}")
-    root = Surd(0, 1, alpha)
-    r = (root + ed) / 2
-    s = (Surd(ed) - root) / 2
+    # r, s = ((e - d) +- sqrt(alpha)) / 2, built directly in canonical form
+    r = Surd(Fraction(ed, 2), Fraction(1, 2), alpha)
+    s = Surd(Fraction(ed, 2), Fraction(-1, 2), alpha)
     a = isqrt(alpha)
     is_square = a * a == alpha
     t = 2 * p.k + (p.n - 1) * ed
@@ -297,9 +297,8 @@ def family_params(cls: EquienClass) -> SrgParams:
 def energy_closed(p: SrgParams) -> ExactValue:
     """E = k + m_r * r + m_s * |s|, exactly."""
     data = eigen_data(p)
-    return exact_sum([(Surd(p.k), 1)]) \
-        + ExactValue.from_surd(data.r).scaled(data.m_r) \
-        + ExactValue.from_surd(abs(data.s)).scaled(data.m_s)
+    terms = [(Surd(p.k), 1), (data.r, int(data.m_r)), (abs(data.s), int(data.m_s))]
+    return exact_sum([(x, m) for x, m in terms if m])
 
 
 # -- families from the wider catalog ---------------------------------------------------
@@ -428,26 +427,24 @@ def _equien_scan(n: int) -> list[SrgParams]:
     return out
 
 
-def enumerate_equien(n_max: int) -> list[tuple[SrgParams, EquienClass]]:
-    """All primitive feasible tuples with n <= n_max equienergetic with
-    their complements, classified; asserts that every non-conference
-    entry carries orthogonal-array parameters."""
+def enumerate_equien(n_max: int, n_min: int = 2) -> list[tuple[SrgParams, EquienClass]]:
+    """All primitive feasible tuples with n_min <= n <= n_max equienergetic
+    with their complements, classified, in (n, k, d) order; asserts that
+    every non-conference entry carries orthogonal-array parameters."""
     if n_max > ENUMERATION_CAP:
         raise ValueError(f"n_max above the {ENUMERATION_CAP} cap")
     results: list[tuple[SrgParams, EquienClass]] = []
-    for n in range(2, n_max + 1):
+    for n in range(n_min, n_max + 1):
         for p in _equien_scan(n):
             if not is_primitive(p):
                 continue
-            if not equien_condition(p):
-                continue
+            # the scan's integer test is the delta route, so classify must accept
             cls = classify(p)
             if isinstance(cls, NotEquien):
                 raise AssertionError(f"scan produced unclassifiable tuple {p}: {cls.reason}")
             if not isinstance(cls, Conference) and oa_params(p) is None:
                 raise AssertionError(f"non-conference entry without OA parameters: {p}")
             results.append((p, cls))
-    results.sort(key=lambda pc: (pc[0].n, pc[0].k, pc[0].d))
     return results
 
 

@@ -165,6 +165,30 @@ def verify_table2() -> list[CheckResult]:
 # -- strongly regular enumeration -----------------------------------------------------
 
 
+def _ds_conference_failures() -> list[str]:
+    """Conference sporadics of the spectrally-determined catalog that are not
+    self-complementary conference tuples passing the equienergy condition."""
+    fails = []
+    for name, d in D.DS_CONFERENCE:
+        p = S.family_params(S.Conference(d=d))
+        if not (S.is_conference(p) and S.equien_condition(p)
+                and S.complement_params(p) == p):
+            fails.append(name)
+    return fails
+
+
+def _ds_nonconference_failures() -> list[str]:
+    """Non-conference sporadics of the spectrally-determined catalog that do
+    not fail the condition with m_r - m_s > 0 and 2k + 1 - n < 0."""
+    fails = []
+    for row in D.DS_NONCONFERENCE:
+        p = D.ds_nonconference_params(row)
+        data = S.eigen_data(p)
+        if S.equien_condition(p) or data.m_r - data.m_s <= 0 or 2 * p.k + 1 - p.n >= 0:
+            fails.append(row[-1])
+    return fails
+
+
 def _oracle_direct_energy(n_max: int) -> set[S.SrgParams]:
     """Independent route: compare E and the complement's E tuple by tuple."""
     hits: set[S.SrgParams] = set()
@@ -293,15 +317,8 @@ def verify_family_sweeps() -> list[CheckResult]:
     tf_fail = [name for p, name in D.TRIANGLE_FREE_SPORADIC if S.equien_condition(p)]
     results.append(_all("triangle-free sporadic tuples fail", tf_fail))
 
-    t4_fail = []
-    for row in D.DS_NONCONFERENCE:
-        p = D.ds_nonconference_params(row)
-        data = S.eigen_data(p)
-        if S.equien_condition(p) or not (data.m_r - data.m_s > 0) \
-                or not (2 * p.k + 1 - p.n < 0):
-            t4_fail.append(row[-1])
     results.append(_all("all 14 spectrally-determined sporadic tuples fail with "
-                        "m_r - m_s > 0 and 2k + 1 - n < 0", t4_fail))
+                        "m_r - m_s > 0 and 2k + 1 - n < 0", _ds_nonconference_failures()))
     return results
 
 
@@ -374,10 +391,7 @@ def verify_cameron() -> list[CheckResult]:
     for m in range(2, 30):
         if not S.imprimitive_equien(m, m):
             ds_fail.append(f"K_{m}x{m}")
-    for name, d in D.DS_CONFERENCE:
-        p = S.family_params(S.Conference(d=d))
-        if not (S.equien_condition(p) and S.is_conference(p)):
-            ds_fail.append(name)
+    ds_fail += _ds_conference_failures()
     for n in list(range(3, 51)):
         if n == 4:
             continue  # two graphs share these parameters; not spectrally determined
@@ -496,25 +510,13 @@ def verify_oracle_coherence() -> list[CheckResult]:
 
 
 def verify_table3() -> list[CheckResult]:
-    fails = []
-    for name, d in D.DS_CONFERENCE:
-        p = S.family_params(S.Conference(d=d))
-        if not (S.is_conference(p) and S.equien_condition(p)
-                and S.complement_params(p) == p):
-            fails.append(name)
     return [_all("the three conference sporadics are self-complementary and pass",
-                 fails)]
+                 _ds_conference_failures())]
 
 
 def verify_table4() -> list[CheckResult]:
-    fails = []
-    for row in D.DS_NONCONFERENCE:
-        p = D.ds_nonconference_params(row)
-        data = S.eigen_data(p)
-        if S.equien_condition(p) or data.m_r - data.m_s <= 0 or 2 * p.k + 1 - p.n >= 0:
-            fails.append(row[-1])
     return [_all("all 14 non-conference sporadic rows fail with m_r > m_s "
-                 "and 2k + 1 < n", fails)]
+                 "and 2k + 1 < n", _ds_nonconference_failures())]
 
 
 SUITES: dict[str, Callable[[], list[CheckResult]]] = {

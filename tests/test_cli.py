@@ -130,6 +130,52 @@ def test_enumerate_jobs_matches_serial(runner):
     assert serial.output == parallel.output
 
 
+def test_enumerate_rejects_nonpositive_jobs(runner):
+    for jobs in ("0", "-3"):
+        result = runner.invoke(main, ["enumerate", "--n-max", "30", "--jobs", jobs])
+        assert result.exit_code == 2
+        assert "Error" in result.output
+
+
+def test_enumerate_starts_at_most_one_worker_per_shard_and_cpu(runner, monkeypatch):
+    import multiprocessing
+    import os
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, shards):
+            return map(fn, shards)
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    serial = runner.invoke(main, ["enumerate", "--n-max", "300"])
+    # n <= 300 splits into 5 shards of 64 vertex counts
+    for cpus, workers in ((64, 5), (3, 3)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        result = runner.invoke(main, ["enumerate", "--n-max", "300", "--jobs", str(10 ** 6)])
+        assert result.exit_code == 0
+        assert result.output == serial.output
+        assert started.pop() == workers
+
+
+def test_enumerate_rejects_n_max_above_the_cap(runner):
+    from equigraph.srg import ENUMERATION_CAP
+
+    result = runner.invoke(main, ["enumerate", "--n-max", str(ENUMERATION_CAP + 1)])
+    assert result.exit_code == 2
+    assert "Error" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
 def test_rings_search_cli(runner):
     result = runner.invoke(main, ["rings-search", "--s", "3", "--qmax", "16", "--json"])
     assert result.exit_code == 0

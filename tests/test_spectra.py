@@ -76,6 +76,16 @@ def test_delta_assume_exact_midpoint():
     assert got == ExactValue.from_rational(0)
 
 
+def test_assume_exact_snaps_within_the_entry_radius():
+    # C4 {2, 0^2, -2} with its zero reported at -5e-9 +- 1e-8: the interval
+    # holds 0, so the assume-exact verdict must match the exact one
+    exact = spec([(2, 1), (0, 2), (-2, 1)])
+    approx = Spectrum([(Eig.from_exact(2), 1), (Eig.from_approx(-5e-9, 1e-8), 2),
+                       (Eig.from_exact(-2), 1)])
+    assert check_equienergetic(exact, k=2).equal
+    assert check_equienergetic(approx, k=2, assume_exact=True).equal
+
+
 # -- discrepancy ----------------------------------------------------------
 
 def test_discrepancy_crown3():

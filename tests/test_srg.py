@@ -1,7 +1,12 @@
 from fractions import Fraction
-from math import isqrt
+from functools import lru_cache
+from math import gcd, isqrt
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from equigraph import srg as srg_module
 
 from equigraph.exact import ExactValue, Surd
 from equigraph.graphs import complement, numeric_spectrum, paley, shrikhande, srg_detect, gp_graph
@@ -61,6 +66,59 @@ def test_eigen_data_petersen():
 def test_eigen_data_rejects_bad_identity():
     with pytest.raises(InfeasibleParams):
         eigen_data(SrgParams(10, 3, 1, 1))
+
+
+@lru_cache(maxsize=None)
+def _feasible_tuples(n_max: int = 160) -> tuple[SrgParams, ...]:
+    """Every tuple with n <= n_max that eigen_data accepts, d = 0 and k = d included."""
+    out = []
+    for n in range(3, n_max + 1):
+        for k in range(1, n - 1):
+            step = k // gcd(k, n - 1)   # e is integral exactly when step divides d
+            for d in range(0, k + 1, step):
+                try:
+                    p = SrgParams(n, k, k - 1 - d * (n - k - 1) // k, d)
+                    eigen_data(p)
+                except InfeasibleParams:
+                    continue
+                out.append(p)
+    return tuple(out)
+
+
+feasible_st = st.deferred(lambda: st.sampled_from(_feasible_tuples()))
+
+
+def _division_form(p: SrgParams) -> tuple[Surd, Surd]:
+    """The former r, s: (sqrt(alpha) + (e - d)) / 2 and ((e - d) - sqrt(alpha)) / 2."""
+    ed = p.e - p.d
+    root = Surd(0, 1, ed * ed + 4 * (p.k - p.d))
+    return (root + ed) / 2, (Surd(ed) - root) / 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(feasible_st)
+@example(SrgParams(6, 2, 1, 0))    # two triangles: d = 0
+@example(SrgParams(6, 4, 2, 4))    # K_{3x2}: k = d
+@example(SrgParams(5, 2, 0, 1))    # conference, irrational
+@example(SrgParams(9, 4, 1, 2))    # conference with a square discriminant
+def test_eigen_data_matches_division_form(p):
+    data = eigen_data(p)
+    r, s = _division_form(p)
+    for got, want in ((data.r, r), (data.s, s)):
+        assert (got.a, got.b, got.d) == (want.a, want.b, want.d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(feasible_st)
+@example(SrgParams(6, 2, 1, 0))
+@example(SrgParams(6, 4, 2, 4))
+@example(SrgParams(5, 2, 0, 1))
+def test_energy_closed_matches_three_term_sum(p):
+    data = eigen_data(p)
+    former = ExactValue.from_rational(p.k) \
+        + ExactValue.from_surd(data.r).scaled(data.m_r) \
+        + ExactValue.from_surd(abs(data.s)).scaled(data.m_s)
+    assert energy_closed(p) == former
 
 
 def test_trace_identities_all_feasible_small():
@@ -277,6 +335,20 @@ def test_enumeration_matches_brute_force_oracle():
     fast = {p for p, _ in enumerate_equien(120)}
     slow = set(brute_force_equien(120))
     assert fast == slow
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 200), st.integers(0, 120))
+def test_enumeration_shard_equals_filter(lo, width):
+    hi = lo + width
+    whole = enumerate_equien(hi)
+    assert enumerate_equien(hi, n_min=lo) == [(p, c) for p, c in whole if p.n >= lo]
+
+
+def test_enumeration_raises_on_a_hit_classify_rejects(monkeypatch):
+    monkeypatch.setattr(srg_module, "classify", lambda p: NotEquien("rejected"))
+    with pytest.raises(AssertionError, match="unclassifiable"):
+        enumerate_equien(20)
 
 
 def test_enumeration_closed_under_complement():
