@@ -3,11 +3,12 @@
 Exact eigen-data for srg(n, k, e, d) tuples, the complementary
 equienergy condition, its three-way classification (conference versus
 the square / odd-square vertex-count cases), the orthogonal-array and
-related parameterizations, and a vectorized enumeration of all
-parameter tuples equienergetic with their complements.
+related parameterizations, and the enumeration of all parameter tuples
+equienergetic with their complements from the theorem's closed forms,
+with a vectorized integer scan kept as its independent check.
 
-Everything downstream of the integer scan is re-verified in exact surd
-arithmetic; nothing is decided in floating point.
+Every enumerated tuple is re-verified in exact surd arithmetic; nothing
+is decided in floating point.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
     "negative_latin_square_params",
     "latin_square_params",
     "steiner_params",
+    "theorem_tuples",
     "enumerate_equien",
     "imprimitive_equien",
     "imprimitive_energy",
@@ -114,7 +116,6 @@ def eigen_data(p: SrgParams) -> SrgEigenData:
     if is_square:
         m_r = Fraction(p.n - 1, 2) - Fraction(t, 2 * a)
         m_s = Fraction(p.n - 1, 2) + Fraction(t, 2 * a)
-        conference = False
         if m_r.denominator != 1 or m_s.denominator != 1 or m_r < 0 or m_s < 0:
             raise InfeasibleParams(f"non-integral or negative multiplicities for {p}")
     else:
@@ -123,10 +124,9 @@ def eigen_data(p: SrgParams) -> SrgEigenData:
                 f"irrational eigenvalues with unbalanced multiplicities for {p}"
             )
         m_r = m_s = Fraction(p.n - 1, 2)
-        conference = True
         if m_r.denominator != 1:
             raise InfeasibleParams(f"odd vertex count required for conference {p}")
-    return SrgEigenData(alpha=alpha, r=r, s=s, m_r=m_r, m_s=m_s, conference=conference)
+    return SrgEigenData(alpha=alpha, r=r, s=s, m_r=m_r, m_s=m_s, conference=not is_square)
 
 
 def spectrum_of(p: SrgParams) -> Spectrum:
@@ -178,19 +178,19 @@ def oa_params(p: SrgParams) -> Optional[tuple[int, int]]:
 def equien_condition(p: SrgParams) -> bool:
     """Exact test of n == 2k(sqrt(alpha) + 1)/(sqrt(alpha) - (e - d)) + 1.
 
-    Evaluated in surd arithmetic, then cross-checked against the
-    discrepancy route m_r - m_s == 2k + 1 - n; disagreement between the
-    two algebraic routes is an internal error.
+    Cross-multiplied, as the divisor sqrt(alpha) - (e - d) is positive for
+    every feasible tuple: if k > d then sqrt(alpha) > |e - d|, and if k = d
+    then e - d <= -1.  The discrepancy route m_r - m_s == 2k + 1 - n is
+    checked as -t == (2k + 1 - n) sqrt(alpha); disagreement between the
+    two routes is an internal error.
     """
     data = eigen_data(p)
     root = Surd(0, 1, data.alpha)
-    denom = root - (p.e - p.d)
-    rhs = (root + 1) * (2 * p.k) / denom + 1
-    via_condition = rhs == Surd(p.n)
+    ed = p.e - p.d
+    via_condition = (root - ed) * (p.n - 1) == (root + 1) * (2 * p.k)
 
-    t = 2 * p.k + (p.n - 1) * (p.e - p.d)
-    delta = Surd(-t) / root
-    via_delta = delta == Surd(2 * p.k + 1 - p.n)
+    t = 2 * p.k + (p.n - 1) * ed
+    via_delta = root * (2 * p.k + 1 - p.n) == -t
     if via_condition != via_delta:
         raise AssertionError(f"equienergy routes disagree on {p}")
     return via_condition
@@ -371,16 +371,12 @@ def _primitive_feasible_scan(n: int):
     if n < 5:
         return None
     ks = np.arange(1, n - 1, dtype=np.int64)
-    g = np.gcd(ks, n - 1)
-    step = ks // g
-    counts = g  # number of admissible d <= k
-    total = int(counts.sum())
-    if total == 0:
-        return None
+    counts = np.gcd(ks, n - 1)  # number of admissible d <= k
+    step = ks // counts
     k_flat = np.repeat(ks, counts)
     step_flat = np.repeat(step, counts)
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    t_flat = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts) + 1
+    t_flat = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(offsets, counts) + 1
     d_flat = step_flat * t_flat
 
     x = d_flat * (n - 1 - k_flat)
@@ -399,7 +395,7 @@ def _primitive_feasible_scan(n: int):
 
 
 def _equien_scan(n: int) -> list[SrgParams]:
-    """Integer pre-filter for one n; survivors still get the exact treatment."""
+    """Integer equienergy test of one n, independent of the theorem's closed forms."""
     scan = _primitive_feasible_scan(n)
     if scan is None:
         return []
@@ -427,21 +423,31 @@ def _equien_scan(n: int) -> list[SrgParams]:
     return out
 
 
+def theorem_tuples(n: int) -> list[SrgParams]:
+    """The theorem's primitive tuples on n vertices in (k, d) order: the
+    conference tuple when n = 4d + 1 >= 5, and OA(r, m) for 2 <= m < r
+    when n = r^2 (for odd r, OA(r, (r+1)/2) is the conference tuple, listed once)."""
+    found = set()
+    if n % 4 == 1 and n >= 5:
+        found.add(family_params(Conference(d=(n - 1) // 4)))
+    r = isqrt(n)
+    if r * r == n:
+        found.update(latin_square_params(m, r) for m in range(2, r))
+    return sorted(found, key=lambda p: (p.k, p.d))
+
+
 def enumerate_equien(n_max: int, n_min: int = 2) -> list[tuple[SrgParams, EquienClass]]:
     """All primitive feasible tuples with n_min <= n <= n_max equienergetic
     with their complements, classified, in (n, k, d) order; asserts that
-    every non-conference entry carries orthogonal-array parameters."""
+    ``classify`` accepts each and every non-conference entry is OA."""
     if n_max > ENUMERATION_CAP:
         raise ValueError(f"n_max above the {ENUMERATION_CAP} cap")
     results: list[tuple[SrgParams, EquienClass]] = []
     for n in range(n_min, n_max + 1):
-        for p in _equien_scan(n):
-            if not is_primitive(p):
-                continue
-            # the scan's integer test is the delta route, so classify must accept
+        for p in theorem_tuples(n):
             cls = classify(p)
             if isinstance(cls, NotEquien):
-                raise AssertionError(f"scan produced unclassifiable tuple {p}: {cls.reason}")
+                raise AssertionError(f"theorem produced unclassifiable tuple {p}: {cls.reason}")
             if not isinstance(cls, Conference) and oa_params(p) is None:
                 raise AssertionError(f"non-conference entry without OA parameters: {p}")
             results.append((p, cls))

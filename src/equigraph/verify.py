@@ -35,18 +35,10 @@ class CheckResult:
     details: str = ""
 
 
-def _ok(claim: str, details: str = "") -> CheckResult:
-    return CheckResult(claim, True, details)
-
-
-def _bad(claim: str, details: str = "") -> CheckResult:
-    return CheckResult(claim, False, details)
-
-
 def _all(claim: str, failures: list[str], detail_ok: str = "") -> CheckResult:
     if failures:
-        return _bad(claim, "; ".join(failures[:6]))
-    return _ok(claim, detail_ok)
+        return CheckResult(claim, False, "; ".join(failures[:6]))
+    return CheckResult(claim, True, detail_ok)
 
 
 def has_exact_irrational_in_unit_neg(spectrum: Spectrum) -> bool:
@@ -189,6 +181,18 @@ def _ds_nonconference_failures() -> list[str]:
     return fails
 
 
+def _lattice_failures() -> list[int]:
+    """n in [3,50] whose lattice tuple L2(n) fails the equienergy condition."""
+    return [n for n in range(3, 51)
+            if not S.equien_condition(S.latin_square_params(2, n))]
+
+
+def _triangular_failures() -> list[int]:
+    """n in [5,50] whose triangular tuple T(n) passes the equienergy condition."""
+    return [n for n in range(5, 51)
+            if S.equien_condition(S.SrgParams(n * (n - 1) // 2, 2 * n - 4, n - 2, 4))]
+
+
 def _oracle_direct_energy(n_max: int) -> set[S.SrgParams]:
     """Independent route: compare E and the complement's E tuple by tuple."""
     hits: set[S.SrgParams] = set()
@@ -221,12 +225,18 @@ def verify_srg_enumeration(n_max: int = 2500, oracle_n_max: int = 400) -> list[C
     fast = {p for p, _ in rows if p.n <= oracle_n_max}
     slow = _oracle_direct_energy(oracle_n_max)
     mismatch = sorted(str(p) for p in fast.symmetric_difference(slow))
+    enumerated = [p for p, _ in rows]
+    scan = [p for n in range(2, n_max + 1) for p in S._equien_scan(n) if S.is_primitive(p)]
+    scan_fail = sorted(map(str, set(scan) ^ set(enumerated))) or (
+        [] if scan == enumerated else ["same tuple set, listed differently"])
     return [
         _all(f"every enumerated tuple (n <= {n_max}) is conference or one of the "
              "two square-count cases", bad_class, f"{len(rows)} tuples"),
         _all("every non-conference tuple carries orthogonal-array parameters", bad_oa),
         _all(f"direct-energy oracle agrees on all tuples with n <= {oracle_n_max}",
              mismatch, f"{len(slow)} tuples both ways"),
+        _all(f"the primitive scan hits equal enumerate_equien for n <= {n_max}",
+             scan_fail, f"{len(scan)} tuples"),
     ]
 
 
@@ -263,16 +273,10 @@ def verify_closed_energies() -> list[CheckResult]:
 def verify_family_sweeps() -> list[CheckResult]:
     results = []
 
-    lat_fail = [f"n={n}" for n in range(3, 51)
-                if not S.equien_condition(S.latin_square_params(2, n))]
-    results.append(_all("lattice tuples pass for n in [3,50]", lat_fail))
-
-    tri_fail = []
-    for n in range(5, 51):
-        p = S.SrgParams(n * (n - 1) // 2, 2 * n - 4, n - 2, 4)
-        if S.equien_condition(p):
-            tri_fail.append(f"n={n}")
-    results.append(_all("triangular tuples fail for n in [5,50]", tri_fail))
+    results.append(_all("lattice tuples pass for n in [3,50]",
+                        [f"n={n}" for n in _lattice_failures()]))
+    results.append(_all("triangular tuples fail for n in [5,50]",
+                        [f"n={n}" for n in _triangular_failures()]))
 
     steiner_fail = []
     for m in range(2, 9):
@@ -392,20 +396,11 @@ def verify_cameron() -> list[CheckResult]:
         if not S.imprimitive_equien(m, m):
             ds_fail.append(f"K_{m}x{m}")
     ds_fail += _ds_conference_failures()
-    for n in list(range(3, 51)):
-        if n == 4:
-            continue  # two graphs share these parameters; not spectrally determined
-        verdict = S.equien_condition(S.latin_square_params(2, n))
-        if not verdict:
-            ds_fail.append(f"L2({n})")
-    for n in range(5, 51):
-        if n == 8:
-            continue  # three exceptional mates; not spectrally determined
-        if S.equien_condition(S.SrgParams(n * (n - 1) // 2, 2 * n - 4, n - 2, 4)):
-            ds_fail.append(f"T({n})")
-    for row in D.DS_NONCONFERENCE:
-        if S.equien_condition(D.ds_nonconference_params(row)):
-            ds_fail.append(row[-1])
+    # n = 4: two graphs share the L2(4) parameters; not spectrally determined
+    ds_fail += [f"L2({n})" for n in _lattice_failures() if n != 4]
+    # n = 8: T(8) has three exceptional mates; not spectrally determined
+    ds_fail += [f"T({n})" for n in _triangular_failures() if n != 8]
+    ds_fail += _ds_nonconference_failures()
     results.append(_all(
         "over the spectrally-determined catalog the accepted tuples are exactly "
         "K_{mxm}, the three conference sporadics and the rook tuples "

@@ -36,8 +36,10 @@ from equigraph.srg import (
     smith_params,
     spectrum_of,
     steiner_params,
+    theorem_tuples,
     two_fields_srg,
 )
+from equigraph.verify import verify_srg_enumeration
 
 
 # -- eigen data ----------------------------------------------------------------
@@ -188,6 +190,34 @@ def test_equien_condition_examples():
     assert not equien_condition(SrgParams(10, 3, 0, 1))
     t = 2
     assert equien_condition(SrgParams(4 * t * t, 2 * t * t - t, t * t - t, t * t - t))
+
+
+def _division_condition(p: SrgParams) -> bool:
+    """The former equien_condition: both routes with a surd division."""
+    data = eigen_data(p)
+    root = Surd(0, 1, data.alpha)
+    via_condition = (root + 1) * (2 * p.k) / (root - (p.e - p.d)) + 1 == Surd(p.n)
+    t = 2 * p.k + (p.n - 1) * (p.e - p.d)
+    via_delta = Surd(-t) / root == Surd(2 * p.k + 1 - p.n)
+    assert via_condition == via_delta
+    return via_condition
+
+
+@settings(max_examples=300, deadline=None)
+@given(feasible_st)
+@example(SrgParams(6, 4, 2, 4))    # k = d: sqrt(alpha) = |e - d|, e - d = -2
+@example(SrgParams(5, 2, 0, 1))    # conference, irrational
+@example(SrgParams(9, 4, 1, 2))    # conference with a square discriminant
+@example(SrgParams(16, 6, 2, 2))   # OA(4, 2)
+@example(SrgParams(10, 3, 0, 1))   # Petersen: fails
+def test_equien_condition_matches_division_form(p):
+    assert equien_condition(p) == _division_condition(p)
+
+
+def test_equien_condition_divisor_positive_on_all_feasible_small():
+    for p in _feasible_tuples():
+        root = Surd(0, 1, eigen_data(p).alpha)
+        assert root - (p.e - p.d) > 0, p
 
 
 def test_classification_examples():
@@ -349,6 +379,35 @@ def test_enumeration_raises_on_a_hit_classify_rejects(monkeypatch):
     monkeypatch.setattr(srg_module, "classify", lambda p: NotEquien("rejected"))
     with pytest.raises(AssertionError, match="unclassifiable"):
         enumerate_equien(20)
+
+
+def test_theorem_tuples_small():
+    assert theorem_tuples(9) == [SrgParams(9, 4, 1, 2)]           # OA(3, 2) is conference
+    assert theorem_tuples(16) == [SrgParams(16, 6, 2, 2), SrgParams(16, 9, 4, 6)]
+    assert theorem_tuples(25) == [SrgParams(25, 8, 3, 2), SrgParams(25, 12, 5, 6),
+                                  SrgParams(25, 16, 9, 12)]
+    assert theorem_tuples(13) == [SrgParams(13, 6, 2, 3)]
+    assert [theorem_tuples(n) for n in (2, 4, 7, 8)] == [[], [], [], []]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 2500), st.integers(0, 80))
+@example(2401, 0)    # 49^2 = 4 * 600 + 1: 47 OA tuples, one of them the conference tuple
+@example(2500, 0)    # 50^2: 48 OA tuples, no conference tuple
+def test_theorem_tuples_equal_primitive_scan_hits(lo, width):
+    for n in range(lo, min(lo + width, 2500) + 1):
+        scan = [p for p in srg_module._equien_scan(n) if is_primitive(p)]
+        assert theorem_tuples(n) == scan, n
+
+
+def test_scan_row_passes_and_fails_when_an_oa_tuple_is_dropped(monkeypatch):
+    assert verify_srg_enumeration(n_max=120, oracle_n_max=5)[-1].passed
+    real = srg_module.theorem_tuples
+    monkeypatch.setattr(srg_module, "theorem_tuples",
+                        lambda n: [p for p in real(n) if p != SrgParams(64, 21, 8, 6)])
+    row = verify_srg_enumeration(n_max=120, oracle_n_max=5)[-1]
+    assert row.claim == "the primitive scan hits equal enumerate_equien for n <= 120"
+    assert not row.passed and row.details == "srg(64,21,8,6)"
 
 
 def test_enumeration_closed_under_complement():
