@@ -80,7 +80,7 @@ def _emit(report: dict, fmt: str):
 # -- graph sources --------------------------------------------------------------------
 
 
-_FAMILY_PARAM_NAMES = ("t", "n", "a", "b", "m", "q", "k")
+_FAMILY_PARAM_NAMES = tuple(dict.fromkeys(p for fam in G.FAMILIES.values() for p in fam.params))
 
 
 def _family_params(kwargs) -> dict:
@@ -113,18 +113,21 @@ def _numeric_spectrum(graph: G.Graph):
 
 def _load_source(family: Optional[str], file: Optional[str], ring: Optional[str],
                  srg: Optional[str], params: dict):
-    """Resolve the graph source options to (label, spectrum, k, exact)."""
+    """Resolve the graph source options to (label, spectrum, k, exact).
+
+    A named family with a closed form is answered from it, k included;
+    only a family without one is built and solved numerically.
+    """
     chosen = [x for x in (family, file, ring, srg) if x]
     if len(chosen) != 1:
         raise SourceError("provide exactly one of --family, --file, --ring, --srg")
     if family:
         try:
-            # gen_named first: it names the family's parameters when some are missing
-            graph = G.gen_named(family, **params)
-            exact = D.exact_spectrum_of_family(family, **params)
+            exact = D.exact_spectrum_of_family(family, **params)  # runs the family's guard
+            graph = G.gen_named(family, **params) if exact is None else None
         except ValueError as exc:  # InfeasibleParams included
             raise SourceError(f"family {family} with {params}: {exc}")
-        k = G.regularity(graph)
+        k = G.regularity(graph) if exact is None else G.spectral_regularity(exact)
         if k is None:
             raise SourceError(f"family {family} with {params} is not regular")
         spec = exact if exact is not None else _numeric_spectrum(graph)

@@ -295,93 +295,15 @@ TRIANGLE_FREE_SPORADIC = [
 ]
 
 
-# -- closed-form exact spectra for constructible families ---------------------------------
-
-
-def _crown_spectrum(t: int) -> Spectrum:
-    return _spec([(t - 1, 1), (1, t - 1), (-1, t - 1), (-(t - 1), 1)])
-
-
-def _complete_spectrum(n: int) -> Spectrum:
-    if n == 1:
-        return _spec([(0, 1)])
-    return _spec([(n - 1, 1), (-1, n - 1)])
-
-
-def _complete_bipartite_spectrum(a: int, b: int) -> Spectrum:
-    root = Surd(0, 1, a * b)
-    return _spec([(root, 1), (Surd(0), a + b - 2), (-root, 1)])
-
-
-def _complete_multipartite_spectrum(a: int, m: int) -> Spectrum:
-    entries = [(Surd((a - 1) * m), 1)]
-    if a * (m - 1):
-        entries.append((Surd(0), a * (m - 1)))
-    entries.append((Surd(-m), a - 1))
-    return _spec(entries)
-
-
-def _paley_spectrum(q: int) -> Spectrum:
-    root = Surd(0, 1, q)
-    half = Fraction(1, 2)
-    return _spec([
-        (Surd(Fraction(q - 1, 2)), 1),
-        ((root - 1) * half, (q - 1) // 2),
-        ((-root - 1) * half, (q - 1) // 2),
-    ])
-
-
-def _srg_family_spectrum(p: SrgParams) -> Spectrum:
-    from .srg import spectrum_of
-    return spectrum_of(p)
+# -- closed-form exact spectra of the named families ---------------------------------
 
 
 def exact_spectrum_of_family(family: str, **params) -> Optional[Spectrum]:
-    """Closed-form exact spectrum for a named family, or None if unknown."""
-    key = family.lower().replace("-", "_")
-    if key == "crown":
-        return _crown_spectrum(params["t"])
-    if key == "complete":
-        return _complete_spectrum(params["n"])
-    if key == "complete_bipartite":
-        return _complete_bipartite_spectrum(params["a"], params["b"])
-    if key == "complete_multipartite":
-        return _complete_multipartite_spectrum(params["a"], params["m"])
-    if key == "lattice":
-        n = params["n"]
-        if n == 2:
-            return _spec([(2, 1), (0, 2), (-2, 1)])
-        return _srg_family_spectrum(SrgParams(n * n, 2 * n - 2, n - 2, 2))
-    if key == "triangular":
-        n = params["n"]
-        if n == 4:  # T(4) = K_{2,2,2} is imprimitive
-            return _complete_multipartite_spectrum(3, 2)
-        return _srg_family_spectrum(SrgParams(n * (n - 1) // 2, 2 * n - 4, n - 2, 4))
-    if key == "petersen":
-        return _spec([(3, 1), (1, 5), (-2, 4)])
-    if key == "shrikhande":
-        return _spec([(6, 1), (2, 6), (-2, 9)])
-    if key == "q3":
-        return _spec([(3, 1), (1, 3), (-1, 3), (-3, 1)])
-    if key == "k3_prism":
-        return _spec([(3, 1), (1, 1), (0, 2), (-2, 2)])
-    if key == "paley":
-        return _paley_spectrum(params["q"])
-    if key == "cycle":
-        n = params["n"]
-        if n == 3:
-            return _complete_spectrum(3)
-        if n == 4:
-            return _spec([(2, 1), (0, 2), (-2, 1)])
-        if n == 5:
-            return _paley_spectrum(5)
-        if n == 6:
-            return _spec([(2, 1), (1, 2), (-1, 2), (-2, 1)])
-        return None
-    if key == "gp":
-        from .srg import gp_spectrum
-        try:
-            return gp_spectrum(params["k"], params["q"]).spectrum
-        except ValueError:
-            return None
-    return None
+    """Closed-form exact spectrum of a named family, or None where it has none.
+
+    The family's guard runs first, so this raises ValueError exactly when
+    ``graphs.gen_named`` does.
+    """
+    fam, args = G.family_args(family, params)
+    fam.guard(*args)
+    return fam.spectrum(*args)

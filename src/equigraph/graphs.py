@@ -1,4 +1,5 @@
-"""Concrete graph constructions, products, predicates and the numeric spectrum.
+"""Concrete graph constructions, products, predicates and the numeric spectrum,
+and the table of named families with their guards and closed-form spectra.
 
 Adjacency is a dense symmetric boolean numpy matrix.  Sizes are capped
 at 400 vertices for eigensolving and 20000 for combinatorial work;
@@ -9,16 +10,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from .exact import Surd, exact_sum
 from .fields import GF, prime_power_decompose
 from .jacobi import jacobi_eigenvalues
 from .spectra import Eig, Spectrum
+from .srg import (Conference, family_params, gp_spectrum, latin_square_params,
+                  spectrum_of, steiner_params)
 
 __all__ = [
     "Graph",
+    "Family",
+    "FAMILIES",
+    "family_args",
     "gen_named",
     "cycle",
     "complete",
@@ -43,6 +50,7 @@ __all__ = [
     "srg_detect",
     "is_bipartite",
     "regularity",
+    "spectral_regularity",
     "is_isospectral",
     "write_graph",
     "read_graph",
@@ -96,25 +104,23 @@ class Graph:
 
 
 # -- named families -------------------------------------------------------------
+# Each builder checks its parameters with its family's guard in FAMILIES.
 
 
 def cycle(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs n >= 3")
+    FAMILIES["cycle"].guard(n)
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n: int) -> Graph:
-    if n < 1:
-        raise ValueError("complete graph needs n >= 1")
+    FAMILIES["complete"].guard(n)
     adj = np.ones((n, n), dtype=bool)
     np.fill_diagonal(adj, False)
     return Graph(adj)
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
-    if a < 1 or b < 1:
-        raise ValueError("parts must be nonempty")
+    FAMILIES["complete_bipartite"].guard(a, b)
     adj = np.zeros((a + b, a + b), dtype=bool)
     adj[:a, a:] = True
     adj[a:, :a] = True
@@ -123,8 +129,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
 
 def complete_multipartite(a: int, m: int) -> Graph:
     """K_{a x m}: a parts of size m, all cross edges."""
-    if a < 1 or m < 1:
-        raise ValueError("need a, m >= 1")
+    FAMILIES["complete_multipartite"].guard(a, m)
     n = a * m
     part = np.arange(n) // m
     adj = part[:, None] != part[None, :]
@@ -133,8 +138,7 @@ def complete_multipartite(a: int, m: int) -> Graph:
 
 def crown(t: int) -> Graph:
     """K_{t,t} minus the identity perfect matching (i paired with i')."""
-    if t < 2:
-        raise ValueError("crown needs t >= 2")
+    FAMILIES["crown"].guard(t)
     g = complete_bipartite(t, t)
     adj = g.adj.copy()
     for i in range(t):
@@ -144,43 +148,20 @@ def crown(t: int) -> Graph:
 
 
 def lattice(n: int) -> Graph:
-    """Rook's graph on an n x n board (line graph of K_{n,n})."""
-    if n < 2:
-        raise ValueError("lattice needs n >= 2")
-    idx = np.arange(n * n)
-    row = idx // n
-    col = idx % n
-    same_row = row[:, None] == row[None, :]
-    same_col = col[:, None] == col[None, :]
-    adj = (same_row ^ same_col)
-    return Graph(adj)
+    """Rook's graph on an n x n board, the line graph of K_{n,n}; square (i, j) is i*n + j."""
+    FAMILIES["lattice"].guard(n)
+    return line_graph(complete_bipartite(n, n))
 
 
 def triangular(n: int) -> Graph:
-    """Line graph of K_n: vertices are 2-subsets, adjacent when they meet."""
-    if n < 4:
-        raise ValueError("triangular graph needs n >= 4")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    m = len(pairs)
-    adj = np.zeros((m, m), dtype=bool)
-    for x in range(m):
-        ax, bx = pairs[x]
-        for y in range(x + 1, m):
-            ay, by = pairs[y]
-            if len({ax, bx, ay, by}) == 3:
-                adj[x, y] = adj[y, x] = True
-    return Graph(adj)
+    """Line graph of K_n: the 2-subsets in lexicographic order, adjacent when they meet."""
+    FAMILIES["triangular"].guard(n)
+    return line_graph(complete(n))
 
 
 def petersen() -> Graph:
-    """Kneser graph K(5, 2): 2-subsets of {0..4}, adjacent when disjoint."""
-    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-    adj = np.zeros((10, 10), dtype=bool)
-    for x in range(10):
-        for y in range(x + 1, 10):
-            if not set(pairs[x]) & set(pairs[y]):
-                adj[x, y] = adj[y, x] = True
-    return Graph(adj)
+    """Kneser graph K(5, 2), the complement of T(5): 2-subsets adjacent when disjoint."""
+    return complement(triangular(5))
 
 
 def shrikhande() -> Graph:
@@ -202,35 +183,6 @@ def prism_k3() -> Graph:
     return cartesian(complete(3), complete(2))
 
 
-_FAMILIES = {
-    "cycle": (cycle, ("n",)),
-    "complete": (complete, ("n",)),
-    "complete_bipartite": (complete_bipartite, ("a", "b")),
-    "complete_multipartite": (complete_multipartite, ("a", "m")),
-    "crown": (crown, ("t",)),
-    "lattice": (lattice, ("n",)),
-    "triangular": (triangular, ("n",)),
-    "petersen": (petersen, ()),
-    "shrikhande": (shrikhande, ()),
-    "q3": (cube_q3, ()),
-    "k3_prism": (prism_k3, ()),
-    "paley": (lambda q: paley(q), ("q",)),
-    "gp": (lambda k, q: gp_graph(k, q), ("k", "q")),
-}
-
-
-def gen_named(family: str, **params) -> Graph:
-    key = family.lower().replace("-", "_")
-    if key not in _FAMILIES:
-        raise ValueError(f"unknown family {family!r}; known: {sorted(_FAMILIES)}")
-    fn, names = _FAMILIES[key]
-    missing = [p for p in names if p not in params]
-    extra = [p for p in params if p not in names]
-    if missing or extra:
-        raise ValueError(f"family {family!r} takes parameters {names}")
-    return fn(**{p: params[p] for p in names})
-
-
 # -- products and derived graphs ----------------------------------------------------
 
 
@@ -245,14 +197,15 @@ def cartesian(g: Graph, h: Graph) -> Graph:
 
 
 def line_graph(g: Graph) -> Graph:
-    edges = g.edges()
-    m = len(edges)
-    adj = np.zeros((m, m), dtype=bool)
-    for x in range(m):
-        ex = set(edges[x])
-        for y in range(x + 1, m):
-            if ex & set(edges[y]):
-                adj[x, y] = adj[y, x] = True
+    """Edges of g in ``g.edges()`` order, adjacent when they share an endpoint:
+    the incidence product B B^T with its diagonal cleared."""
+    us, vs = np.nonzero(np.triu(g.adj))
+    incidence = np.zeros((len(us), g.n))
+    rows = np.arange(len(us))
+    incidence[rows, us] = 1
+    incidence[rows, vs] = 1
+    adj = incidence @ incidence.T > 0
+    np.fill_diagonal(adj, False)
     return Graph(adj)
 
 
@@ -290,16 +243,22 @@ def cayley(moduli: Sequence[int], connection: Iterable[tuple[int, ...]]) -> Grap
     return Graph(adj)
 
 
+def _power_residue_guard(k: int, q: int) -> None:
+    """GF(q) exists, k divides q - 1 and the k-th power residues are closed
+    under negation."""
+    decomp = prime_power_decompose(q)
+    _need(decomp is not None, f"{q} is not a prime power")
+    _need(k >= 1, f"k={k} must be positive")
+    _need((q - 1) % k == 0, f"k={k} must divide q - 1 = {q - 1}")
+    _need(decomp[0] == 2 or ((q - 1) // k) % 2 == 0,
+          f"power residue set R_{k} in GF({q}) is not symmetric "
+          "(need (q-1)/k even or characteristic 2)")
+
+
 def gp_graph(k: int, q: int) -> Graph:
     """Cayley graph on GF(q) whose connection set is the k-th power residues."""
+    FAMILIES["gp"].guard(k, q)
     field = GF(q)
-    if (q - 1) % k != 0:
-        raise ValueError(f"k={k} must divide q - 1 = {q - 1}")
-    if field.p != 2 and ((q - 1) // k) % 2 != 0:
-        raise ValueError(
-            f"power residue set R_{k} in GF({q}) is not symmetric "
-            "(need (q-1)/k even or characteristic 2)"
-        )
     residues = field.power_residues(k)
     n = q
     adj = np.zeros((n, n), dtype=bool)
@@ -343,6 +302,101 @@ def unitary_cayley_concrete(factors: Sequence[str]) -> Graph:
     return out
 
 
+# -- the named-family table -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Family:
+    """A named family: its parameter names, a guard that raises ValueError when
+    the parameters name no graph, the builder, and the closed-form exact
+    spectrum (None where the family has none for those parameters)."""
+
+    params: tuple[str, ...]
+    guard: Callable[..., None]
+    build: Callable[..., Graph]
+    spectrum: Callable[..., Optional[Spectrum]]
+
+
+def _need(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
+def _no_params() -> None:
+    pass
+
+
+def _spec(values) -> Spectrum:
+    """An exact spectrum from (value, multiplicity) pairs, dropping multiplicity 0."""
+    return Spectrum.from_values([(v, m) for v, m in values if m])
+
+
+def _cycle_spectrum(n: int) -> Optional[Spectrum]:
+    """C_3 .. C_6 in closed form; longer cycles are solved numerically."""
+    if n == 5:
+        return FAMILIES["paley"].spectrum(5)
+    small = {3: [(2, 1), (-1, 2)], 4: [(2, 1), (0, 2), (-2, 1)],
+             6: [(2, 1), (1, 2), (-1, 2), (-2, 1)]}
+    return _spec(small[n]) if n in small else None
+
+
+def _gp_spectrum(k: int, q: int) -> Optional[Spectrum]:
+    try:
+        return gp_spectrum(k, q).spectrum
+    except ValueError:  # not semiprimitive: no closed form
+        return None
+
+
+# the first appearances of the parameter names give the CLI's option order
+FAMILIES: dict[str, Family] = {
+    "crown": Family(("t",), lambda t: _need(t >= 2, "crown needs t >= 2"), crown,
+                    lambda t: _spec([(t - 1, 1), (1, t - 1), (-1, t - 1), (1 - t, 1)])),
+    "cycle": Family(("n",), lambda n: _need(n >= 3, "cycle needs n >= 3"), cycle,
+                    _cycle_spectrum),
+    "complete": Family(("n",), lambda n: _need(n >= 1, "complete graph needs n >= 1"),
+                       complete, lambda n: _spec([(n - 1, 1), (-1, n - 1)])),
+    "complete_bipartite": Family(
+        ("a", "b"), lambda a, b: _need(a >= 1 and b >= 1, "parts must be nonempty"),
+        complete_bipartite,
+        lambda a, b: _spec([(Surd(0, 1, a * b), 1), (0, a + b - 2), (Surd(0, -1, a * b), 1)])),
+    "complete_multipartite": Family(
+        ("a", "m"), lambda a, m: _need(a >= 1 and m >= 1, "need a, m >= 1"),
+        complete_multipartite,
+        lambda a, m: _spec([((a - 1) * m, 1), (0, a * (m - 1)), (-m, a - 1)])),
+    "lattice": Family(("n",), lambda n: _need(n >= 2, "lattice needs n >= 2"), lattice,
+                      lambda n: spectrum_of(latin_square_params(2, n))),
+    "triangular": Family(("n",), lambda n: _need(n >= 4, "triangular graph needs n >= 4"),
+                         triangular, lambda n: spectrum_of(steiner_params(2, n - 2))),
+    "petersen": Family((), _no_params, petersen,
+                       lambda: _spec([(3, 1), (1, 5), (-2, 4)])),
+    "shrikhande": Family((), _no_params, shrikhande,
+                         lambda: _spec([(6, 1), (2, 6), (-2, 9)])),
+    "q3": Family((), _no_params, cube_q3,
+                 lambda: _spec([(3, 1), (1, 3), (-1, 3), (-3, 1)])),
+    "k3_prism": Family((), _no_params, prism_k3,
+                       lambda: _spec([(3, 1), (1, 1), (0, 2), (-2, 2)])),
+    "paley": Family(("q",), lambda q: _power_residue_guard(2, q), paley,
+                    lambda q: spectrum_of(family_params(Conference((q - 1) // 4)))),
+    "gp": Family(("k", "q"), _power_residue_guard, gp_graph, _gp_spectrum),
+}
+
+
+def family_args(family: str, params: dict) -> tuple[Family, tuple]:
+    """A family's table entry and its parameter values in the entry's order."""
+    key = family.lower().replace("-", "_")
+    if key not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
+    fam = FAMILIES[key]
+    if set(params) != set(fam.params):
+        raise ValueError(f"family {family!r} takes parameters {fam.params}")
+    return fam, tuple(params[p] for p in fam.params)
+
+
+def gen_named(family: str, **params) -> Graph:
+    fam, args = family_args(family, params)
+    return fam.build(*args)
+
+
 # -- numeric spectrum ------------------------------------------------------------------
 
 
@@ -383,6 +437,22 @@ def regularity(g: Graph) -> Optional[int]:
     degs = g.degrees()
     k = int(degs[0]) if g.n else 0
     return k if np.all(degs == k) else None
+
+
+def spectral_regularity(spec: Spectrum) -> Optional[int]:
+    """The degree of a regular graph read off its exact spectrum, or None
+    when the graph is irregular.
+
+    The average degree is trace(A^2)/n, the sum of m x^2 over the entries
+    divided by n.  The principal eigenvalue is at least the average degree,
+    with equality exactly when the graph is regular (Brouwer-Haemers,
+    *Spectra of Graphs*, section 3.1).
+    """
+    trace = exact_sum([(eig.exact * eig.exact, m) for eig, m in spec.entries])
+    average = trace.rational_part / spec.n
+    if trace.is_rational and average.denominator == 1 and spec.principal_eig.exact == average:
+        return int(average)
+    return None
 
 
 def is_bipartite(g: Graph) -> bool:

@@ -436,21 +436,23 @@ def theorem_tuples(n: int) -> list[SrgParams]:
     return sorted(found, key=lambda p: (p.k, p.d))
 
 
+def _theorem_rows(n_max: int, n_min: int = 2) -> list[tuple[SrgParams, EquienClass]]:
+    """``theorem_tuples`` for n_min <= n <= n_max, each with its ``classify`` outcome."""
+    return [(p, classify(p)) for n in range(n_min, n_max + 1) for p in theorem_tuples(n)]
+
+
 def enumerate_equien(n_max: int, n_min: int = 2) -> list[tuple[SrgParams, EquienClass]]:
     """All primitive feasible tuples with n_min <= n <= n_max equienergetic
     with their complements, classified, in (n, k, d) order; asserts that
     ``classify`` accepts each and every non-conference entry is OA."""
     if n_max > ENUMERATION_CAP:
         raise ValueError(f"n_max above the {ENUMERATION_CAP} cap")
-    results: list[tuple[SrgParams, EquienClass]] = []
-    for n in range(n_min, n_max + 1):
-        for p in theorem_tuples(n):
-            cls = classify(p)
-            if isinstance(cls, NotEquien):
-                raise AssertionError(f"theorem produced unclassifiable tuple {p}: {cls.reason}")
-            if not isinstance(cls, Conference) and oa_params(p) is None:
-                raise AssertionError(f"non-conference entry without OA parameters: {p}")
-            results.append((p, cls))
+    results = _theorem_rows(n_max, n_min)
+    for p, cls in results:
+        if isinstance(cls, NotEquien):
+            raise AssertionError(f"theorem produced unclassifiable tuple {p}: {cls.reason}")
+        if not isinstance(cls, Conference) and oa_params(p) is None:
+            raise AssertionError(f"non-conference entry without OA parameters: {p}")
     return results
 
 
@@ -539,4 +541,4 @@ def two_fields_srg(q: int) -> SrgParams:
     """Unitary Cayley graph of a product of two equal fields of order q."""
     if q < 3:
         raise ValueError("need q >= 3")
-    return SrgParams(q * q, (q - 1) ** 2, (q - 2) ** 2, (q - 1) * (q - 2))
+    return latin_square_params(q - 1, q)

@@ -190,7 +190,7 @@ def _lattice_failures() -> list[int]:
 def _triangular_failures() -> list[int]:
     """n in [5,50] whose triangular tuple T(n) passes the equienergy condition."""
     return [n for n in range(5, 51)
-            if S.equien_condition(S.SrgParams(n * (n - 1) // 2, 2 * n - 4, n - 2, 4))]
+            if S.equien_condition(S.steiner_params(2, n - 2))]
 
 
 def _oracle_direct_energy(n_max: int) -> set[S.SrgParams]:
@@ -218,7 +218,9 @@ def _oracle_direct_energy(n_max: int) -> set[S.SrgParams]:
 
 
 def verify_srg_enumeration(n_max: int = 2500, oracle_n_max: int = 400) -> list[CheckResult]:
-    rows = S.enumerate_equien(n_max)
+    # enumerate_equien's rows before its guards, so a faulty generator fails
+    # a row with its tuple as the witness instead of raising
+    rows = S._theorem_rows(n_max)
     bad_class = [str(p) for p, cls in rows if isinstance(cls, S.NotEquien)]
     bad_oa = [str(p) for p, cls in rows
               if not isinstance(cls, S.Conference) and S.oa_params(p) is None]

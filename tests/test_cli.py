@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -76,6 +78,54 @@ def test_check_rejects_invalid_family_parameters(runner, family_args):
     result = runner.invoke(main, ["check", *family_args])
     assert result.exit_code == 2        # an error, not the "not equal" verdict
     assert result.output.startswith("Error: family ")
+
+
+TRIANGULAR_80 = """command: check
+source: triangular(n=80)
+n: 3160
+degree: 156
+equal: False
+delta: -3001
+energy: 12320
+energy_complement: 12166
+routes_agree: True
+provenance: exact closed form
+"""
+
+LATTICE_120 = """command: check
+source: lattice(n=120)
+n: 14400
+degree: 238
+equal: True
+delta: -13923
+energy: 56644
+energy_complement: 56644
+routes_agree: True
+provenance: exact closed form
+"""
+
+
+def test_check_family_with_a_closed_form_builds_no_graph(runner, monkeypatch):
+    from equigraph import graphs as G
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a graph was built")
+    monkeypatch.setattr(G, "gen_named", refuse)
+    monkeypatch.setattr(G.Graph, "__init__", refuse)
+    tri = runner.invoke(main, ["check", "--family", "triangular", "--n", "80"])
+    assert (tri.exit_code, tri.output) == (1, TRIANGULAR_80)
+    rook = runner.invoke(main, ["check", "--family", "lattice", "--n", "120"])
+    assert (rook.exit_code, rook.output) == (0, LATTICE_120)
+
+
+@pytest.mark.parametrize("family_args", [
+    ["--family", "complete_bipartite", "--a", "1", "--b", "1"],     # K_2
+    ["--family", "complete_multipartite", "--a", "1", "--m", "3"],  # the empty graph on 3
+])
+def test_check_family_closed_form_with_a_zero_multiplicity(runner, family_args):
+    result = runner.invoke(main, ["check", *family_args])
+    assert result.exit_code == 1
+    assert "routes_agree: True" in result.output
 
 
 def test_check_file_above_eigensolver_cap(runner, tmp_path):
@@ -207,3 +257,33 @@ def test_verify_crowns_json(runner):
 def test_verify_unknown_suite(runner):
     result = runner.invoke(main, ["verify", "nonsense"])
     assert result.exit_code == 2
+
+
+ENUMERATE_2500 = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "enumerate_2500.csv"
+
+
+def test_enumerate_2500_csv_fingerprint(runner):
+    expected = ENUMERATE_2500.read_bytes()
+    assert hashlib.md5(expected).hexdigest() == "a59dbe761a9cb4ae487ec3c02c0dae45"
+    result = runner.invoke(main, ["enumerate", "--n-max", "2500", "--csv"])
+    assert result.exit_code == 0
+    assert result.stdout_bytes == expected  # csv rows end in \r\n
+
+
+def test_rings_search_fingerprint(runner):
+    result = runner.invoke(main, ["rings-search", "--s", "3", "--qmax", "64", "--csv"])
+    assert result.exit_code == 0
+    assert result.output.splitlines() == ["q1,q2,q3", "3,4,7", "3,5,5", "4,4,4"]
+
+
+def test_verify_reports_a_faulty_generator_as_a_fail_row(runner, monkeypatch):
+    from equigraph import srg as S
+    from equigraph import verify as V
+    real = S.theorem_tuples
+    extra = S.SrgParams(4, 2, 0, 2)  # OA(2, 2): classify rejects it
+    monkeypatch.setattr(S, "theorem_tuples", lambda n: real(n) + ([extra] if n == 4 else []))
+    monkeypatch.setitem(V.SUITES, "srg-families", lambda: V.verify_srg_enumeration(30, 30))
+    result = runner.invoke(main, ["verify", "srg-families"])
+    assert result.exit_code == 1
+    first = result.output.splitlines()[0]
+    assert first.startswith("[FAIL] every enumerated tuple (n <= 30)") and "srg(4,2,0,2)" in first

@@ -15,7 +15,7 @@ from equigraph.data import (
     exact_spectrum_of_family,
 )
 from equigraph.exact import ExactValue
-from equigraph.graphs import gen_named, numeric_spectrum, regularity
+from equigraph.graphs import gen_named, numeric_spectrum, regularity, spectral_regularity
 from equigraph.spectra import spectra_match
 from equigraph.srg import eigen_data
 
@@ -142,6 +142,50 @@ def test_exact_family_spectra_match_numeric():
 
 def test_exact_family_spectrum_unknown():
     assert exact_spectrum_of_family("cycle", n=9) is None
+
+
+# every family's parameters over a range that includes the invalid values
+FAMILY_GRID = {
+    "crown": [{"t": t} for t in range(7)],
+    "complete": [{"n": n} for n in range(7)],
+    "complete_bipartite": [{"a": a, "b": b} for a in range(6) for b in range(6)],
+    "complete_multipartite": [{"a": a, "m": m} for a in range(5) for m in range(5)],
+    "lattice": [{"n": n} for n in range(8)],
+    "triangular": [{"n": n} for n in range(10)],
+    "cycle": [{"n": n} for n in range(10)],
+    "paley": [{"q": q} for q in range(61)],
+    "gp": [{"k": k, "q": q} for k in range(-1, 6) for q in range(2, 71)],
+    "petersen": [{}],
+    "shrikhande": [{}],
+    "q3": [{}],
+    "k3_prism": [{}],
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_GRID))
+def test_closed_forms_agree_with_the_built_graphs(family):
+    for params in FAMILY_GRID[family]:
+        try:
+            graph = gen_named(family, **params)
+        except ValueError:
+            with pytest.raises(ValueError):
+                exact_spectrum_of_family(family, **params)
+            continue
+        exact = exact_spectrum_of_family(family, **params)
+        if exact is None:
+            assert family in ("cycle", "gp"), params
+            continue
+        assert spectra_match(numeric_spectrum(graph), exact), params
+        assert spectral_regularity(exact) == regularity(graph), params
+
+
+def test_spectral_regularity_is_not_the_principal_eigenvalue():
+    # K_{1,4} has the integer principal eigenvalue 2 but average degree 8/5
+    star = exact_spectrum_of_family("complete_bipartite", a=1, b=4)
+    assert star.principal_eig.exact == 2
+    assert spectral_regularity(star) is None
+    assert spectral_regularity(exact_spectrum_of_family("complete_multipartite", a=1, m=3)) == 0
+    assert spectral_regularity(exact_spectrum_of_family("lattice", n=120)) == 238
 
 
 def test_paley_spectrum_energy():

@@ -253,6 +253,67 @@ def test_bipartite_checks():
     assert not is_bipartite(complement(crown(3)))
 
 
+def _line_graph_loop(g):
+    """The former O(m^2) line-graph construction, kept as the reference."""
+    edges = g.edges()
+    m = len(edges)
+    adj = np.zeros((m, m), dtype=bool)
+    for x in range(m):
+        ex = set(edges[x])
+        for y in range(x + 1, m):
+            if ex & set(edges[y]):
+                adj[x, y] = adj[y, x] = True
+    return adj
+
+
+def _triangular_loop(n):
+    """The former triangular construction: 2-subsets adjacent when they meet."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    m = len(pairs)
+    adj = np.zeros((m, m), dtype=bool)
+    for x in range(m):
+        ax, bx = pairs[x]
+        for y in range(x + 1, m):
+            ay, by = pairs[y]
+            if len({ax, bx, ay, by}) == 3:
+                adj[x, y] = adj[y, x] = True
+    return adj
+
+
+def _petersen_loop():
+    """The former Petersen construction: 2-subsets of {0..4} adjacent when disjoint."""
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    adj = np.zeros((10, 10), dtype=bool)
+    for x in range(10):
+        for y in range(x + 1, 10):
+            if not set(pairs[x]) & set(pairs[y]):
+                adj[x, y] = adj[y, x] = True
+    return adj
+
+
+def _lattice_reference(n):
+    """The former rook's-graph construction: same row xor same column."""
+    idx = np.arange(n * n)
+    row, col = idx // n, idx % n
+    return (row[:, None] == row[None, :]) ^ (col[:, None] == col[None, :])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 12), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_line_graph_equals_the_loop_reference(n, density, seed):
+    upper = np.triu(np.random.default_rng(seed).random((n, n)) < density, k=1)
+    g = Graph(upper | upper.T)
+    assert np.array_equal(line_graph(g).adj, _line_graph_loop(g))
+
+
+def test_derived_families_equal_their_former_constructions():
+    for n in range(4, 13):
+        assert np.array_equal(triangular(n).adj, _triangular_loop(n)), n
+    for n in range(2, 10):
+        assert np.array_equal(lattice(n).adj, _lattice_reference(n)), n
+    assert np.array_equal(petersen().adj, _petersen_loop())
+
+
 def test_gen_named_dispatch():
     assert gen_named("crown", t=3).n == 6
     assert gen_named("lattice", n=4).n == 16

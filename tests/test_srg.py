@@ -322,6 +322,14 @@ def test_two_fields_srg():
     assert two_fields_srg(3) == SrgParams(9, 4, 1, 2)
 
 
+def test_two_fields_srg_equals_its_former_closed_form():
+    for q in range(3, 60):
+        assert two_fields_srg(q) == SrgParams(q * q, (q - 1) ** 2, (q - 2) ** 2,
+                                              (q - 1) * (q - 2)), q
+    with pytest.raises(ValueError):
+        two_fields_srg(2)
+
+
 def test_latin_square_and_steiner_params():
     assert latin_square_params(2, 4) == SrgParams(16, 6, 2, 2)
     assert steiner_params(2, 3) == SrgParams(10, 6, 3, 4)  # T(5)
@@ -408,6 +416,18 @@ def test_scan_row_passes_and_fails_when_an_oa_tuple_is_dropped(monkeypatch):
     row = verify_srg_enumeration(n_max=120, oracle_n_max=5)[-1]
     assert row.claim == "the primitive scan hits equal enumerate_equien for n <= 120"
     assert not row.passed and row.details == "srg(64,21,8,6)"
+
+
+def test_faulty_generator_fails_verify_rows_and_still_trips_the_guards(monkeypatch):
+    real = srg_module.theorem_tuples
+    extra = SrgParams(4, 2, 0, 2)  # OA(2, 2): classify rejects it
+    monkeypatch.setattr(srg_module, "theorem_tuples",
+                        lambda n: real(n) + ([extra] if n == 4 else []))
+    with pytest.raises(AssertionError, match=r"srg\(4,2,0,2\)"):
+        enumerate_equien(30)
+    rows = verify_srg_enumeration(n_max=30, oracle_n_max=30)
+    assert not rows[0].passed and rows[0].details == "srg(4,2,0,2)"
+    assert not rows[-1].passed and rows[-1].details == "srg(4,2,0,2)"
 
 
 def test_enumeration_closed_under_complement():
