@@ -1,9 +1,13 @@
 """Command-line interface.
 
 Subcommands: spectrum, check, classify, enumerate, rings-search, verify.
-Reports render as human-readable text by default; --json emits a stable
-canonical JSON document and --csv a CSV table where it makes sense.
-Exit codes for `check`: 0 equal, 1 not equal, 2 error.
+Every command takes --json, a stable canonical JSON document; spectrum,
+enumerate and rings-search also take --csv, a CSV table.  Otherwise a
+report renders as human-readable text, except that enumerate prints CSV.
+Exit codes for `check`: 0 equal, 1 not equal, 2 error.  Its provenance
+line reads "exact closed form", "numeric (certified intervals)", or, when
+--assume-exact had to read an interval as a point to decide a branch,
+"numeric (intervals read as exact)".
 """
 
 from __future__ import annotations
@@ -33,19 +37,9 @@ from .spectra import (
 )
 from .verify import SUITES, run_suite
 
-FORMATS = click.option(
-    "--format", "fmt", type=click.Choice(["pretty", "json", "csv"]),
-    default="pretty", show_default=True, help="output format")
-JSON_FLAG = click.option("--json", "as_json", is_flag=True, help="shorthand for --format json")
-CSV_FLAG = click.option("--csv", "as_csv", is_flag=True, help="shorthand for --format csv")
-
-
-def _resolve_format(fmt: str, as_json: bool, as_csv: bool) -> str:
-    if as_json:
-        return "json"
-    if as_csv:
-        return "csv"
-    return fmt
+# the two format flags share the destination ``fmt``; without either it is None
+JSON_FLAG = click.option("--json", "fmt", flag_value="json", help="emit JSON")
+CSV_FLAG = click.option("--csv", "fmt", flag_value="csv", help="emit CSV")
 
 
 def _render_value(v) -> object:
@@ -58,7 +52,7 @@ def _render_value(v) -> object:
     return v
 
 
-def _emit(report: dict, fmt: str):
+def _emit(report: dict, fmt: Optional[str]):
     if fmt == "json":
         click.echo(json.dumps(report, indent=2, sort_keys=False))
         return
@@ -174,12 +168,10 @@ def main():
 @_source_options
 @click.option("--assume-exact", is_flag=True,
               help="trust interval midpoints at delta branch points")
-@FORMATS
 @JSON_FLAG
 @CSV_FLAG
-def spectrum(family, file, ring, srg, assume_exact, fmt, as_json, as_csv, **params):
+def spectrum(family, file, ring, srg, assume_exact, fmt, **params):
     """Spectrum, energy and discrepancy breakdown of a graph source."""
-    fmt = _resolve_format(fmt, as_json, as_csv)
     label, spec, k, exact = _load_source(family, file, ring, srg, _family_params(params))
     report = {
         "command": "spectrum",
@@ -219,21 +211,22 @@ def spectrum(family, file, ring, srg, assume_exact, fmt, as_json, as_csv, **para
 @click.option("--loops", is_flag=True, help="the source graph carries loops")
 @click.option("--assume-exact", is_flag=True,
               help="trust interval midpoints at delta branch points")
-@FORMATS
 @JSON_FLAG
-@CSV_FLAG
-def check(family, file, ring, srg, loops, assume_exact, fmt, as_json, as_csv, **params):
+def check(family, file, ring, srg, loops, assume_exact, fmt, **params):
     """Equienergy verdict for a graph against its complement.
 
     Exit code 0 when equal, 1 when not, 2 on errors (including
     uncertifiable eigenvalue intervals).
     """
-    fmt = _resolve_format(fmt, as_json, as_csv)
     label, spec, k, exact = _load_source(family, file, ring, srg, _family_params(params))
+    provenance = "exact closed form" if exact else "numeric (certified intervals)"
     try:
-        report = check_equienergetic(spec, k=k, loops=loops, assume_exact=assume_exact)
+        report = check_equienergetic(spec, k=k, loops=loops)
     except UncertifiableBranch as exc:
-        raise SourceError(f"uncertifiable eigenvalue interval: {exc}")
+        if not assume_exact:
+            raise SourceError(f"uncertifiable eigenvalue interval: {exc}")
+        report = check_equienergetic(spec, k=k, loops=loops, assume_exact=True)
+        provenance = "numeric (intervals read as exact)"
     payload = {
         "command": "check",
         "source": label,
@@ -244,7 +237,7 @@ def check(family, file, ring, srg, loops, assume_exact, fmt, as_json, as_csv, **
         "energy": _render_value(report.energy),
         "energy_complement": _render_value(report.energy_complement),
         "routes_agree": report.routes_agree,
-        "provenance": "exact closed form" if exact else "numeric (certified intervals)",
+        "provenance": provenance,
     }
     _emit(payload, fmt)
     sys.exit(0 if report.equal else 1)
@@ -277,12 +270,9 @@ def _srg_fields(p: S.SrgParams, cls_name: str, data: S.SrgEigenData) -> dict:
 
 @main.command()
 @click.option("--srg", required=True, help="strongly regular tuple n,k,e,d")
-@FORMATS
 @JSON_FLAG
-@CSV_FLAG
-def classify(srg, fmt, as_json, as_csv):
+def classify(srg, fmt):
     """Classify an srg tuple under the complementary-equienergy trichotomy."""
-    fmt = _resolve_format(fmt, as_json, as_csv)
     p, data = _parse_srg(srg, S.eigen_data)
     cls_name = _class_name(S.classify(p)) if S.is_primitive(p) else "imprimitive"
     payload = {"command": "classify", "params": str(p), **_srg_fields(p, cls_name, data)}
@@ -314,12 +304,10 @@ def _csv_text(rows: list[dict], header: bool = False) -> str:
               help="largest vertex count")
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="worker processes")
-@FORMATS
 @JSON_FLAG
 @CSV_FLAG
-def enumerate(n_max, jobs, fmt, as_json, as_csv):
+def enumerate(n_max, jobs, fmt):
     """Stream every equienergetic parameter tuple with n <= N as CSV/JSON."""
-    fmt = _resolve_format(fmt, as_json, as_csv)
     step = max(64, n_max // (4 * jobs))
     shards = [(lo, min(lo + step - 1, n_max)) for lo in range(2, n_max + 1, step)]
     workers = min(jobs, len(shards), os.cpu_count() or 1)
@@ -342,12 +330,10 @@ def enumerate(n_max, jobs, fmt, as_json, as_csv):
 @main.command("rings-search")
 @click.option("--s", "s_factors", type=int, required=True, help="odd number of field factors")
 @click.option("--qmax", type=int, required=True, help="largest field size")
-@FORMATS
 @JSON_FLAG
 @CSV_FLAG
-def rings_search(s_factors, qmax, fmt, as_json, as_csv):
+def rings_search(s_factors, qmax, fmt):
     """Search products of s fields that are equienergetic with their complements."""
-    fmt = _resolve_format(fmt, as_json, as_csv)
     try:
         hits = R.search_field_products(s_factors, qmax)
     except ValueError as exc:
@@ -371,12 +357,9 @@ def rings_search(s_factors, qmax, fmt, as_json, as_csv):
 
 @main.command()
 @click.argument("suite", type=click.Choice(sorted(SUITES)))
-@FORMATS
 @JSON_FLAG
-@CSV_FLAG
-def verify(suite, fmt, as_json, as_csv):
+def verify(suite, fmt):
     """Run one verification suite; nonzero exit when any claim fails."""
-    fmt = _resolve_format(fmt, as_json, as_csv)
     results = run_suite(suite)
     if fmt == "json":
         click.echo(json.dumps({

@@ -175,9 +175,6 @@ class GF:
             self.modulus = _CONWAY.get((self.p, self.m)) or _smallest_irreducible(self.p, self.m)
             if not _is_irreducible(self.modulus, self.p):
                 raise AssertionError(f"modulus table entry for GF({q}) is reducible")
-        self._generator = None
-        self._exp: list[int] | None = None
-        self._log: dict[int, int] | None = None
 
     # -- encoding ----------------------------------------------------------
 
@@ -237,30 +234,11 @@ class GF:
                 order //= f
         return order
 
-    @property
-    def generator(self) -> int:
-        if self._generator is None:
-            for x in range(1, self.q):
-                if self._order(x) == self.q - 1:
-                    self._generator = x
-                    break
-        return self._generator
-
-    def _build_tables(self):
-        g = self.generator
-        exp = [1]
-        for _ in range(self.q - 2):
-            exp.append(self.mul(exp[-1], g))
-        self._exp = exp
-        self._log = {v: i for i, v in enumerate(exp)}
-
     def power_residues(self, k: int) -> frozenset[int]:
         """The set {x^k : x in GF(q)*}."""
         if (self.q - 1) % k != 0:
             raise ValueError(f"{k} does not divide q - 1 = {self.q - 1}")
-        if self._exp is None:
-            self._build_tables()
-        return frozenset(self._exp[i] for i in range(0, self.q - 1, k))
+        return frozenset(self.pow(x, k) for x in range(1, self.q))
 
 
 @lru_cache(maxsize=None)

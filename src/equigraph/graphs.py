@@ -61,7 +61,6 @@ __all__ = [
 # at n = 389 on a 2-core machine; typical graphs take 4-6 s at n = 400
 MAX_EIGEN_N = 400
 MAX_COMBINATORIAL_N = 20000
-NUMERIC_MERGE = 1e-9
 NUMERIC_RADIUS = 1e-8
 
 
@@ -412,9 +411,9 @@ def numeric_spectrum(g: Graph) -> Spectrum:
         raise ValueError(f"n={g.n} above the {MAX_EIGEN_N} eigensolver cap")
     result = jacobi_eigenvalues(g.adj.astype(np.float64), full=True)
     bound = result.off_norm + result.rounding
-    # adjacent values closer than the merge threshold (or overlapping at the
-    # certified radius scale) collapse into one entry
-    gap = max(NUMERIC_MERGE, 4.1 * NUMERIC_RADIUS)
+    # adjacent values that would overlap at the certified radius scale
+    # collapse into one entry
+    gap = 4.1 * NUMERIC_RADIUS
     groups: list[list[float]] = []
     last = None
     for v in result.values:
@@ -532,6 +531,8 @@ def read_graph(text: str) -> Graph:
     head = lines[0].split()
     if len(head) != 2:
         raise ValueError(f"line 1: expected 'n loops', got {lines[0]!r}")
+    if head[1] not in ("0", "1"):
+        raise ValueError(f"line 1: loops flag must be 0 or 1, got {head[1]!r}")
     n = int(head[0])
     loops = head[1] == "1"
     edges = []

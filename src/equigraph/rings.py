@@ -17,7 +17,6 @@ from typing import Iterable
 
 from .fields import is_prime_power, prime_power_decompose
 from .spectra import Eig, Spectrum, check_equienergetic
-from .srg import two_fields_srg
 
 __all__ = [
     "RingProfile",
@@ -27,7 +26,6 @@ __all__ = [
     "subset_sums",
     "equien_check",
     "search_field_products",
-    "two_fields_srg",
     "profiles_with_order_up_to",
 ]
 

@@ -27,6 +27,7 @@ __all__ = [
     "DiscrepancyBreakdown",
     "EquienReport",
     "SpectrumFlags",
+    "delta_branch",
     "delta_of",
     "discrepancy",
     "energy",
@@ -182,19 +183,7 @@ class Spectrum:
     def __eq__(self, other):
         if not isinstance(other, Spectrum):
             return NotImplemented
-        if self.n != other.n or len(self.entries) != len(other.entries):
-            return False
-        for (e1, m1), (e2, m2) in zip(self.entries, other.entries):
-            if m1 != m2:
-                return False
-            if (e1.exact is None) != (e2.exact is None):
-                return False
-            if e1.exact is not None:
-                if e1.exact != e2.exact:
-                    return False
-            elif (e1.value, e1.radius) != (e2.value, e2.radius):
-                return False
-        return True
+        return self.n == other.n and self.entries == other.entries
 
     def __hash__(self):
         return hash((self.n, self.entries))
@@ -259,55 +248,61 @@ def _assumed_value(e: Eig) -> Fraction:
     return Fraction(e.value)
 
 
-def _certify_region(e: Eig, assume_exact: bool) -> str:
-    """Locate an approximate eigenvalue: 'nonneg', 'le_m1' or 'unit_neg'.
-
-    The open interval (-1, 0) is where delta varies, so an interval that
-    touches it cannot contribute an exact branch value.
-    """
-    if e.radius > APPROX_RADIUS_CAP and not assume_exact:
-        raise UncertifiableBranch(
-            f"interval radius {e.radius!r} exceeds the decision cap {APPROX_RADIUS_CAP}"
-        )
-    if e.lo >= 0:
-        return "nonneg"
-    if e.hi <= -1:
-        return "le_m1"
-    if not assume_exact:
-        raise UncertifiableBranch(
-            f"interval [{e.lo!r}, {e.hi!r}] is not certifiably clear of (-1, 0)"
-        )
-    v = _assumed_value(e)
-    if v >= 0:
-        return "nonneg"
-    if v <= -1:
-        return "le_m1"
-    return "unit_neg"
+def _point(e: Eig) -> Surd:
+    """The exact value of ``e``, or the assume-exact reading of an interval."""
+    return e.exact if e.exact is not None else Surd(_assumed_value(e))
 
 
 _ONE = Surd(1)
 _MINUS_ONE = Surd(-1)
 
 
-def _exact_branch(x: Surd, value: float) -> str:
-    """The discrepancy term an exact eigenvalue ``x`` (float ``value``) feeds:
-    'sigma+' (x >= 1), 'sigma-' (x <= -1), 'm0' (x == 0), 'T' (0 < x < 1)
-    or 'S' (-1 < x < 0).
+def delta_branch(e: Eig, assume_exact: bool = False) -> str:
+    """The discrepancy term an eigenvalue x feeds: 'sigma+' (x >= 1),
+    'sigma-' (x <= -1), 'm0' (x == 0), 'T' (0 < x < 1) or 'S' (-1 < x < 0).
 
-    The float decides when it is exact or farther than ``x.float_error()``
-    from -1, 0 and 1; otherwise the exact comparisons do.
+    An exact x is decided by its float when that is exact or farther than
+    ``x.float_error()`` from -1, 0 and 1, and by exact comparisons
+    otherwise.  An interval of radius at most ``APPROX_RADIUS_CAP`` is
+    decided when it lies in (-inf, -1] or [0, inf); one in [0, inf) that
+    reaches 1 counts as 'sigma+' whatever its midpoint's last digits, so the
+    sigma/T split does not depend on the vertex labelling (both add +1).
+    Any other interval raises ``UncertifiableBranch``, unless
+    ``assume_exact`` reads it as the point ``_assumed_value`` and decides
+    that exactly.
     """
-    err = x.float_error()
-    if value - err >= 1:
-        return "sigma+"
-    if value + err <= -1:
-        return "sigma-"
-    if err == 0.0:  # an integer strictly between -1 and 1
-        return "m0"
-    if err < value < 1 - err:
-        return "T"
-    if -1 + err < value < -err:
-        return "S"
+    x = e.exact
+    if x is None:
+        if e.radius > APPROX_RADIUS_CAP and not assume_exact:
+            raise UncertifiableBranch(
+                f"interval radius {e.radius!r} exceeds the decision cap {APPROX_RADIUS_CAP}"
+            )
+        if e.hi <= -1:
+            return "sigma-"
+        if not assume_exact:
+            if e.lo < 0:
+                raise UncertifiableBranch(
+                    f"interval [{e.lo!r}, {e.hi!r}] is not certifiably clear of (-1, 0)"
+                )
+            if e.hi >= 1:
+                return "sigma+"
+            return "m0" if e.value == 0 and e.radius == 0 else "T"
+        x = Surd(_assumed_value(e))
+        if e.hi >= 1 and x.sign() >= 0:
+            return "sigma+"
+    else:
+        err = x.float_error()
+        value = e.value
+        if value - err >= 1:
+            return "sigma+"
+        if value + err <= -1:
+            return "sigma-"
+        if err == 0.0:  # an integer strictly between -1 and 1
+            return "m0"
+        if err < value < 1 - err:
+            return "T"
+        if -1 + err < value < -err:
+            return "S"
     sign = x.sign()
     if sign == 0:
         return "m0"
@@ -318,19 +313,10 @@ def _exact_branch(x: Surd, value: float) -> str:
 
 def delta_of(x: Eig, assume_exact: bool = False) -> ExactValue:
     """The piecewise-linear term ``|1 + x| - |x|`` of one eigenvalue."""
-    if x.exact is not None:
-        branch = _exact_branch(x.exact, x.value)
-        if branch == "sigma-":
-            return ExactValue.from_rational(-1)
-        if branch == "S":
-            return ExactValue.from_surd(x.exact * 2 + 1)
-        return ExactValue.from_rational(1)
-    region = _certify_region(x, assume_exact)
-    if region == "nonneg":
-        return ExactValue.from_rational(1)
-    if region == "le_m1":
-        return ExactValue.from_rational(-1)
-    return ExactValue.from_rational(2 * _assumed_value(x) + 1)
+    branch = delta_branch(x, assume_exact)
+    if branch == "S":
+        return ExactValue.from_surd(_point(x) * 2 + 1)
+    return ExactValue.from_rational(-1 if branch == "sigma-" else 1)
 
 
 @dataclass(frozen=True)
@@ -367,43 +353,16 @@ def _sp_prime(s: Spectrum) -> list[tuple[Eig, int]]:
 
 def discrepancy(s: Spectrum, assume_exact: bool = False) -> DiscrepancyBreakdown:
     """Exact discrepancy of a regular spectrum, over Sp' = Spec minus one degree copy."""
-    sigma = 0
-    t_count = 0
-    m0 = 0
-    s_terms = ExactValue()
+    counts = {"sigma+": 0, "sigma-": 0, "m0": 0, "T": 0}
+    s_terms = []
     for eig, mult in _sp_prime(s):
-        if eig.exact is not None:
-            branch = _exact_branch(eig.exact, eig.value)
-            if branch == "sigma+":
-                sigma += mult
-            elif branch == "sigma-":
-                sigma -= mult
-            elif branch == "m0":
-                m0 += mult
-            elif branch == "T":
-                t_count += mult
-            else:
-                s_terms = s_terms + ExactValue.from_surd(eig.exact * 2 + 1).scaled(mult)
+        branch = delta_branch(eig, assume_exact)
+        if branch == "S":
+            s_terms.append((_point(eig) * 2 + 1, mult))
         else:
-            region = _certify_region(eig, assume_exact)
-            if region == "le_m1":
-                sigma -= mult
-            elif region == "unit_neg":
-                s_terms = s_terms + ExactValue.from_rational(
-                    (2 * _assumed_value(eig) + 1) * mult
-                )
-            else:
-                # an interval that reaches 1 counts as sigma whatever its
-                # midpoint's last digits, so the split does not depend on
-                # the labelling; sigma and T both add +1 to the total
-                reading = _assumed_value(eig) if assume_exact else None
-                if eig.hi >= 1 or (reading is not None and reading >= 1):
-                    sigma += mult
-                elif reading == 0 or (eig.value == 0 and eig.radius == 0):
-                    m0 += mult
-                else:
-                    t_count += mult
-    return DiscrepancyBreakdown(sigma=sigma, T=t_count, m0=m0, S=s_terms)
+            counts[branch] += mult
+    return DiscrepancyBreakdown(sigma=counts["sigma+"] - counts["sigma-"], T=counts["T"],
+                                m0=counts["m0"], S=exact_sum(s_terms))
 
 
 def energy(s: Spectrum) -> Union[ExactValue, Approximate]:

@@ -486,8 +486,7 @@ class GpReport:
     t: int
 
 
-def gp_spectrum(k: int, q: int, p: Optional[int] = None, m: Optional[int] = None,
-                t: Optional[int] = None) -> GpReport:
+def gp_spectrum(k: int, q: int) -> GpReport:
     """Closed-form spectrum of a semiprimitive power-residue Cayley graph.
 
     Requires k > 2, q = p^m with m even, k dividing p^t + 1 for the least
@@ -500,22 +499,14 @@ def gp_spectrum(k: int, q: int, p: Optional[int] = None, m: Optional[int] = None
     decomp = prime_power_decompose(q)
     if decomp is None:
         raise ValueError(f"{q} is not a prime power")
-    p0, m0 = decomp
-    if p is not None and p != p0:
-        raise ValueError(f"q = {q} has characteristic {p0}, not {p}")
-    if m is not None and m != m0:
-        raise ValueError(f"q = {q} = {p0}^{m0}, not degree {m}")
-    p, m = p0, m0
+    p, m = decomp
     if k <= 2:
         raise ValueError("need k > 2 (quadratic residues are the classical case)")
     if m % 2 != 0:
         raise ValueError(f"semiprimitivity needs even extension degree, got {m}")
-    t0 = _least_t(k, p, m)
-    if t0 is None or (m // 2) % t0 != 0:
+    t = _least_t(k, p, m)
+    if t is None or (m // 2) % t != 0:
         raise ValueError(f"(k={k}, q={q}) is not semiprimitive")
-    if t is not None and t != t0:
-        raise ValueError(f"least exponent with k | p^t + 1 is {t0}, not {t}")
-    t = t0
     sqrt_q = p ** (m // 2)
     if k == sqrt_q + 1:
         raise ValueError(f"k = sqrt(q) + 1 = {k} is excluded")

@@ -68,6 +68,32 @@ def test_check_file_needs_assume_exact_at_branch_points(runner, tmp_path):
     assert snapped.exit_code == 0       # crowns are equienergetic with their complements
 
 
+def test_check_assume_exact_provenance_says_when_intervals_were_read_as_exact(runner, tmp_path):
+    from equigraph.graphs import crown
+    path = tmp_path / "crown3.g"
+    path.write_text(write_graph(crown(3)))
+    snapped = runner.invoke(main, ["check", "--file", str(path), "--assume-exact"])
+    assert snapped.exit_code == 0
+    assert "provenance: numeric (intervals read as exact)" in snapped.output
+    assert "certified" not in snapped.output
+    # the Petersen spectrum {3, 1^5, -2^4} is clear of (-1, 0): no reading needed
+    path.write_text(write_graph(petersen()))
+    for extra in ([], ["--assume-exact"]):
+        certified = runner.invoke(main, ["check", "--file", str(path), *extra])
+        assert certified.exit_code == 1
+        assert "provenance: numeric (certified intervals)" in certified.output
+    closed = runner.invoke(main, ["check", "--family", "crown", "--t", "3", "--assume-exact"])
+    assert "provenance: exact closed form" in closed.output
+
+
+def test_check_file_rejects_a_bad_loops_flag(runner, tmp_path):
+    path = tmp_path / "bad.g"
+    path.write_text("4 7\n0 1\n1 2\n2 3\n3 0\n")
+    result = runner.invoke(main, ["check", "--file", str(path)])
+    assert result.exit_code == 2
+    assert "line 1" in result.output
+
+
 @pytest.mark.parametrize("family_args", [
     ["--family", "crown", "--t", "1"],
     ["--family", "paley", "--q", "6"],
@@ -252,6 +278,33 @@ def test_verify_crowns_json(runner):
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert all(r["passed"] for r in payload["results"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--ring", "2:2", "--csv"],
+    ["classify", "--srg", "25,12,5,6", "--csv"],
+    ["verify", "table3", "--csv"],
+    ["check", "--ring", "2:2", "--format", "json"],
+    ["spectrum", "--ring", "2:2", "--format", "csv"],
+    ["enumerate", "--n-max", "30", "--format", "json"],
+    ["rings-search", "--s", "3", "--qmax", "16", "--format", "pretty"],
+    ["verify", "table3", "--format", "json"],
+])
+def test_format_flags_only_where_the_format_renders(runner, argv):
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+
+
+def test_csv_flag_renders_on_spectrum_enumerate_and_rings_search(runner):
+    spectrum = runner.invoke(main, ["spectrum", "--ring", "2:2", "--csv"])
+    assert spectrum.output.splitlines() == ["value,mult", "2,1", "0,2", "-2,1"]
+    enum_default = runner.invoke(main, ["enumerate", "--n-max", "30"])
+    assert enum_default.output == runner.invoke(main, ["enumerate", "--n-max", "30",
+                                                       "--csv"]).output
+    assert enum_default.output.startswith("n,k,e,d,class,")
+    search = runner.invoke(main, ["rings-search", "--s", "3", "--qmax", "8", "--csv"])
+    assert search.output.splitlines() == ["q1,q2,q3", "3,4,7", "3,5,5", "4,4,4"]
 
 
 def test_verify_unknown_suite(runner):

@@ -83,6 +83,25 @@ def test_power_residues():
     assert len(GF(5).power_residues(2)) == 2
 
 
+def _generator_power_residues(f, k):
+    """The former construction: every k-th power of the least generator of GF(q)*."""
+    g = next(x for x in range(1, f.q) if f._order(x) == f.q - 1)
+    exp = [1]
+    for _ in range(f.q - 2):
+        exp.append(f.mul(exp[-1], g))
+    return frozenset(exp[i] for i in range(0, f.q - 1, k))
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 129) if is_prime_power(q)])
+def test_power_residues_match_the_generator_construction(q):
+    f = GF(q)
+    for k in range(1, q):
+        if (q - 1) % k == 0:
+            assert f.power_residues(k) == _generator_power_residues(f, k), k
+    with pytest.raises(ValueError):
+        f.power_residues(q)
+
+
 # -- jacobi -------------------------------------------------------------------
 
 def test_jacobi_against_lapack_random():
@@ -437,3 +456,9 @@ def test_read_graph_errors():
         read_graph("3 0\n0 0\n")
     with pytest.raises(ValueError):
         read_graph("2 0\n0 5\n")
+
+
+@pytest.mark.parametrize("flag", ["7", "2", "-1", "01", "true", "x"])
+def test_read_graph_rejects_a_loops_flag_other_than_0_or_1(flag):
+    with pytest.raises(ValueError, match="^line 1: "):
+        read_graph(f"4 {flag}\n0 1\n")

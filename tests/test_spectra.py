@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from equigraph import graphs as G
 from equigraph.exact import ExactValue, Surd, surd_abs
 from equigraph.spectra import (
+    APPROX_RADIUS_CAP,
     Approximate,
     Eig,
     Spectrum,
@@ -17,6 +18,7 @@ from equigraph.spectra import (
     check_equienergetic,
     classify_spectrum,
     complement_spectrum,
+    delta_branch,
     delta_of,
     discrepancy,
     energy,
@@ -483,3 +485,218 @@ def test_interval_reaching_one_counts_as_sigma():
     b = discrepancy(below)
     assert (b.sigma, b.T) == (4, 1)
     assert b.delta_total == ExactValue.from_rational(5)
+
+
+# -- the one branch rule against the former three ----------------------------------
+#
+# The reference below is the earlier implementation: a float-first rule for
+# exact values, a region rule for intervals and a separate sigma/T/m0 split
+# inside the discrepancy loop.
+
+
+def _reference_assumed_value(e):
+    nearest = round(e.value)
+    if abs(e.value - nearest) <= e.radius:
+        return Fraction(nearest)
+    return Fraction(e.value)
+
+
+def _reference_region(e, assume_exact):
+    if e.radius > APPROX_RADIUS_CAP and not assume_exact:
+        raise UncertifiableBranch("radius")
+    if e.lo >= 0:
+        return "nonneg"
+    if e.hi <= -1:
+        return "le_m1"
+    if not assume_exact:
+        raise UncertifiableBranch("region")
+    v = _reference_assumed_value(e)
+    if v >= 0:
+        return "nonneg"
+    if v <= -1:
+        return "le_m1"
+    return "unit_neg"
+
+
+def _reference_exact_branch(x, value):
+    err = x.float_error()
+    if value - err >= 1:
+        return "sigma+"
+    if value + err <= -1:
+        return "sigma-"
+    if err == 0.0:
+        return "m0"
+    if err < value < 1 - err:
+        return "T"
+    if -1 + err < value < -err:
+        return "S"
+    sign = x.sign()
+    if sign == 0:
+        return "m0"
+    if sign > 0:
+        return "sigma+" if x.compare(Surd(1)) >= 0 else "T"
+    return "sigma-" if x.compare(Surd(-1)) <= 0 else "S"
+
+
+def _reference_delta_of(x, assume_exact):
+    if x.exact is not None:
+        branch = _reference_exact_branch(x.exact, x.value)
+        if branch == "sigma-":
+            return ExactValue.from_rational(-1)
+        if branch == "S":
+            return ExactValue.from_surd(x.exact * 2 + 1)
+        return ExactValue.from_rational(1)
+    region = _reference_region(x, assume_exact)
+    if region == "nonneg":
+        return ExactValue.from_rational(1)
+    if region == "le_m1":
+        return ExactValue.from_rational(-1)
+    return ExactValue.from_rational(2 * _reference_assumed_value(x) + 1)
+
+
+def _reference_breakdown(s, assume_exact):
+    sigma = t_count = m0 = 0
+    s_terms = ExactValue()
+    for eig, mult in _sp_prime(s):
+        if eig.exact is not None:
+            branch = _reference_exact_branch(eig.exact, eig.value)
+            if branch == "sigma+":
+                sigma += mult
+            elif branch == "sigma-":
+                sigma -= mult
+            elif branch == "m0":
+                m0 += mult
+            elif branch == "T":
+                t_count += mult
+            else:
+                s_terms = s_terms + ExactValue.from_surd(eig.exact * 2 + 1).scaled(mult)
+        else:
+            region = _reference_region(eig, assume_exact)
+            if region == "le_m1":
+                sigma -= mult
+            elif region == "unit_neg":
+                s_terms = s_terms + ExactValue.from_rational(
+                    (2 * _reference_assumed_value(eig) + 1) * mult)
+            else:
+                reading = _reference_assumed_value(eig) if assume_exact else None
+                if eig.hi >= 1 or (reading is not None and reading >= 1):
+                    sigma += mult
+                elif reading == 0 or (eig.value == 0 and eig.radius == 0):
+                    m0 += mult
+                else:
+                    t_count += mult
+    return sigma, t_count, m0, s_terms
+
+
+def _reference_verdict(s, k, loops, assume_exact):
+    if loops:
+        return s.n == 2 * k + 1, None
+    sigma, t_count, m0, s_terms = _reference_breakdown(s, assume_exact)
+    delta = s_terms + (sigma + t_count + m0)
+    return delta == 2 * k + 1 - s.n, delta
+
+
+def _outcome(fn, *args):
+    """A result, or the type of the exception that took its place."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # noqa: BLE001 -- the type is the outcome compared
+        return "raised", type(exc)
+
+
+_OFFSETS = [0.0, 1e-15, 1e-12, 5e-9, 1e-8, 1e-7, 1e-6, 2e-6, 1e-3, 0.3, 0.5, 0.7]
+_RADII = [0.0, 1e-12, 1e-9, 1e-8, 5e-7, APPROX_RADIUS_CAP, 1.5 * APPROX_RADIUS_CAP,
+          1e-3, 0.2, 0.5, 0.6]
+_branch_point_intervals = st.builds(
+    lambda c, off, sign, r: Eig.from_approx(c + sign * off, r),
+    st.sampled_from([-1.0, 0.0, 1.0]), st.sampled_from(_OFFSETS),
+    st.sampled_from([-1, 1]), st.sampled_from(_RADII))
+_any_intervals = st.builds(Eig.from_approx, st.floats(-3, 3), st.sampled_from(_RADII))
+_branch_eigs = st.one_of(_exact_values.map(Eig.from_exact), _branch_point_intervals,
+                         _any_intervals)
+_branch_entry_lists = st.lists(st.tuples(_branch_eigs, st.integers(1, 4)),
+                               min_size=1, max_size=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_branch_eigs, st.booleans())
+def test_delta_of_matches_the_former_rules(eig, assume_exact):
+    assert _outcome(delta_of, eig, assume_exact) == _outcome(_reference_delta_of, eig,
+                                                              assume_exact)
+
+
+def _breakdown(s, assume_exact):
+    b = discrepancy(s, assume_exact=assume_exact)
+    return b.sigma, b.T, b.m0, b.S
+
+
+def _verdict(s, k, loops, assume_exact):
+    report = check_equienergetic(s, k, loops=loops, assume_exact=assume_exact)
+    return report.equal, report.delta
+
+
+@settings(max_examples=400, deadline=None)
+@given(_branch_entry_lists, st.booleans(), st.booleans(), st.data())
+def test_discrepancy_and_verdict_match_the_former_rules(entries, assume_exact, loops, data):
+    principal = data.draw(st.integers(0, len(Spectrum(entries).entries) - 1))
+    s = Spectrum(entries, principal=principal)
+    k = data.draw(st.integers(0, s.n))
+    assert _outcome(_breakdown, s, assume_exact) == _outcome(_reference_breakdown, s,
+                                                              assume_exact)
+    assert (_outcome(_verdict, s, k, loops, assume_exact)
+            == _outcome(_reference_verdict, s, k, loops, assume_exact))
+
+
+def test_delta_refuses_an_interval_wider_than_the_cap():
+    clear = Eig.from_approx(2.5, 2 * APPROX_RADIUS_CAP)
+    with pytest.raises(UncertifiableBranch, match="cap"):
+        delta_of(clear)
+    assert delta_of(clear, assume_exact=True) == ExactValue.from_rational(1)
+    assert delta_branch(Eig.from_approx(2.5, APPROX_RADIUS_CAP)) == "sigma+"
+
+
+@pytest.mark.parametrize("eig, branch", [
+    (Eig.from_exact(1), "sigma+"), (Eig.from_exact(-1), "sigma-"), (Eig.from_exact(0), "m0"),
+    (Eig.from_exact(Fraction(1, 2)), "T"), (Eig.from_exact(Fraction(-1, 2)), "S"),
+    (Eig.from_approx(1 - 1e-12, 1e-8), "sigma+"), (Eig.from_approx(0.5, 1e-8), "T"),
+    (Eig.from_approx(0.0, 0.0), "m0"), (Eig.from_approx(-1 - 1e-7, 1e-8), "sigma-"),
+])
+def test_delta_branch_labels(eig, branch):
+    assert delta_branch(eig) == branch
+
+
+# -- Spectrum equality against the former entrywise loop ---------------------------
+
+
+def _reference_spectrum_eq(a, b):
+    if a.n != b.n or len(a.entries) != len(b.entries):
+        return False
+    for (e1, m1), (e2, m2) in zip(a.entries, b.entries):
+        if m1 != m2:
+            return False
+        if (e1.exact is None) != (e2.exact is None):
+            return False
+        if e1.exact is not None:
+            if e1.exact != e2.exact:
+                return False
+        elif (e1.value, e1.radius) != (e2.value, e2.radius):
+            return False
+    return True
+
+
+def _rebuilt(eig):
+    """An equal Eig built afresh, so equality cannot lean on identity."""
+    if eig.exact is not None:
+        return Eig.from_exact(Surd(eig.exact.a, eig.exact.b, eig.exact.d))
+    return Eig.from_approx(eig.value, eig.radius)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_branch_entry_lists, st.data())
+def test_spectrum_eq_matches_the_former_loop(entries, data):
+    rebuilt = [(_rebuilt(e), m) for e, m in entries]
+    other = data.draw(st.one_of(st.just(rebuilt), st.permutations(rebuilt),
+                                _branch_entry_lists))
+    a, b = Spectrum(entries), Spectrum(other)
+    assert (a == b) == _reference_spectrum_eq(a, b)
+    assert (a == Spectrum(rebuilt)) == _reference_spectrum_eq(a, Spectrum(rebuilt))
