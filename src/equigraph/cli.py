@@ -263,7 +263,7 @@ def _srg_fields(p: S.SrgParams, cls_name: str, data: S.SrgEigenData) -> dict:
         "s": format_surd(data.s),
         "m_r": _render_value(data.m_r),
         "m_s": _render_value(data.m_s),
-        "energy": str(S.energy_closed(p)),
+        "energy": str(S.energy_closed(p, data)),
         "oa": f"OA({oa[0]},{oa[1]})" if oa else "",
     }
 
@@ -274,7 +274,7 @@ def _srg_fields(p: S.SrgParams, cls_name: str, data: S.SrgEigenData) -> dict:
 def classify(srg, fmt):
     """Classify an srg tuple under the complementary-equienergy trichotomy."""
     p, data = _parse_srg(srg, S.eigen_data)
-    cls_name = _class_name(S.classify(p)) if S.is_primitive(p) else "imprimitive"
+    cls_name = _class_name(S.classify(p, data)) if S.is_primitive(p) else "imprimitive"
     payload = {"command": "classify", "params": str(p), **_srg_fields(p, cls_name, data)}
     _emit(payload, fmt)
 
@@ -283,8 +283,8 @@ def _enumerate_rows(bounds: tuple[int, int]) -> list[dict]:
     """The enumerate rows of one shard n_min <= n <= n_max."""
     lo, hi = bounds
     return [{"n": p.n, "k": p.k, "e": p.e, "d": p.d,
-             **_srg_fields(p, _class_name(cls), S.eigen_data(p))}
-            for p, cls in S.enumerate_equien(hi, n_min=lo)]
+             **_srg_fields(p, _class_name(cls), data)}
+            for p, data, cls in S.enumerate_equien(hi, n_min=lo)]
 
 
 ENUM_COLUMNS = ["n", "k", "e", "d", "class", "alpha", "r", "s", "m_r", "m_s", "energy", "oa"]

@@ -524,26 +524,42 @@ def write_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_header(parts: list[str], line_no: int, line: str) -> tuple[int, bool]:
+    if len(parts) != 2:
+        raise ValueError(f"line {line_no}: expected 'n loops', got {line!r}")
+    count, flag = parts
+    if flag not in ("0", "1"):
+        raise ValueError(f"line {line_no}: loops flag must be 0 or 1, got {flag!r}")
+    if not (count.isascii() and count.isdigit() and int(count) >= 1):
+        raise ValueError(f"line {line_no}: vertex count must be a positive integer, "
+                         f"got {count!r}")
+    return int(count), flag == "1"
+
+
 def read_graph(text: str) -> Graph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty graph file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"line 1: expected 'n loops', got {lines[0]!r}")
-    if head[1] not in ("0", "1"):
-        raise ValueError(f"line 1: loops flag must be 0 or 1, got {head[1]!r}")
-    n = int(head[0])
-    loops = head[1] == "1"
+    """Parse an 'n loops' header (n >= 1, loops 0 or 1) and one 'u v' edge
+    per line, vertices in [0, n).  Blank lines are skipped; every error is
+    a ValueError that names its line in the text."""
+    n = None
     edges = []
-    for ln_no, ln in enumerate(lines[1:], start=2):
+    for ln_no, ln in enumerate(text.splitlines(), start=1):
         parts = ln.split()
+        if not parts:
+            continue
+        if n is None:
+            n, loops = _read_header(parts, ln_no, ln)
+            continue
         if len(parts) != 2:
             raise ValueError(f"line {ln_no}: expected 'u v', got {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"line {ln_no}: vertices must be integers, got {ln!r}") from None
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"line {ln_no}: vertex out of range")
         if u == v and not loops:
             raise ValueError(f"line {ln_no}: loop in a loopless graph")
         edges.append((u, v))
+    if n is None:
+        raise ValueError("empty graph file")
     return Graph.from_edges(n, edges, loops_allowed=loops)

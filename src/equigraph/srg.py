@@ -7,8 +7,8 @@ related parameterizations, and the enumeration of all parameter tuples
 equienergetic with their complements from the theorem's closed forms,
 with a vectorized integer scan kept as its independent check.
 
-Every enumerated tuple is re-verified in exact surd arithmetic; nothing
-is decided in floating point.
+Every enumerated tuple is re-verified exactly, in integer arithmetic
+before any surd is built; nothing is decided in floating point.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .exact import ExactValue, Surd, exact_sum
+from .exact import ExactValue, Surd
 from .spectra import Spectrum
 
 __all__ = [
@@ -89,13 +89,22 @@ class SrgEigenData:
     alpha: int
     r: Surd
     s: Surd
-    m_r: Fraction
-    m_s: Fraction
+    m_r: int
+    m_s: int
     conference: bool
 
 
 def eigen_data(p: SrgParams) -> SrgEigenData:
     """Exact nontrivial eigenvalues and multiplicities of an srg tuple.
+
+    With alpha = (e - d)^2 + 4(k - d) and t = 2k + (n - 1)(e - d), the
+    eigenvalues are r, s = ((e - d) +- sqrt(alpha)) / 2 with multiplicities
+    m_r, m_s = ((n - 1) sqrt(alpha) -+ t) / (2 sqrt(alpha)).  Feasibility
+    is decided in integers before any surd is built: for a square
+    alpha = a^2 both (n - 1)a -+ t must be nonnegative multiples of 2a
+    (then a = e - d mod 2, so r and s are integers); otherwise
+    sqrt(alpha) is irrational and the multiplicities must balance
+    (t = 0, the conference case) on an odd vertex count.
 
     Raises InfeasibleParams when the counting identity fails, or when the
     multiplicities come out negative or non-integral outside the
@@ -103,38 +112,37 @@ def eigen_data(p: SrgParams) -> SrgEigenData:
     """
     if not p.identity_holds():
         raise InfeasibleParams(f"counting identity fails for {p}")
-    ed = p.e - p.d
+    n1, ed = p.n - 1, p.e - p.d
     alpha = ed * ed + 4 * (p.k - p.d)
     if alpha <= 0:
         raise InfeasibleParams(f"nonpositive discriminant for {p}")
-    # r, s = ((e - d) +- sqrt(alpha)) / 2, built directly in canonical form
+    a = isqrt(alpha)
+    t = 2 * p.k + n1 * ed
+    if a * a == alpha:
+        m_r, rem = divmod(n1 * a - t, 2 * a)
+        m_s = n1 - m_r
+        if rem or m_r < 0 or m_s < 0:
+            raise InfeasibleParams(f"non-integral or negative multiplicities for {p}")
+        return SrgEigenData(alpha=alpha, r=Surd((ed + a) // 2), s=Surd((ed - a) // 2),
+                            m_r=m_r, m_s=m_s, conference=False)
+    if t != 0:
+        raise InfeasibleParams(
+            f"irrational eigenvalues with unbalanced multiplicities for {p}"
+        )
+    if n1 % 2:
+        raise InfeasibleParams(f"odd vertex count required for conference {p}")
+    # r, s built directly in canonical form
     r = Surd(Fraction(ed, 2), Fraction(1, 2), alpha)
     s = Surd(Fraction(ed, 2), Fraction(-1, 2), alpha)
-    a = isqrt(alpha)
-    is_square = a * a == alpha
-    t = 2 * p.k + (p.n - 1) * ed
-    if is_square:
-        m_r = Fraction(p.n - 1, 2) - Fraction(t, 2 * a)
-        m_s = Fraction(p.n - 1, 2) + Fraction(t, 2 * a)
-        if m_r.denominator != 1 or m_s.denominator != 1 or m_r < 0 or m_s < 0:
-            raise InfeasibleParams(f"non-integral or negative multiplicities for {p}")
-    else:
-        if t != 0:
-            raise InfeasibleParams(
-                f"irrational eigenvalues with unbalanced multiplicities for {p}"
-            )
-        m_r = m_s = Fraction(p.n - 1, 2)
-        if m_r.denominator != 1:
-            raise InfeasibleParams(f"odd vertex count required for conference {p}")
-    return SrgEigenData(alpha=alpha, r=r, s=s, m_r=m_r, m_s=m_s, conference=not is_square)
+    return SrgEigenData(alpha=alpha, r=r, s=s, m_r=n1 // 2, m_s=n1 // 2, conference=True)
 
 
 def spectrum_of(p: SrgParams) -> Spectrum:
     data = eigen_data(p)
     return Spectrum.from_values([
         (Surd(p.k), 1),
-        (data.r, int(data.m_r)),
-        (data.s, int(data.m_s)),
+        (data.r, data.m_r),
+        (data.s, data.m_s),
     ])
 
 
@@ -175,25 +183,33 @@ def oa_params(p: SrgParams) -> Optional[tuple[int, int]]:
     return (root, m)
 
 
-def equien_condition(p: SrgParams) -> bool:
-    """Exact test of n == 2k(sqrt(alpha) + 1)/(sqrt(alpha) - (e - d)) + 1.
+def equien_condition(p: SrgParams, data: Optional[SrgEigenData] = None) -> bool:
+    """Exact test of n == 2k(sqrt(alpha) + 1)/(sqrt(alpha) - (e - d)) + 1, in integers.
 
-    Cross-multiplied, as the divisor sqrt(alpha) - (e - d) is positive for
-    every feasible tuple: if k > d then sqrt(alpha) > |e - d|, and if k = d
-    then e - d <= -1.  The discrepancy route m_r - m_s == 2k + 1 - n is
-    checked as -t == (2k + 1 - n) sqrt(alpha); disagreement between the
-    two routes is an internal error.
+    The divisor sqrt(alpha) - (e - d) is positive for every feasible tuple:
+    if k > d then sqrt(alpha) > |e - d|, and if k = d then e - d <= -1.  So
+    the condition cross-multiplies to sqrt(alpha) x == t with
+    x = n - 1 - 2k and t = 2k + (n - 1)(e - d).  Two routes decide it
+    independently, and their disagreement is an internal error:
+
+    * squaring: x and t have the same sign and x^2 alpha == t^2;
+    * the integer root, i.e. the discrepancy route m_r - m_s == 2k + 1 - n:
+      a (2k + 1 - n) == -t when alpha = a^2, while for an irrational
+      sqrt(alpha) both sides must be 0.
+
+    ``data`` is ``eigen_data(p)``, derived here when not given.
     """
-    data = eigen_data(p)
-    root = Surd(0, 1, data.alpha)
-    ed = p.e - p.d
-    via_condition = (root - ed) * (p.n - 1) == (root + 1) * (2 * p.k)
-
-    t = 2 * p.k + (p.n - 1) * ed
-    via_delta = root * (2 * p.k + 1 - p.n) == -t
-    if via_condition != via_delta:
+    if data is None:
+        data = eigen_data(p)
+    alpha = data.alpha
+    x = p.n - 1 - 2 * p.k
+    t = 2 * p.k + (p.n - 1) * (p.e - p.d)
+    via_square = (x > 0) - (x < 0) == (t > 0) - (t < 0) and x * x * alpha == t * t
+    a = isqrt(alpha)
+    via_root = a * (2 * p.k + 1 - p.n) == -t if a * a == alpha else x == t == 0
+    if via_square != via_root:
         raise AssertionError(f"equienergy routes disagree on {p}")
-    return via_condition
+    return via_square
 
 
 # -- classification --------------------------------------------------------------
@@ -238,22 +254,24 @@ class CaseC:
 EquienClass = Union[NotEquien, Conference, CaseB, CaseC]
 
 
-def classify(p: SrgParams) -> EquienClass:
+def classify(p: SrgParams, data: Optional[SrgEigenData] = None) -> EquienClass:
     """Trichotomy of equienergetic primitive parameter tuples.
 
     Conference whenever e - d == -1 (the tuple is then forced to
     (4d+1, 2d, d-1, d), even if alpha happens to be a perfect square);
     otherwise recover (h, l) from e - d and sqrt(alpha) and re-verify
-    the n, k, d closed forms before accepting.
+    the n, k, d closed forms before accepting.  ``data`` is
+    ``eigen_data(p)``, derived here when not given.
     """
-    if not equien_condition(p):
+    if data is None:
+        data = eigen_data(p)
+    if not equien_condition(p, data):
         return NotEquien("condition fails")
     ed = p.e - p.d
     if ed == -1:
         if not is_conference(p):
             return NotEquien("e - d = -1 but not conference shaped")
         return Conference(d=p.d)
-    data = eigen_data(p)
     a = isqrt(data.alpha)
     if a * a != data.alpha:
         return NotEquien("irrational discriminant outside the conference case")
@@ -294,11 +312,19 @@ def family_params(cls: EquienClass) -> SrgParams:
     raise InfeasibleParams("NotEquien has no parameter tuple")
 
 
-def energy_closed(p: SrgParams) -> ExactValue:
-    """E = k + m_r * r + m_s * |s|, exactly."""
-    data = eigen_data(p)
-    terms = [(Surd(p.k), 1), (data.r, int(data.m_r)), (abs(data.s), int(data.m_s))]
-    return exact_sum([(x, m) for x, m in terms if m])
+def energy_closed(p: SrgParams, data: Optional[SrgEigenData] = None) -> ExactValue:
+    """E = k + m_r * r + m_s * |s|, exactly; ``data`` is ``eigen_data(p)``,
+    derived here when not given.
+
+    s <= 0 <= r, as sqrt(alpha) >= |e - d| (k >= d).  In the conference
+    case m_r = m_s and r - s = sqrt(alpha), so E = k + m_r sqrt(alpha);
+    otherwise r and s are integers and so is E.
+    """
+    if data is None:
+        data = eigen_data(p)
+    if data.conference:
+        return ExactValue([(1, p.k), (data.alpha, data.m_r)])
+    return ExactValue.from_rational(p.k + data.m_r * int(data.r.a) - data.m_s * int(data.s.a))
 
 
 # -- families from the wider catalog ---------------------------------------------------
@@ -436,19 +462,29 @@ def theorem_tuples(n: int) -> list[SrgParams]:
     return sorted(found, key=lambda p: (p.k, p.d))
 
 
-def _theorem_rows(n_max: int, n_min: int = 2) -> list[tuple[SrgParams, EquienClass]]:
-    """``theorem_tuples`` for n_min <= n <= n_max, each with its ``classify`` outcome."""
-    return [(p, classify(p)) for n in range(n_min, n_max + 1) for p in theorem_tuples(n)]
+SrgRow = tuple[SrgParams, SrgEigenData, EquienClass]
 
 
-def enumerate_equien(n_max: int, n_min: int = 2) -> list[tuple[SrgParams, EquienClass]]:
+def _theorem_rows(n_max: int, n_min: int = 2) -> list[SrgRow]:
+    """``theorem_tuples`` for n_min <= n <= n_max, each with its eigen data,
+    derived once, and its ``classify`` outcome."""
+    rows = []
+    for n in range(n_min, n_max + 1):
+        for p in theorem_tuples(n):
+            data = eigen_data(p)
+            rows.append((p, data, classify(p, data)))
+    return rows
+
+
+def enumerate_equien(n_max: int, n_min: int = 2) -> list[SrgRow]:
     """All primitive feasible tuples with n_min <= n <= n_max equienergetic
-    with their complements, classified, in (n, k, d) order; asserts that
-    ``classify`` accepts each and every non-conference entry is OA."""
+    with their complements, as (params, eigen data, class) rows in
+    (n, k, d) order; asserts that ``classify`` accepts each and every
+    non-conference entry is OA."""
     if n_max > ENUMERATION_CAP:
         raise ValueError(f"n_max above the {ENUMERATION_CAP} cap")
     results = _theorem_rows(n_max, n_min)
-    for p, cls in results:
+    for p, _, cls in results:
         if isinstance(cls, NotEquien):
             raise AssertionError(f"theorem produced unclassifiable tuple {p}: {cls.reason}")
         if not isinstance(cls, Conference) and oa_params(p) is None:

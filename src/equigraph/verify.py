@@ -176,7 +176,7 @@ def _ds_nonconference_failures() -> list[str]:
     for row in D.DS_NONCONFERENCE:
         p = D.ds_nonconference_params(row)
         data = S.eigen_data(p)
-        if S.equien_condition(p) or data.m_r - data.m_s <= 0 or 2 * p.k + 1 - p.n >= 0:
+        if S.equien_condition(p, data) or data.m_r - data.m_s <= 0 or 2 * p.k + 1 - p.n >= 0:
             fails.append(row[-1])
     return fails
 
@@ -207,12 +207,12 @@ def _oracle_direct_energy(n_max: int) -> set[S.SrgParams]:
                     continue
                 try:
                     p = S.SrgParams(n, k, e, d)
-                    S.eigen_data(p)
+                    data = S.eigen_data(p)
                 except S.InfeasibleParams:
                     continue
                 if not S.is_primitive(p):
                     continue
-                if S.energy_closed(p) == S.energy_closed(S.complement_params(p)):
+                if S.energy_closed(p, data) == S.energy_closed(S.complement_params(p)):
                     hits.add(p)
     return hits
 
@@ -221,13 +221,13 @@ def verify_srg_enumeration(n_max: int = 2500, oracle_n_max: int = 400) -> list[C
     # enumerate_equien's rows before its guards, so a faulty generator fails
     # a row with its tuple as the witness instead of raising
     rows = S._theorem_rows(n_max)
-    bad_class = [str(p) for p, cls in rows if isinstance(cls, S.NotEquien)]
-    bad_oa = [str(p) for p, cls in rows
+    bad_class = [str(p) for p, _, cls in rows if isinstance(cls, S.NotEquien)]
+    bad_oa = [str(p) for p, _, cls in rows
               if not isinstance(cls, S.Conference) and S.oa_params(p) is None]
-    fast = {p for p, _ in rows if p.n <= oracle_n_max}
+    enumerated = [p for p, _, _ in rows]
+    fast = {p for p in enumerated if p.n <= oracle_n_max}
     slow = _oracle_direct_energy(oracle_n_max)
     mismatch = sorted(str(p) for p in fast.symmetric_difference(slow))
-    enumerated = [p for p, _ in rows]
     scan = [p for n in range(2, n_max + 1) for p in S._equien_scan(n) if S.is_primitive(p)]
     scan_fail = sorted(map(str, set(scan) ^ set(enumerated))) or (
         [] if scan == enumerated else ["same tuple set, listed differently"])

@@ -92,7 +92,7 @@ def test_criterion_04_srg_trichotomy_and_oracle():
     results, elapsed = _suite("enum", V.verify_srg_enumeration, 2500, 400)
     _record("criterion 4: trichotomy at n <= 2500, OA closure, "
             "direct-energy oracle at n <= 400", results, elapsed)
-    assert elapsed < 12.0
+    assert elapsed < 8.0
 
 
 def test_criterion_05_closed_form_energies():

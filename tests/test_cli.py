@@ -94,6 +94,15 @@ def test_check_file_rejects_a_bad_loops_flag(runner, tmp_path):
     assert "line 1" in result.output
 
 
+@pytest.mark.parametrize("header", ["0 0", "x 0", "-3 0"])
+def test_check_file_rejects_a_bad_vertex_count(runner, tmp_path, header):
+    path = tmp_path / "bad.g"
+    path.write_text(f"{header}\n")
+    result = runner.invoke(main, ["check", "--file", str(path)])
+    assert result.exit_code == 2        # an error, not the "not equal" verdict
+    assert "line 1: vertex count must be a positive integer" in result.output
+
+
 @pytest.mark.parametrize("family_args", [
     ["--family", "crown", "--t", "1"],
     ["--family", "paley", "--q", "6"],
@@ -321,6 +330,14 @@ def test_enumerate_2500_csv_fingerprint(runner):
     result = runner.invoke(main, ["enumerate", "--n-max", "2500", "--csv"])
     assert result.exit_code == 0
     assert result.stdout_bytes == expected  # csv rows end in \r\n
+
+
+def test_enumerate_10000_csv_fingerprint(runner):
+    """The cap's CSV: 7,302 lines (header included) with a pinned md5."""
+    result = runner.invoke(main, ["enumerate", "--n-max", "10000", "--csv"])
+    assert result.exit_code == 0
+    assert result.stdout_bytes.count(b"\r\n") == 7302
+    assert hashlib.md5(result.stdout_bytes).hexdigest() == "2a758e466c0a06d41811b6dd30ad6e1b"
 
 
 def test_rings_search_fingerprint(runner):

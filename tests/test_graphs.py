@@ -458,6 +458,27 @@ def test_read_graph_errors():
         read_graph("2 0\n0 5\n")
 
 
+@pytest.mark.parametrize("text, line", [
+    ("0 0\n", 1),                     # no vertices
+    ("x 0\n0 1\n", 1),
+    ("-3 0\n0 1\n", 1),
+    ("+3 0\n0 1\n", 1),
+    ("3.0 0\n0 1\n", 1),
+    ("3 0\n0 y\n", 2),
+    ("3 0\n0 1\n1.5 2\n", 3),
+    ("\n3 0\n\n0 1\nq 2\n", 5),      # blank lines keep the file's numbering
+    ("\nx 0\n", 2),
+])
+def test_read_graph_names_the_line_of_a_bad_token(text, line):
+    with pytest.raises(ValueError, match=f"^line {line}: "):
+        read_graph(text)
+
+
+def test_read_graph_accepts_a_single_vertex():
+    g = read_graph("1 0\n")
+    assert g.n == 1 and not g.adj.any()
+
+
 @pytest.mark.parametrize("flag", ["7", "2", "-1", "01", "true", "x"])
 def test_read_graph_rejects_a_loops_flag_other_than_0_or_1(flag):
     with pytest.raises(ValueError, match="^line 1: "):

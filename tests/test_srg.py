@@ -17,6 +17,7 @@ from equigraph.srg import (
     Conference,
     InfeasibleParams,
     NotEquien,
+    SrgEigenData,
     SrgParams,
     classify,
     complement_params,
@@ -108,6 +109,103 @@ def test_eigen_data_matches_division_form(p):
     r, s = _division_form(p)
     for got, want in ((data.r, r), (data.s, s)):
         assert (got.a, got.b, got.d) == (want.a, want.b, want.d)
+
+
+def _fraction_first_eigen_data(p: SrgParams) -> SrgEigenData:
+    """The former eigen_data: surds first, multiplicities as Fractions."""
+    if not p.identity_holds():
+        raise InfeasibleParams(f"counting identity fails for {p}")
+    ed = p.e - p.d
+    alpha = ed * ed + 4 * (p.k - p.d)
+    if alpha <= 0:
+        raise InfeasibleParams(f"nonpositive discriminant for {p}")
+    r = Surd(Fraction(ed, 2), Fraction(1, 2), alpha)
+    s = Surd(Fraction(ed, 2), Fraction(-1, 2), alpha)
+    a = isqrt(alpha)
+    is_square = a * a == alpha
+    t = 2 * p.k + (p.n - 1) * ed
+    if is_square:
+        m_r = Fraction(p.n - 1, 2) - Fraction(t, 2 * a)
+        m_s = Fraction(p.n - 1, 2) + Fraction(t, 2 * a)
+        if m_r.denominator != 1 or m_s.denominator != 1 or m_r < 0 or m_s < 0:
+            raise InfeasibleParams(f"non-integral or negative multiplicities for {p}")
+    else:
+        if t != 0:
+            raise InfeasibleParams(
+                f"irrational eigenvalues with unbalanced multiplicities for {p}"
+            )
+        m_r = m_s = Fraction(p.n - 1, 2)
+        if m_r.denominator != 1:
+            raise InfeasibleParams(f"odd vertex count required for conference {p}")
+    return SrgEigenData(alpha=alpha, r=r, s=s, m_r=m_r, m_s=m_s, conference=not is_square)
+
+
+@st.composite
+def srg_params_st(draw) -> SrgParams:
+    """Any (n, k, e, d) that SrgParams accepts, feasible or not; half the
+    draws solve the counting identity for e when it has an integer root."""
+    n = draw(st.integers(3, 400))
+    k = draw(st.integers(1, n - 2))
+    d = draw(st.integers(0, k))
+    num = d * (n - k - 1)
+    if num % k == 0 and num // k <= k - 1 and draw(st.booleans()):
+        e = k - 1 - num // k
+    else:
+        e = draw(st.integers(0, k - 1))
+    return SrgParams(n, k, e, d)
+
+
+def _outcome(derive, p):
+    try:
+        return derive(p)
+    except InfeasibleParams as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(srg_params_st())
+@example(SrgParams(6, 2, 1, 0))    # two triangles: d = 0
+@example(SrgParams(6, 4, 2, 4))    # K_{3x2}: k = d
+@example(SrgParams(5, 2, 0, 1))    # conference, irrational
+@example(SrgParams(9, 4, 1, 2))    # conference with a square discriminant
+@example(SrgParams(16, 5, 0, 2))   # Clebsch
+@example(SrgParams(10, 3, 1, 1))   # counting identity fails
+@example(SrgParams(4, 2, 1, 0))    # non-integral multiplicities
+@example(SrgParams(7, 3, 1, 1))    # irrational eigenvalues, unbalanced multiplicities
+def test_eigen_data_matches_fraction_first_form(p):
+    got, want = _outcome(eigen_data, p), _outcome(_fraction_first_eigen_data, p)
+    assert got == want
+    if isinstance(got, SrgEigenData):
+        for x, y in ((got.r, want.r), (got.s, want.s)):
+            assert (x.a, x.b, x.d) == (y.a, y.b, y.d)
+
+
+def _surd_condition(p: SrgParams) -> bool:
+    """The former equien_condition: both routes by Surd multiplication."""
+    root = Surd(0, 1, _fraction_first_eigen_data(p).alpha)
+    ed = p.e - p.d
+    via_condition = (root - ed) * (p.n - 1) == (root + 1) * (2 * p.k)
+    t = 2 * p.k + (p.n - 1) * ed
+    via_delta = root * (2 * p.k + 1 - p.n) == -t
+    assert via_condition == via_delta
+    return via_condition
+
+
+@settings(max_examples=500, deadline=None)
+@given(feasible_st)
+@example(SrgParams(16, 5, 0, 2))   # Clebsch: x = 5, t = -20 square to equal sides
+@example(SrgParams(16, 10, 6, 6))  # its complement: x = -6, t = 24
+@example(SrgParams(6, 4, 2, 4))    # k = d
+@example(SrgParams(5, 2, 0, 1))    # conference, irrational: x = t = 0
+@example(SrgParams(9, 4, 1, 2))    # conference with a square discriminant
+@example(SrgParams(16, 6, 2, 2))   # OA(4, 2)
+def test_equien_condition_matches_surd_form(p):
+    """Both integer routes against Surd multiplication; a sign-blind
+    squaring route would pass the Clebsch examples and trip the
+    route-disagreement guard."""
+    want = _surd_condition(p)
+    assert equien_condition(p) == want
+    assert equien_condition(p, eigen_data(p)) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -362,7 +460,7 @@ def brute_force_equien(n_max):
 
 
 def test_enumeration_small_window():
-    got = {p for p, _ in enumerate_equien(16)}
+    got = {p for p, _, _ in enumerate_equien(16)}
     assert SrgParams(16, 6, 2, 2) in got
     assert SrgParams(16, 9, 4, 6) in got
     assert SrgParams(4, 2, 0, 2) not in got     # imprimitive
@@ -370,7 +468,7 @@ def test_enumeration_small_window():
 
 
 def test_enumeration_matches_brute_force_oracle():
-    fast = {p for p, _ in enumerate_equien(120)}
+    fast = {p for p, _, _ in enumerate_equien(120)}
     slow = set(brute_force_equien(120))
     assert fast == slow
 
@@ -380,11 +478,11 @@ def test_enumeration_matches_brute_force_oracle():
 def test_enumeration_shard_equals_filter(lo, width):
     hi = lo + width
     whole = enumerate_equien(hi)
-    assert enumerate_equien(hi, n_min=lo) == [(p, c) for p, c in whole if p.n >= lo]
+    assert enumerate_equien(hi, n_min=lo) == [row for row in whole if row[0].n >= lo]
 
 
 def test_enumeration_raises_on_a_hit_classify_rejects(monkeypatch):
-    monkeypatch.setattr(srg_module, "classify", lambda p: NotEquien("rejected"))
+    monkeypatch.setattr(srg_module, "classify", lambda p, data: NotEquien("rejected"))
     with pytest.raises(AssertionError, match="unclassifiable"):
         enumerate_equien(20)
 
@@ -431,13 +529,13 @@ def test_faulty_generator_fails_verify_rows_and_still_trips_the_guards(monkeypat
 
 
 def test_enumeration_closed_under_complement():
-    for p, _ in enumerate_equien(200):
+    for p, _, _ in enumerate_equien(200):
         comp = complement_params(p)
         assert equien_condition(comp)
 
 
 def test_enumeration_energies_divisible_by_four():
-    for p, cls in enumerate_equien(300):
+    for p, _, cls in enumerate_equien(300):
         if isinstance(cls, Conference):
             continue
         energy = energy_closed(p)
