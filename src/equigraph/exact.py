@@ -418,15 +418,21 @@ class ExactValue:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
+        # each term as format_surd renders it; the radicands are already
+        # squarefree, so no Surd is built
         parts = []
         for d, c in self._terms:
-            piece = format_surd(Surd(c) if d == 1 else Surd(0, c, d))
-            if parts and not piece.startswith("-"):
-                parts.append("+ " + piece)
-            elif parts:
-                parts.append("- " + piece.lstrip("-"))
+            mag = abs(c)
+            if d == 1:
+                piece = _format_fraction(mag)
+            elif mag == 1:
+                piece = f"sqrt({d})"
             else:
-                parts.append(piece)
+                piece = f"{_format_fraction(mag)}*sqrt({d})"
+            if parts:
+                parts.append(("+ " if c > 0 else "- ") + piece)
+            else:
+                parts.append(piece if c > 0 else "-" + piece)
         return " ".join(parts)
 
     def __hash__(self):

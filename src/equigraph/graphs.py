@@ -2,7 +2,7 @@
 and the table of named families with their guards and closed-form spectra.
 
 Adjacency is a dense symmetric boolean numpy matrix.  Sizes are capped
-at 400 vertices for eigensolving and 20000 for combinatorial work;
+at 600 vertices for eigensolving and 20000 for combinatorial work;
 every verification in the package sits below those bounds.
 """
 
@@ -57,9 +57,10 @@ __all__ = [
     "SrgCounts",
 ]
 
-# the slowest family measured, Paley (about 23 Jacobi sweeps), takes ~12 s
-# at n = 389 on a 2-core machine; typical graphs take 4-6 s at n = 400
-MAX_EIGEN_N = 400
+# random 0/1 matrices take 0.45-0.8 s at n = 600 on a 2-core machine
+# (Paley(601) about 0.3 s); the derived radius sets the cap: it stays
+# below 1e-7, a tenth of spectra.APPROX_RADIUS_CAP, up to about n = 650
+MAX_EIGEN_N = 600
 MAX_COMBINATORIAL_N = 20000
 NUMERIC_RADIUS = 1e-8
 
@@ -400,7 +401,8 @@ def gen_named(family: str, **params) -> Graph:
 
 
 def numeric_spectrum(g: Graph) -> Spectrum:
-    """All eigenvalues by round-robin Jacobi, merged into a Spectrum of certified entries.
+    """All eigenvalues by Householder tridiagonalisation and implicit QL
+    (``jacobi.jacobi_eigenvalues``), merged into a Spectrum of certified entries.
 
     A merged group sits at the midpoint of its computed values.  Its radius
     is the solver's error bound (each true eigenvalue lies that close to its

@@ -195,14 +195,15 @@ def _triangular_failures() -> list[int]:
 
 def _oracle_direct_energy(n_max: int) -> set[S.SrgParams]:
     """Independent route: compare E and the complement's E tuple by tuple."""
+    from math import gcd
+
     hits: set[S.SrgParams] = set()
     for n in range(5, n_max + 1):
         for k in range(1, n - 1):
-            for d in range(1, k):
-                num = d * (n - k - 1)
-                if num % k:
-                    continue
-                e = k - 1 - num // k
+            # k divides d(n - k - 1), i.e. d(n - 1), iff k / gcd(k, n - 1) divides d
+            step = k // gcd(k, n - 1)
+            for d in range(step, k, step):
+                e = k - 1 - d * (n - k - 1) // k
                 if e < 0:
                     continue
                 try:

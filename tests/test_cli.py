@@ -172,6 +172,24 @@ def test_check_file_above_eigensolver_cap(runner, tmp_path):
     assert "eigensolver cap" in result.output
 
 
+@pytest.mark.parametrize("family, n, code", [
+    ("lattice", 21, 0),        # n = 441; eigenvalues 40, 19 and -2
+    ("triangular", 30, 1),     # n = 435; eigenvalues 56, 26 and -2
+])
+def test_check_file_near_the_eigensolver_cap_matches_the_closed_form(runner, tmp_path,
+                                                                      family, n, code):
+    from equigraph.graphs import gen_named
+    path = tmp_path / f"{family}.g"
+    path.write_text(write_graph(gen_named(family, n=n)))
+    numeric = runner.invoke(main, ["check", "--file", str(path)])
+    closed = runner.invoke(main, ["check", "--family", family, "--n", str(n)])
+    assert numeric.exit_code == closed.exit_code == code
+    fields = [dict(line.split(": ", 1) for line in out.output.splitlines())
+              for out in (numeric, closed)]
+    for key in ("n", "degree", "equal", "delta", "routes_agree"):
+        assert fields[0][key] == fields[1][key], key
+
+
 def test_check_rejects_ambiguous_source(runner):
     result = runner.invoke(main, ["check", "--family", "crown", "--t", "3",
                                   "--ring", "2:2"])

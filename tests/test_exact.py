@@ -10,6 +10,7 @@ from equigraph.exact import (
     ExactValue,
     Surd,
     exact_sum,
+    format_surd,
     parse_surd,
     surd,
     surd_abs,
@@ -180,6 +181,36 @@ def test_rendering_matches_convention():
     assert str(Surd(2, -3, 7)) == "2 - 3*sqrt(7)"
     assert str(Surd(0, 1, 3)) == "sqrt(3)"
     assert str(Surd(5)) == "5"
+
+
+# -- ExactValue rendering against the former one, which built a Surd per term ------
+
+def _former_exact_value_str(value: ExactValue) -> str:
+    if not value.terms:
+        return "0"
+    parts = []
+    for d, c in value.terms:
+        piece = format_surd(Surd(c) if d == 1 else Surd(0, c, d))
+        if parts and not piece.startswith("-"):
+            parts.append("+ " + piece)
+        elif parts:
+            parts.append("- " + piece.lstrip("-"))
+        else:
+            parts.append(piece)
+    return " ".join(parts)
+
+
+exact_terms_st = st.lists(st.tuples(st.integers(0, 10 ** 4), st.one_of(
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.fractions(max_denominator=10 ** 6),
+    st.sampled_from([Fraction(1), Fraction(-1)]))), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_terms_st)
+def test_exact_value_str_matches_the_former_rendering(terms):
+    value = ExactValue(terms)
+    assert str(value) == _former_exact_value_str(value)
 
 
 # -- exact_sum's per-radicand accumulation against the generic constructor ---------

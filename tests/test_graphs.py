@@ -1,3 +1,4 @@
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from equigraph.fields import GF, is_prime_power, prime_power_decompose
 from equigraph.graphs import (
+    MAX_EIGEN_N,
     NUMERIC_RADIUS,
     Graph,
     cayley,
@@ -37,8 +39,9 @@ from equigraph.graphs import (
     unitary_cayley_concrete,
     write_graph,
 )
-from equigraph.jacobi import JacobiResult, _schedule, jacobi_eigenvalues
-from equigraph.spectra import Spectrum, spectra_match
+from equigraph import jacobi
+from equigraph.jacobi import JacobiConvergenceError, JacobiResult, jacobi_eigenvalues
+from equigraph.spectra import APPROX_RADIUS_CAP, Spectrum, spectra_match
 
 
 # -- fields ------------------------------------------------------------------
@@ -120,17 +123,9 @@ def test_jacobi_trivial_sizes():
     assert np.allclose(vals, [-1.0, 1.0])
 
 
-@pytest.mark.parametrize("m", [2, 4, 6, 16, 42])
-def test_jacobi_schedule_pairs_everything_once_per_sweep(m):
-    a, _, _, _ = _schedule(m)
-    h = m // 2
-    players = np.arange(m)              # the player at each position
-    seen = set()
-    for _ in range(m - 1):
-        seen.update(frozenset(p) for p in zip(players[:h].tolist(), players[h:].tolist()))
-        players = players[a]
-    assert len(seen) == m * (m - 1) // 2
-    assert np.array_equal(players, np.arange(m))   # a sweep ends where it began
+def _random_adjacency(rng, n: int, density: float = 0.5) -> np.ndarray:
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    return (upper | upper.T).astype(np.float64)
 
 
 def _property_matrix(kind: str, n: int, seed: int) -> np.ndarray:
@@ -139,30 +134,107 @@ def _property_matrix(kind: str, n: int, seed: int) -> np.ndarray:
         m = rng.normal(size=(n, n))
         return (m + m.T) / 2
     if kind == "adjacency":             # repeated eigenvalues
-        upper = np.triu(rng.integers(0, 2, size=(n, n)), 1)
-        return (upper + upper.T).astype(np.float64)
-    if kind == "zero":                  # no rotation is live
+        return _random_adjacency(rng, n)
+    if kind == "zero":                  # every column is already zero
         return np.zeros((n, n))
-    return np.diag(rng.normal(size=n))
+    if kind == "diagonal":
+        return np.diag(rng.normal(size=n))
+    # block-diagonal, so T splits: random symmetric blocks, or random
+    # graphs with isolated vertices, then randomly relabelled
+    m = np.zeros((n, n))
+    start = 0
+    while start < n:
+        size = int(rng.integers(1, n - start + 1))
+        if kind == "blocks":
+            block = rng.normal(size=(size, size))
+            block = (block + block.T) / 2
+        else:
+            block = _random_adjacency(rng, size, density=0.3)
+        m[start:start + size, start:start + size] = block
+        start += size
+    p = rng.permutation(n)
+    return m[np.ix_(p, p)]
 
 
-@settings(max_examples=80, deadline=None)
+def _assert_bound_covers_lapack(m: np.ndarray) -> JacobiResult:
+    """Every eigenvalue within ``off_norm + rounding`` of LAPACK's."""
+    result = jacobi_eigenvalues(m, full=True)
+    lapack = np.linalg.eigvalsh(m)
+    assert np.all(np.abs(result.values - lapack) <= result.off_norm + result.rounding)
+    assert np.max(np.abs(result.values - lapack), initial=0.0) < 1e-9
+    return result
+
+
+@settings(max_examples=120, deadline=None)
 @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
-       kind=st.sampled_from(["normal", "adjacency", "zero", "diagonal"]))
+       kind=st.sampled_from(["normal", "adjacency", "zero", "diagonal", "blocks", "disconnected"]))
 def test_jacobi_property_against_lapack(n, seed, kind):
     m = _property_matrix(kind, n, seed)
-    lapack = np.linalg.eigvalsh(m)
-    result = jacobi_eigenvalues(m, full=True)
-    assert np.max(np.abs(result.values - lapack)) < 1e-9
-    assert result.off_norm <= 1e-12 * n
+    result = _assert_bound_covers_lapack(m)
+    # at most n - 2 column tails and n - 1 off-diagonals are dropped, each
+    # at most eps * ||A||_F
+    assert result.off_norm <= 2 * n * np.finfo(float).eps * np.sqrt(np.vdot(m, m))
     assert np.array_equal(result.values, jacobi_eigenvalues(m))
-    if kind == "adjacency":
+    if kind in ("zero", "diagonal"):
+        # nothing to reflect or rotate: the diagonal is exact
+        assert np.array_equal(result.values, np.sort(np.diag(m)))
+        assert result.off_norm == 0.0 and result.rounding == 0.0
+    if kind in ("adjacency", "disconnected"):
         # every LAPACK eigenvalue lies inside the interval of its merged group
+        lapack = np.linalg.eigvalsh(m)
         start = 0
         for eig, mult in reversed(numeric_spectrum(Graph(m.astype(bool))).entries):
             group = lapack[start:start + mult]
             start += mult
             assert eig.lo <= group[0] and group[-1] <= eig.hi
+
+
+@pytest.mark.parametrize("graph", [
+    crown(9), crown(16),
+    complete_multipartite(4, 14), complete_multipartite(7, 5), complete_multipartite(3, 1),
+    paley(13), paley(49), paley(61),
+    triangular(8), triangular(11),
+    cycle(7), complete(6),
+], ids=lambda g: f"n={g.n}")
+def test_jacobi_bound_on_relabelled_named_graphs(graph):
+    # few distinct eigenvalues, high multiplicities: T splits or carries
+    # rounding-level entries that only the norm-based tolerance drops
+    rng = np.random.default_rng(graph.n)
+    for _ in range(3):
+        p = rng.permutation(graph.n)
+        _assert_bound_covers_lapack(graph.adj[np.ix_(p, p)].astype(np.float64))
+
+
+@pytest.mark.parametrize("d", [1.0, -3.5, 1e6, 2.0 ** -30])
+@pytest.mark.parametrize("where", ["off-diagonal of T", "column tail"])
+def test_jacobi_dropped_entries_are_in_the_bound(d, where):
+    # t is below the tolerance eps * ||A||_F, so the solver drops it and
+    # neither reflects nor rotates; the exact eigenvalues are d - t, (d,) d + t
+    t = 2.0 ** -60 * abs(d)
+    low, high = Fraction(d) - Fraction(t), Fraction(d) + Fraction(t)
+    if where == "off-diagonal of T":
+        m, exact = [[d, t], [t, d]], (low, high)
+    else:
+        m, exact = [[d, 0, t], [0, d, 0], [t, 0, d]], (low, Fraction(d), high)
+    result = jacobi_eigenvalues(np.array(m), full=True)
+    assert result.values.tolist() == [d] * len(m) and result.rounding == 0.0
+    for value, eigenvalue in zip(result.values, exact):
+        assert abs(Fraction(value) - eigenvalue) <= Fraction(result.off_norm)
+
+
+def test_jacobi_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(jacobi, "MAX_QL_ITERATIONS", 0)
+    with pytest.raises(JacobiConvergenceError, match="after 0 QL iterations"):
+        jacobi_eigenvalues(cycle(5).adj.astype(np.float64))
+    # a diagonal matrix needs no iteration, so the cap is not reached
+    assert jacobi_eigenvalues(np.diag([3.0, 1.0, 2.0])).tolist() == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("density", [0.5, 0.9])
+def test_numeric_radius_at_the_eigensolver_cap(density):
+    adj = _random_adjacency(np.random.default_rng(600), MAX_EIGEN_N, density)
+    result = jacobi_eigenvalues(adj, full=True)
+    assert result.off_norm + result.rounding <= APPROX_RADIUS_CAP / 10
 
 
 @settings(max_examples=100, deadline=None)

@@ -40,7 +40,7 @@ from equigraph.srg import (
     theorem_tuples,
     two_fields_srg,
 )
-from equigraph.verify import verify_srg_enumeration
+from equigraph.verify import _oracle_direct_energy, verify_srg_enumeration
 
 
 # -- eigen data ----------------------------------------------------------------
@@ -526,6 +526,36 @@ def test_faulty_generator_fails_verify_rows_and_still_trips_the_guards(monkeypat
     rows = verify_srg_enumeration(n_max=30, oracle_n_max=30)
     assert not rows[0].passed and rows[0].details == "srg(4,2,0,2)"
     assert not rows[-1].passed and rows[-1].details == "srg(4,2,0,2)"
+
+
+def _former_oracle_direct_energy(n_max: int) -> set[SrgParams]:
+    """The direct-energy oracle as it was: every d in 1..k-1, filtered on k | d(n-k-1)."""
+    hits = set()
+    for n in range(5, n_max + 1):
+        for k in range(1, n - 1):
+            for d in range(1, k):
+                num = d * (n - k - 1)
+                if num % k:
+                    continue
+                e = k - 1 - num // k
+                if e < 0:
+                    continue
+                try:
+                    p = SrgParams(n, k, e, d)
+                    data = eigen_data(p)
+                except InfeasibleParams:
+                    continue
+                if not is_primitive(p):
+                    continue
+                if energy_closed(p, data) == energy_closed(complement_params(p)):
+                    hits.add(p)
+    return hits
+
+
+def test_direct_energy_oracle_steps_over_the_same_tuples():
+    stepped = _oracle_direct_energy(120)
+    assert stepped == _former_oracle_direct_energy(120)
+    assert SrgParams(16, 6, 2, 2) in stepped and SrgParams(25, 12, 5, 6) in stepped
 
 
 def test_enumeration_closed_under_complement():
