@@ -107,10 +107,12 @@ def _numeric_spectrum(graph: G.Graph):
 
 def _load_source(family: Optional[str], file: Optional[str], ring: Optional[str],
                  srg: Optional[str], params: dict):
-    """Resolve the graph source options to (label, spectrum, k, exact).
+    """Resolve the graph source options to (label, spectrum, k, exact, loops).
 
     A named family with a closed form is answered from it, k included;
-    only a family without one is built and solved numerically.
+    only a family without one is built and solved numerically.  Only a
+    graph file can carry loops: ``loops`` is its header's flag, and every
+    other source is loopless.
     """
     chosen = [x for x in (family, file, ring, srg) if x]
     if len(chosen) != 1:
@@ -126,7 +128,7 @@ def _load_source(family: Optional[str], file: Optional[str], ring: Optional[str]
             raise SourceError(f"family {family} with {params} is not regular")
         spec = exact if exact is not None else _numeric_spectrum(graph)
         label = f"{family}({', '.join(f'{p}={v}' for p, v in params.items())})"
-        return label, spec, k, exact is not None
+        return label, spec, k, exact is not None, False
     if file:
         try:
             text = open(file, "r", encoding="utf-8").read()
@@ -136,16 +138,16 @@ def _load_source(family: Optional[str], file: Optional[str], ring: Optional[str]
         k = G.regularity(graph)
         if k is None:
             raise SourceError("graph in file is not regular")
-        return file, _numeric_spectrum(graph), k, False
+        return file, _numeric_spectrum(graph), k, False, graph.loops_allowed
     if ring:
         try:
             profile = R.RingProfile.parse(ring)
         except ValueError as exc:
             raise SourceError(str(exc))
         spec = R.unitary_spectrum(profile)
-        return f"ring {profile}", spec, profile.units, True
+        return f"ring {profile}", spec, profile.units, True, False
     p, spec = _parse_srg(srg, S.spectrum_of)
-    return str(p), spec, p.k, True
+    return str(p), spec, p.k, True, False
 
 
 def _source_options(fn):
@@ -172,7 +174,7 @@ def main():
 @CSV_FLAG
 def spectrum(family, file, ring, srg, assume_exact, fmt, **params):
     """Spectrum, energy and discrepancy breakdown of a graph source."""
-    label, spec, k, exact = _load_source(family, file, ring, srg, _family_params(params))
+    label, spec, k, exact, _ = _load_source(family, file, ring, srg, _family_params(params))
     report = {
         "command": "spectrum",
         "source": label,
@@ -208,17 +210,17 @@ def spectrum(family, file, ring, srg, assume_exact, fmt, **params):
 
 @main.command()
 @_source_options
-@click.option("--loops", is_flag=True, help="the source graph carries loops")
 @click.option("--assume-exact", is_flag=True,
               help="trust interval midpoints at delta branch points")
 @JSON_FLAG
-def check(family, file, ring, srg, loops, assume_exact, fmt, **params):
+def check(family, file, ring, srg, assume_exact, fmt, **params):
     """Equienergy verdict for a graph against its complement.
 
-    Exit code 0 when equal, 1 when not, 2 on errors (including
-    uncertifiable eigenvalue intervals).
+    A graph file whose header sets loops is compared with J - A.  Exit
+    code 0 when equal, 1 when not, 2 on errors (including uncertifiable
+    eigenvalue intervals).
     """
-    label, spec, k, exact = _load_source(family, file, ring, srg, _family_params(params))
+    label, spec, k, exact, loops = _load_source(family, file, ring, srg, _family_params(params))
     provenance = "exact closed form" if exact else "numeric (certified intervals)"
     try:
         report = check_equienergetic(spec, k=k, loops=loops)

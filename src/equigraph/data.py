@@ -8,8 +8,7 @@ Sources are the classical classification results:
 * distance-transitive cubic graphs: Biggs-Smith (1971) plus the Tutte
   12-cage (Biggs-Boshier-Shawe-Taylor, 1986);
 * strongly regular graphs determined by their spectrum: the catalog of
-  Brouwer-Haemers section 14.5;
-* the minimum-eigenvalue -2 catalog of Seidel (1968).
+  Brouwer-Haemers section 14.5.
 
 Rows whose defining construction is standard are built concretely by
 ``graphs`` and double-checked numerically; the rest carry their known
@@ -37,7 +36,6 @@ __all__ = [
     "TABLE_DISTANCE_TRANSITIVE_CUBIC",
     "DS_CONFERENCE",
     "DS_NONCONFERENCE",
-    "SEIDEL_SPORADIC",
     "MOORE_TUPLES",
     "TRIANGLE_FREE_SPORADIC",
     "bisect_root",
@@ -268,15 +266,6 @@ def ds_nonconference_params(row) -> SrgParams:
     e = d + r + s
     return SrgParams(n, k, e, d)
 
-
-# Seidel's minimum-eigenvalue -2 sporadics: (params, name)
-SEIDEL_SPORADIC = [
-    (SrgParams(10, 3, 0, 1), "Petersen"),
-    (SrgParams(16, 10, 6, 6), "Clebsch"),
-    (SrgParams(16, 6, 2, 2), "Shrikhande"),
-    (SrgParams(27, 16, 10, 8), "Schlaefli"),
-    (SrgParams(28, 12, 6, 4), "Chang graphs"),
-]
 
 # Moore graph tuples (girth-5 strongly regular)
 MOORE_TUPLES = [

@@ -19,7 +19,6 @@ arbitrary precision.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Union
@@ -29,12 +28,7 @@ RationalLike = Union[int, Fraction]
 __all__ = [
     "Surd",
     "ExactValue",
-    "surd",
-    "surd_normalize",
-    "surd_compare",
-    "surd_abs",
     "exact_sum",
-    "parse_surd",
 ]
 
 
@@ -292,24 +286,7 @@ class Surd:
         return self.a + self.b * hi, self.a + self.b * lo
 
 
-def surd(a: RationalLike = 0, b: RationalLike = 0, d: int = 1) -> Surd:
-    return Surd(a, b, d)
-
-
-def surd_normalize(a: RationalLike, b: RationalLike, d: int) -> Surd:
-    """Canonical form: square factors pulled out of d, b folded for d in {0,1}."""
-    return Surd(a, b, d)
-
-
-def surd_compare(x: Surd, y: Surd) -> int:
-    return x.compare(y)
-
-
-def surd_abs(x: Surd) -> Surd:
-    return abs(x)
-
-
-# -- text round-trip -------------------------------------------------------
+# -- text rendering --------------------------------------------------------
 
 def _format_fraction(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
@@ -325,28 +302,6 @@ def format_surd(s: Surd) -> str:
         return bpart if s.b > 0 else f"-{bpart}"
     op = "+" if s.b > 0 else "-"
     return f"{_format_fraction(s.a)} {op} {bpart}"
-
-
-_RATIONAL_RE = re.compile(r"^\s*([+-]?\d+(?:/\d+)?)\s*$")
-_RADICAL_RE = re.compile(
-    r"^\s*(?:(?P<a>[+-]?\d+(?:/\d+)?)\s*(?P<op>[+-])\s*)?"
-    r"(?P<bsign>[+-])?\s*(?:(?P<b>\d+(?:/\d+)?)\s*\*\s*)?sqrt\((?P<d>\d+)\)\s*$"
-)
-
-
-def parse_surd(text: str) -> Surd:
-    """Parse the canonical rendering back, bit-exactly."""
-    m = _RATIONAL_RE.match(text)
-    if m:
-        return Surd(Fraction(m.group(1)))
-    m = _RADICAL_RE.match(text)
-    if not m:
-        raise ValueError(f"cannot parse surd string: {text!r}")
-    a = Fraction(m.group("a")) if m.group("a") is not None else Fraction(0)
-    b = Fraction(m.group("b")) if m.group("b") is not None else Fraction(1)
-    if m.group("op") == "-" or m.group("bsign") == "-":
-        b = -b
-    return Surd(a, b, int(m.group("d")))
 
 
 # -- multi-radicand sums ----------------------------------------------------

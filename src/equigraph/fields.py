@@ -9,7 +9,6 @@ used, so element labels are identical across runs either way.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import isqrt
 
 __all__ = ["GF", "is_prime", "prime_power_decompose", "is_prime_power"]
@@ -198,14 +197,6 @@ class GF:
             return (x + y) % self.p
         return self.encode(a + b for a, b in zip(self.digits(x), self.digits(y)))
 
-    def sub(self, x: int, y: int) -> int:
-        if self.m == 1:
-            return (x - y) % self.p
-        return self.encode(a - b for a, b in zip(self.digits(x), self.digits(y)))
-
-    def neg(self, x: int) -> int:
-        return self.sub(0, x)
-
     def mul(self, x: int, y: int) -> int:
         if self.m == 1:
             return (x * y) % self.p
@@ -224,33 +215,8 @@ class GF:
 
     # -- multiplicative structure ------------------------------------------------
 
-    def _order(self, x: int) -> int:
-        if x == 0:
-            raise ValueError("zero has no multiplicative order")
-        n = self.q - 1
-        order = n
-        for f in _prime_factors(n):
-            while order % f == 0 and self.pow(x, order // f) == 1:
-                order //= f
-        return order
-
     def power_residues(self, k: int) -> frozenset[int]:
         """The set {x^k : x in GF(q)*}."""
         if (self.q - 1) % k != 0:
             raise ValueError(f"{k} does not divide q - 1 = {self.q - 1}")
         return frozenset(self.pow(x, k) for x in range(1, self.q))
-
-
-@lru_cache(maxsize=None)
-def _prime_factors(n: int) -> tuple:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)

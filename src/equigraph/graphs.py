@@ -1,9 +1,9 @@
 """Concrete graph constructions, products, predicates and the numeric spectrum,
 and the table of named families with their guards and closed-form spectra.
 
-Adjacency is a dense symmetric boolean numpy matrix.  Sizes are capped
-at 600 vertices for eigensolving and 20000 for combinatorial work;
-every verification in the package sits below those bounds.
+Adjacency is a dense symmetric boolean numpy matrix.  Eigensolving is
+capped at 600 vertices; every verification in the package sits below
+that bound.
 """
 
 from __future__ import annotations
@@ -47,21 +47,16 @@ __all__ = [
     "paley",
     "unitary_cayley_concrete",
     "numeric_spectrum",
-    "srg_detect",
     "is_bipartite",
     "regularity",
     "spectral_regularity",
-    "is_isospectral",
-    "write_graph",
     "read_graph",
-    "SrgCounts",
 ]
 
 # random 0/1 matrices take 0.45-0.8 s at n = 600 on a 2-core machine
 # (Paley(601) about 0.3 s); the derived radius sets the cap: it stays
 # below 1e-7, a tenth of spectra.APPROX_RADIUS_CAP, up to about n = 650
 MAX_EIGEN_N = 600
-MAX_COMBINATORIAL_N = 20000
 NUMERIC_RADIUS = 1e-8
 
 
@@ -229,8 +224,7 @@ def cayley(moduli: Sequence[int], connection: Iterable[tuple[int, ...]]) -> Grap
     if zero in conn:
         raise ValueError("connection set contains 0 (would create loops)")
     for t in conn:
-        neg = tuple((-c) % m for c, m in zip(t, moduli))
-        if neg not in conn:
+        if tuple((-c) % m for c, m in zip(t, moduli)) not in conn:
             raise ValueError(f"connection set not closed under negation: {t}")
     elements = list(iter_product(*[range(m) for m in moduli]))
     index = {e: i for i, e in enumerate(elements)}
@@ -411,7 +405,7 @@ def numeric_spectrum(g: Graph) -> Spectrum:
     """
     if g.n > MAX_EIGEN_N:
         raise ValueError(f"n={g.n} above the {MAX_EIGEN_N} eigensolver cap")
-    result = jacobi_eigenvalues(g.adj.astype(np.float64), full=True)
+    result = jacobi_eigenvalues(g.adj.astype(np.float64))
     bound = result.off_norm + result.rounding
     # adjacent values that would overlap at the certified radius scale
     # collapse into one entry
@@ -475,55 +469,7 @@ def is_bipartite(g: Graph) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SrgCounts:
-    n: int
-    k: int
-    e: int
-    d: int
-
-
-def srg_detect(g: Graph) -> Optional[SrgCounts]:
-    """Combinatorial strong-regularity check over all vertex pairs.
-
-    Complete and empty graphs return None, as does anything irregular or
-    with non-constant common-neighbor counts.
-    """
-    if g.loops_allowed and np.any(np.diag(g.adj)):
-        raise ValueError("srg detection expects a loopless graph")
-    if g.n > MAX_COMBINATORIAL_N:
-        raise ValueError(f"n={g.n} above the {MAX_COMBINATORIAL_N} combinatorial cap")
-    k = regularity(g)
-    if k is None or k == 0 or k == g.n - 1:
-        return None
-    a = g.adj.astype(np.int32)
-    common = a @ a
-    iu = np.triu_indices(g.n, k=1)
-    adjacent = g.adj[iu]
-    cvals = common[iu]
-    e_vals = np.unique(cvals[adjacent])
-    d_vals = np.unique(cvals[~adjacent])
-    if len(e_vals) != 1 or len(d_vals) != 1:
-        return None
-    return SrgCounts(n=g.n, k=k, e=int(e_vals[0]), d=int(d_vals[0]))
-
-
-def is_isospectral(g1: Graph, g2: Graph, tol: float = 1e-7) -> bool:
-    if g1.n != g2.n:
-        return False
-    v1 = jacobi_eigenvalues(g1.adj.astype(np.float64))
-    v2 = jacobi_eigenvalues(g2.adj.astype(np.float64))
-    return bool(np.all(np.abs(v1 - v2) <= tol))
-
-
 # -- text format ---------------------------------------------------------------------
-
-
-def write_graph(g: Graph) -> str:
-    lines = [f"{g.n} {1 if g.loops_allowed else 0}"]
-    us, vs = np.nonzero(np.triu(g.adj, k=0 if g.loops_allowed else 1))
-    lines.extend(f"{u} {v}" for u, v in zip(us.tolist(), vs.tolist()))
-    return "\n".join(lines) + "\n"
 
 
 def _read_header(parts: list[str], line_no: int, line: str) -> tuple[int, bool]:

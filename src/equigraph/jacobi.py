@@ -185,12 +185,9 @@ def _implicit_ql(d: list[float], e: list[float], tol: float) -> tuple[float, flo
     return dropped, units
 
 
-def jacobi_eigenvalues(matrix: np.ndarray, *, full: bool = False):
-    """All eigenvalues of a symmetric matrix, ascending.
-
-    With ``full`` the result is a :class:`JacobiResult` carrying the
-    error bound as well.
-    """
+def jacobi_eigenvalues(matrix: np.ndarray) -> JacobiResult:
+    """All eigenvalues of a symmetric matrix, ascending, with their error
+    bound, as a :class:`JacobiResult`."""
     a = np.array(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
@@ -201,7 +198,5 @@ def jacobi_eigenvalues(matrix: np.ndarray, *, full: bool = False):
     d, e, skipped, reflection_units = _tridiagonalize(a, eps * norm)
     deflated, rotation_units = _implicit_ql(d, e, eps * norm)
     values = np.array(sorted(d), dtype=np.float64)
-    if not full:
-        return values
     rounding = (reflection_units + rotation_units * norm) * eps
     return JacobiResult(values, skipped + deflated, rounding)

@@ -160,8 +160,6 @@ def subset_sums(profile: RingProfile) -> SubsetSums:
 @dataclass(frozen=True)
 class RingEquienReport:
     equal: bool
-    route_delta: bool
-    route_closed: bool
 
 
 def _closed_route(profile: RingProfile) -> bool:
@@ -178,16 +176,14 @@ def _closed_route(profile: RingProfile) -> bool:
 def equien_check(profile: RingProfile) -> RingEquienReport:
     """Both equienergy decision routes; they must agree or something is broken."""
     spectrum = unitary_spectrum(profile)
-    report = check_equienergetic(spectrum, k=profile.units, loops=False)
-    route_delta = report.equal
-    route_closed = _closed_route(profile)
-    if route_delta != route_closed:
+    by_delta = check_equienergetic(spectrum, k=profile.units).equal
+    by_closed_form = _closed_route(profile)
+    if by_delta != by_closed_form:
         raise AssertionError(
             f"decision routes disagree on profile {profile}: "
-            f"delta={route_delta}, closed={route_closed}"
+            f"delta={by_delta}, closed={by_closed_form}"
         )
-    return RingEquienReport(equal=route_delta, route_delta=route_delta,
-                            route_closed=route_closed)
+    return RingEquienReport(equal=by_delta)
 
 
 # -- odd field-product search ---------------------------------------------------------

@@ -11,13 +11,12 @@ branch-relevant region ``(-1, 0)`` and its endpoints.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Optional, Union
 
-from .exact import ExactValue, Surd, exact_sum, format_surd, parse_surd
+from .exact import ExactValue, Surd, exact_sum, format_surd
 
 __all__ = [
     "UncertifiableBranch",
@@ -26,19 +25,16 @@ __all__ = [
     "Approximate",
     "DiscrepancyBreakdown",
     "EquienReport",
-    "SpectrumFlags",
     "delta_branch",
     "delta_of",
     "discrepancy",
     "energy",
     "complement_spectrum",
     "check_equienergetic",
-    "classify_spectrum",
     "spectra_match",
 ]
 
 APPROX_RADIUS_CAP = 1e-6
-MERGE_THRESHOLD = 1e-9
 
 
 class UncertifiableBranch(Exception):
@@ -173,13 +169,6 @@ class Spectrum:
     def principal_eig(self) -> Eig:
         return self.entries[self.principal][0]
 
-    def multiplicity_of(self, value: Union[Surd, int, Fraction]) -> int:
-        target = value if isinstance(value, Surd) else Surd(value)
-        for eig, m in self.entries:
-            if eig.exact is not None and eig.exact == target:
-                return m
-        return 0
-
     def __eq__(self, other):
         if not isinstance(other, Spectrum):
             return NotImplemented
@@ -203,25 +192,6 @@ class Spectrum:
                 value = {"approx": eig.value, "radius": eig.radius}
             entries.append({"value": value, "mult": mult})
         return {"n": self.n, "entries": entries, "principal": self.principal}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "Spectrum":
-        entries = []
-        for item in obj["entries"]:
-            value = item["value"]
-            if isinstance(value, str):
-                eig = Eig.from_exact(parse_surd(value))
-            else:
-                eig = Eig.from_approx(value["approx"], value["radius"])
-            entries.append((eig, int(item["mult"])))
-        return cls(entries, n=int(obj["n"]), principal=int(obj.get("principal", 0)))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Spectrum":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -383,11 +353,12 @@ def energy(s: Spectrum) -> Union[ExactValue, Approximate]:
 def complement_spectrum(s: Spectrum, k: int, loops: bool = False) -> Spectrum:
     """Spectrum of the complement of a k-regular graph with spectrum ``s``.
 
-    Loopless complement maps eig -> -1 - eig; the with-loops convention
-    maps eig -> -eig.  The principal entry is replaced by n - k - 1.
+    The loopless complement J - I - A maps eig -> -1 - eig and has degree
+    n - k - 1; with loops the complement is J - A, which maps eig -> -eig
+    and has degree n - k.  The degree replaces the principal entry.
     """
     n = s.n
-    degree = Surd(n - k - 1)
+    degree = Surd(n - k if loops else n - k - 1)
     new_entries: list[tuple[Eig, int]] = [(Eig.from_exact(degree), 1)]
     for eig, mult in _sp_prime(s):
         x = eig.exact
@@ -424,14 +395,15 @@ def check_equienergetic(s: Spectrum, k: int, loops: bool = False,
                         assume_exact: bool = False) -> EquienReport:
     """Decide E(graph) == E(complement) for a k-regular spectrum.
 
-    Criterion route: n == 2k + 1 (with loops) or n == 2k + 1 - Delta
-    (loopless).  The energy route recomputes both energies through
-    complement_spectrum as an independent cross-check.
+    Criterion route: n == 2k + 1 - Delta (loopless), or n == 2k with
+    loops, where both energies share the sum of |eig| over Sp' and add
+    the degrees k and n - k.  The energy route recomputes both energies
+    through complement_spectrum as an independent cross-check.
     """
     n = s.n
     if loops:
         delta = None
-        equal = n == 2 * k + 1
+        equal = n == 2 * k
     else:
         delta = discrepancy(s, assume_exact=assume_exact).delta_total
         equal = delta == 2 * k + 1 - n
@@ -440,44 +412,6 @@ def check_equienergetic(s: Spectrum, k: int, loops: bool = False,
     agree = _energies_consistent(equal, e_graph, e_comp)
     return EquienReport(equal=equal, delta=delta, energy=e_graph,
                         energy_complement=e_comp, routes_agree=agree)
-
-
-@dataclass(frozen=True)
-class SpectrumFlags:
-    integral: bool
-    symmetric: bool
-    almost_symmetric: bool
-
-
-def classify_spectrum(s: Spectrum) -> SpectrumFlags:
-    """Integrality plus the (almost-)symmetry of the multiplicity function."""
-    integral = all(e.exact is not None and e.exact.is_integer for e, _ in s.entries)
-
-    def mult_at(value: float, exact: Optional[Surd]) -> int:
-        total = 0
-        for eig, m in s.entries:
-            if exact is not None and eig.exact is not None:
-                if eig.exact == exact:
-                    total += m
-            elif abs(eig.value - value) <= eig.radius + MERGE_THRESHOLD:
-                total += m
-        return total
-
-    symmetric = True
-    almost = True
-    principal_exact = s.principal_eig.exact
-    for eig, mult in s.entries:
-        neg_exact = -eig.exact if eig.exact is not None else None
-        m_neg = mult_at(-eig.value, neg_exact)
-        if mult != m_neg:
-            symmetric = False
-            is_principal_value = (
-                principal_exact is not None and eig.exact is not None
-                and eig.exact == principal_exact
-            ) or (eig is s.principal_eig)
-            if not is_principal_value:
-                almost = False
-    return SpectrumFlags(integral=integral, symmetric=symmetric, almost_symmetric=almost)
 
 
 def spectra_match(numeric: Spectrum, exact: Spectrum, tol: float = 1e-7) -> bool:

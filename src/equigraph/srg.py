@@ -49,9 +49,7 @@ __all__ = [
     "theorem_tuples",
     "enumerate_equien",
     "imprimitive_equien",
-    "imprimitive_energy",
     "gp_spectrum",
-    "two_fields_srg",
 ]
 
 ENUMERATION_CAP = 10_000
@@ -499,11 +497,6 @@ def imprimitive_equien(a: int, m: int) -> bool:
     return a == m
 
 
-def imprimitive_energy(a: int, m: int) -> int:
-    """E(K_{a x m}) = 2m(a - 1)."""
-    return 2 * m * (a - 1)
-
-
 # -- generalized Paley spectra -----------------------------------------------------------
 
 
@@ -562,10 +555,3 @@ def gp_spectrum(k: int, q: int) -> GpReport:
         (Surd(lam2), (k - 1) * deg),
     ])
     return GpReport(spectrum=spectrum, equien=(s % 2 == 1), s=s, t=t)
-
-
-def two_fields_srg(q: int) -> SrgParams:
-    """Unitary Cayley graph of a product of two equal fields of order q."""
-    if q < 3:
-        raise ValueError("need q >= 3")
-    return latin_square_params(q - 1, q)

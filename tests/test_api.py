@@ -1,0 +1,55 @@
+"""The public surface and the dependency rule, read from the source."""
+
+import ast
+import importlib
+import pkgutil
+import sys
+from pathlib import Path
+
+import pytest
+
+import equigraph
+
+SRC = Path(equigraph.__file__).resolve().parent
+MODULES = sorted(info.name for info in pkgutil.iter_modules([str(SRC)]))
+THIRD_PARTY = {"numpy", "click"}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text("utf-8"), filename=str(path))
+
+
+@pytest.mark.parametrize("name", ["__init__"] + MODULES)
+def test_every_name_in_all_is_bound(name):
+    module = equigraph if name == "__init__" else importlib.import_module(f"equigraph.{name}")
+    missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
+    assert not missing
+
+
+def test_init_reexports_only_names_in_their_modules_all():
+    stray = []
+    for node in ast.walk(_tree(SRC / "__init__.py")):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"equigraph.{node.module}")
+            stray += [f"{node.module}.{a.name}" for a in node.names
+                      if a.name not in getattr(module, "__all__", ())]
+    assert not stray
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_src_imports_only_the_stdlib_numpy_and_click(path):
+    roots, linalg = set(), []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Attribute) and node.attr == "linalg":
+            linalg.append(node.lineno)
+            continue
+        else:
+            continue
+        roots.update(n.split(".")[0] for n in names)
+        linalg += [node.lineno for n in names if "linalg" in n.split(".")]
+    assert roots <= set(sys.stdlib_module_names) | THIRD_PARTY, roots
+    assert not linalg, f"numpy.linalg used at lines {linalg}"

@@ -6,7 +6,9 @@ import pytest
 from click.testing import CliRunner
 
 from equigraph.cli import main
-from equigraph.graphs import petersen, write_graph
+from equigraph.graphs import petersen
+
+from oracles import read_spectrum_json, write_graph
 
 
 @pytest.fixture
@@ -27,8 +29,7 @@ def test_spectrum_ring(runner):
     values = [(e["value"], e["mult"]) for e in payload["spectrum"]["entries"]]
     assert values == [("2", 1), ("0", 2), ("-2", 1)]
     # the embedded object is the canonical spectrum wire format
-    from equigraph.spectra import Spectrum
-    spec = Spectrum.from_json_dict(payload["spectrum"])
+    spec = read_spectrum_json(payload["spectrum"])
     assert spec.n == 4 and spec.principal == 0
 
 
@@ -92,6 +93,25 @@ def test_check_file_rejects_a_bad_loops_flag(runner, tmp_path):
     result = runner.invoke(main, ["check", "--file", str(path)])
     assert result.exit_code == 2
     assert "line 1" in result.output
+
+
+def test_check_file_with_loops_compares_with_j_minus_a(runner, tmp_path):
+    # C6 with a loop at every vertex: A has spectrum {3, 2^2, 0^2, -1} and
+    # J - A has {3, 1, 0^2, -2^2}, both of energy 8; J - I - A has energy 10
+    path = tmp_path / "c6.g"
+    path.write_text("6 1\n" + "".join(f"{i} {i}\n{i} {(i + 1) % 6}\n" for i in range(6)))
+    result = runner.invoke(main, ["check", "--file", str(path), "--json"])
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["degree"] == 3 and payload["equal"] and payload["routes_agree"]
+    for key in ("energy", "energy_complement"):
+        assert abs(payload[key]["approx"] - 8) <= payload[key]["radius"]
+
+
+def test_check_has_no_loops_flag(runner):
+    result = runner.invoke(main, ["check", "--srg", "16,6,2,2", "--loops"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output
 
 
 @pytest.mark.parametrize("header", ["0 0", "x 0", "-3 0"])

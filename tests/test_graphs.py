@@ -23,7 +23,6 @@ from equigraph.graphs import (
     gen_named,
     gp_graph,
     is_bipartite,
-    is_isospectral,
     kronecker,
     lattice,
     line_graph,
@@ -34,14 +33,14 @@ from equigraph.graphs import (
     read_graph,
     regularity,
     shrikhande,
-    srg_detect,
     triangular,
     unitary_cayley_concrete,
-    write_graph,
 )
 from equigraph import jacobi
 from equigraph.jacobi import JacobiConvergenceError, JacobiResult, jacobi_eigenvalues
 from equigraph.spectra import APPROX_RADIUS_CAP, Spectrum, spectra_match
+
+from oracles import is_isospectral, multiplicative_order, srg_counts, write_graph
 
 
 # -- fields ------------------------------------------------------------------
@@ -64,7 +63,7 @@ def test_field_axioms_spotcheck(q):
     for x, y, z in zip(xs.tolist(), ys.tolist(), zs.tolist()):
         assert f.mul(x, f.add(y, z)) == f.add(f.mul(x, y), f.mul(x, z))
         assert f.mul(x, y) == f.mul(y, x)
-        assert f.add(x, f.neg(x)) == 0
+        assert f.add(x, f.encode(-c for c in f.digits(x))) == 0
         if x:
             assert f.pow(x, q - 1) == 1
 
@@ -74,7 +73,7 @@ def test_conway_moduli_are_primitive(q):
     # x must generate the multiplicative group when the table supplies the modulus
     f = GF(q)
     x = f.encode([0, 1] + [0] * (f.m - 2))
-    assert f._order(x) == q - 1
+    assert multiplicative_order(f, x) == q - 1
 
 
 def test_power_residues():
@@ -88,7 +87,7 @@ def test_power_residues():
 
 def _generator_power_residues(f, k):
     """The former construction: every k-th power of the least generator of GF(q)*."""
-    g = next(x for x in range(1, f.q) if f._order(x) == f.q - 1)
+    g = next(x for x in range(1, f.q) if multiplicative_order(f, x) == f.q - 1)
     exp = [1]
     for _ in range(f.q - 2):
         exp.append(f.mul(exp[-1], g))
@@ -112,14 +111,14 @@ def test_jacobi_against_lapack_random():
     for n in (2, 3, 5, 10, 24, 40):
         m = rng.normal(size=(n, n))
         m = (m + m.T) / 2
-        ours = jacobi_eigenvalues(m)
+        ours = jacobi_eigenvalues(m).values
         ref = np.linalg.eigvalsh(m)
         assert np.max(np.abs(ours - ref)) < 1e-9
 
 
 def test_jacobi_trivial_sizes():
-    assert jacobi_eigenvalues(np.array([[5.0]]))[0] == 5.0
-    vals = jacobi_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert jacobi_eigenvalues(np.array([[5.0]])).values[0] == 5.0
+    vals = jacobi_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]])).values
     assert np.allclose(vals, [-1.0, 1.0])
 
 
@@ -158,7 +157,7 @@ def _property_matrix(kind: str, n: int, seed: int) -> np.ndarray:
 
 def _assert_bound_covers_lapack(m: np.ndarray) -> JacobiResult:
     """Every eigenvalue within ``off_norm + rounding`` of LAPACK's."""
-    result = jacobi_eigenvalues(m, full=True)
+    result = jacobi_eigenvalues(m)
     lapack = np.linalg.eigvalsh(m)
     assert np.all(np.abs(result.values - lapack) <= result.off_norm + result.rounding)
     assert np.max(np.abs(result.values - lapack), initial=0.0) < 1e-9
@@ -174,7 +173,6 @@ def test_jacobi_property_against_lapack(n, seed, kind):
     # at most n - 2 column tails and n - 1 off-diagonals are dropped, each
     # at most eps * ||A||_F
     assert result.off_norm <= 2 * n * np.finfo(float).eps * np.sqrt(np.vdot(m, m))
-    assert np.array_equal(result.values, jacobi_eigenvalues(m))
     if kind in ("zero", "diagonal"):
         # nothing to reflect or rotate: the diagonal is exact
         assert np.array_equal(result.values, np.sort(np.diag(m)))
@@ -216,7 +214,7 @@ def test_jacobi_dropped_entries_are_in_the_bound(d, where):
         m, exact = [[d, t], [t, d]], (low, high)
     else:
         m, exact = [[d, 0, t], [0, d, 0], [t, 0, d]], (low, Fraction(d), high)
-    result = jacobi_eigenvalues(np.array(m), full=True)
+    result = jacobi_eigenvalues(np.array(m))
     assert result.values.tolist() == [d] * len(m) and result.rounding == 0.0
     for value, eigenvalue in zip(result.values, exact):
         assert abs(Fraction(value) - eigenvalue) <= Fraction(result.off_norm)
@@ -227,13 +225,13 @@ def test_jacobi_iteration_cap_raises(monkeypatch):
     with pytest.raises(JacobiConvergenceError, match="after 0 QL iterations"):
         jacobi_eigenvalues(cycle(5).adj.astype(np.float64))
     # a diagonal matrix needs no iteration, so the cap is not reached
-    assert jacobi_eigenvalues(np.diag([3.0, 1.0, 2.0])).tolist() == [1.0, 2.0, 3.0]
+    assert jacobi_eigenvalues(np.diag([3.0, 1.0, 2.0])).values.tolist() == [1.0, 2.0, 3.0]
 
 
 @pytest.mark.parametrize("density", [0.5, 0.9])
 def test_numeric_radius_at_the_eigensolver_cap(density):
     adj = _random_adjacency(np.random.default_rng(600), MAX_EIGEN_N, density)
-    result = jacobi_eigenvalues(adj, full=True)
+    result = jacobi_eigenvalues(adj)
     assert result.off_norm + result.rounding <= APPROX_RADIUS_CAP / 10
 
 
@@ -275,15 +273,13 @@ def test_crown_is_kronecker_k2_kt():
 
 
 def test_lattice_parameters():
-    assert srg_detect(lattice(4)) == srg_detect(line_graph(complete_bipartite(4, 4)))
-    got = srg_detect(lattice(4))
-    assert (got.n, got.k, got.e, got.d) == (16, 6, 2, 2)
+    assert srg_counts(lattice(4)) == srg_counts(line_graph(complete_bipartite(4, 4)))
+    assert srg_counts(lattice(4)) == (16, 6, 2, 2)
 
 
 def test_lattice_srg_sweep():
     for n in range(3, 13):
-        got = srg_detect(lattice(n))
-        assert (got.n, got.k, got.e, got.d) == (n * n, 2 * n - 2, n - 2, 2)
+        assert srg_counts(lattice(n)) == (n * n, 2 * n - 2, n - 2, 2)
 
 
 def test_complete_multipartite_c4():
@@ -293,28 +289,25 @@ def test_complete_multipartite_c4():
 
 def test_triangular_is_line_graph_of_complete():
     assert is_isospectral(triangular(5), line_graph(complete(5)))
-    got = srg_detect(triangular(5))
-    assert (got.n, got.k, got.e, got.d) == (10, 6, 3, 4)
+    assert srg_counts(triangular(5)) == (10, 6, 3, 4)
 
 
 def test_petersen_detection():
-    got = srg_detect(petersen())
-    assert (got.n, got.k, got.e, got.d) == (10, 3, 0, 1)
+    assert srg_counts(petersen()) == (10, 3, 0, 1)
 
 
 def test_c6_is_not_strongly_regular():
-    assert srg_detect(cycle(6)) is None
+    assert srg_counts(cycle(6)) is None
 
 
 def test_complete_and_empty_excluded_from_srg():
-    assert srg_detect(complete(5)) is None
-    assert srg_detect(complement(complete(5))) is None
+    assert srg_counts(complete(5)) is None
+    assert srg_counts(complement(complete(5))) is None
 
 
 def test_shrikhande_properties():
     g = shrikhande()
-    got = srg_detect(g)
-    assert (got.n, got.k, got.e, got.d) == (16, 6, 2, 2)
+    assert srg_counts(g) == (16, 6, 2, 2)
     rook = line_graph(complete_bipartite(4, 4))
     assert is_isospectral(g, rook)
 
@@ -429,13 +422,11 @@ def test_paley_5_is_c5():
 
 
 def test_paley_9_srg():
-    got = srg_detect(paley(9))
-    assert (got.n, got.k, got.e, got.d) == (9, 4, 1, 2)
+    assert srg_counts(paley(9)) == (9, 4, 1, 2)
 
 
 def test_paley_13_srg():
-    got = srg_detect(paley(13))
-    assert (got.n, got.k, got.e, got.d) == (13, 6, 2, 3)
+    assert srg_counts(paley(13)) == (13, 6, 2, 3)
 
 
 def test_gp_graph_regularity():
@@ -499,10 +490,10 @@ def test_kronecker_spectrum_is_pairwise_products():
         a2 = np.triu(a2, 1)
         g1 = type(petersen())( (a1 | a1.T) )
         g2 = type(petersen())( (a2 | a2.T) )
-        v1 = jacobi_eigenvalues(g1.adj.astype(float))
-        v2 = jacobi_eigenvalues(g2.adj.astype(float))
+        v1 = jacobi_eigenvalues(g1.adj.astype(float)).values
+        v2 = jacobi_eigenvalues(g2.adj.astype(float)).values
         prod = np.sort(np.outer(v1, v2).ravel())
-        direct = jacobi_eigenvalues(kronecker(g1, g2).adj.astype(float))
+        direct = jacobi_eigenvalues(kronecker(g1, g2).adj.astype(float)).values
         assert np.max(np.abs(prod - direct)) < 1e-7
 
 

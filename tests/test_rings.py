@@ -18,7 +18,7 @@ from equigraph.rings import (
     subset_sums,
     unitary_spectrum,
 )
-from equigraph.spectra import Spectrum, energy, spectra_match
+from equigraph.spectra import Spectrum, check_equienergetic, energy, spectra_match
 
 
 def test_profile_validation():
@@ -51,7 +51,7 @@ def test_unitary_spectrum_z4():
 
 def test_unitary_spectrum_two_fields_no_zero():
     spec = unitary_spectrum(RingProfile.of((3, 1), (4, 1)))
-    assert spec.multiplicity_of(0) == 0
+    assert all(eig.exact != 0 for eig, _ in spec.entries)
     assert spec.n == 12
     assert spec == Spectrum.from_values([(6, 1), (-2, 3), (-3, 2), (1, 6)])
 
@@ -113,8 +113,9 @@ def test_equien_check_local_profiles():
 def test_routes_always_agree_on_sweep():
     for s in (1, 2, 3):
         for profile in profiles_with_order_up_to(s, 200):
-            report = equien_check(profile)
-            assert report.route_delta == report.route_closed
+            # equien_check raises when its closed route disagrees
+            delta_route = check_equienergetic(unitary_spectrum(profile), k=profile.units)
+            assert equien_check(profile).equal == delta_route.equal
 
 
 def test_even_sweep_hits_exactly_two_field_profiles():

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equigraph import graphs as G
-from equigraph.exact import ExactValue, Surd, surd_abs
+from equigraph.exact import ExactValue, Surd
 from equigraph.spectra import (
     APPROX_RADIUS_CAP,
     Approximate,
@@ -16,14 +17,16 @@ from equigraph.spectra import (
     Spectrum,
     UncertifiableBranch,
     check_equienergetic,
-    classify_spectrum,
     complement_spectrum,
     delta_branch,
     delta_of,
     discrepancy,
     energy,
+    spectra_match,
 )
 from equigraph.spectra import _sp_prime
+
+from oracles import read_spectrum_json
 
 
 def spec(values, principal=0):
@@ -57,7 +60,7 @@ def test_delta_matches_abs_definition_randomly():
                  Fraction(rng.randint(-40, 40), rng.randint(1, 8)),
                  rng.choice(radicands))
         via_branch = delta_of(Eig.from_exact(x))
-        direct = ExactValue.from_surd(surd_abs(x + 1)) - ExactValue.from_surd(surd_abs(x))
+        direct = ExactValue.from_surd(abs(x + 1)) - ExactValue.from_surd(abs(x))
         assert via_branch == direct
 
 
@@ -174,9 +177,12 @@ def test_complement_is_involution():
 
 
 def test_complement_with_loops_negates():
+    # J - A of a 2-regular spectrum on 4 vertices: degree 4 - 2 = 2 joins
+    # the negated -2, so the principal entry carries multiplicity 2
     s = spec([(2, 1), (0, 2), (-2, 1)])
     got = complement_spectrum(s, k=2, loops=True)
-    assert got == spec([(2, 1), (1, 1), (0, 2)], principal=1) or got.multiplicity_of(1) == 1
+    assert [(eig.exact, m) for eig, m in got.entries] == [(Surd(2), 2), (Surd(0), 2)]
+    assert got.principal_eig.exact == Surd(2)
 
 
 # -- equienergy check -----------------------------------------------------------
@@ -231,38 +237,24 @@ def test_irrational_eigenvalue_in_unit_interval_blocks_equality():
     assert not report.delta.is_rational
 
 
-def test_check_with_loops_uses_n_equals_2k_plus_1():
-    s = spec([(2, 1), (0, 2), (-2, 1)])     # n=4, k=2: 4 != 5
-    assert not check_equienergetic(s, k=2, loops=True).equal
-    s5 = spec([(2, 1), (1, 2), (-1, 1), (-2, 1)])  # n=5, k=2
-    assert check_equienergetic(s5, k=2, loops=True).equal
+def test_check_with_loops_uses_n_equals_2k():
+    # E(A) = k + sum' |x| and E(J - A) = (n - k) + sum' |x|
+    s = spec([(2, 1), (0, 2), (-2, 1)])     # n=4, k=2
+    report = check_equienergetic(s, k=2, loops=True)
+    assert report.equal and report.routes_agree
+    assert report.energy == report.energy_complement == ExactValue.from_rational(4)
+    s5 = spec([(2, 1), (1, 2), (-1, 1), (-2, 1)])  # n=5, k=2: 5 != 4
+    report = check_equienergetic(s5, k=2, loops=True)
+    assert not report.equal and report.routes_agree
+    assert report.energy_complement == ExactValue.from_rational(8)
 
 
-# -- classification flags ---------------------------------------------------------
-
-def test_classify_k33():
-    s = spec([(3, 1), (0, 4), (-3, 1)])
-    flags = classify_spectrum(s)
-    assert flags.integral and flags.symmetric
-
-
-def test_classify_petersen():
-    s = spec([(3, 1), (1, 5), (-2, 4)])
-    flags = classify_spectrum(s)
-    assert flags.integral and not flags.symmetric and not flags.almost_symmetric
-
-
-def test_classify_c5():
-    s = spec([(2, 1), (Surd(Fraction(-1, 2), Fraction(1, 2), 5), 2),
-              (Surd(Fraction(-1, 2), Fraction(-1, 2), 5), 2)])
-    flags = classify_spectrum(s)
-    assert not flags.integral
-
-
-def test_classify_crown_is_almost_symmetric_and_symmetric():
-    s = spec([(3, 1), (1, 3), (-1, 3), (-3, 1)])
-    flags = classify_spectrum(s)
-    assert flags.symmetric and flags.almost_symmetric
+@pytest.mark.parametrize("n", range(4, 10))
+def test_looped_complement_spectrum_matches_j_minus_a(n):
+    looped = G.Graph(G.cycle(n).adj | np.eye(n, dtype=bool), loops_allowed=True)
+    complement_spec = complement_spectrum(G.numeric_spectrum(looped), k=3, loops=True)
+    numeric = G.numeric_spectrum(G.complement(looped, loops=True))
+    assert spectra_match(complement_spec, numeric)
 
 
 # -- JSON round trip ---------------------------------------------------------------
@@ -273,7 +265,7 @@ def test_spectrum_json_round_trip():
         (Eig.from_exact(2), 1),
         (Eig.from_approx(-1.5615528128, 1e-10), 9),
     ])
-    back = Spectrum.from_json(s.to_json())
+    back = read_spectrum_json(json.loads(json.dumps(s.to_json_dict())))
     assert back == s
     assert back.principal == s.principal
 
@@ -408,7 +400,8 @@ def test_spectrum_principal_value_errors():
 def _reference_complement(s, k, loops):
     """The former two-step build: construct, then look the degree up and rebuild."""
     n = s.n
-    new_entries = [(Eig.from_exact(Surd(n - k - 1)), 1)]
+    degree = Surd(n - k if loops else n - k - 1)
+    new_entries = [(Eig.from_exact(degree), 1)]
     for eig, mult in _sp_prime(s):
         if eig.exact is not None:
             mapped = -eig.exact if loops else Surd(-1) - eig.exact
@@ -418,7 +411,7 @@ def _reference_complement(s, k, loops):
             new_entries.append((Eig.from_approx(v, eig.radius), mult))
     ref = _reference_entries(new_entries)
     principal = next(i for i, (eig, _) in enumerate(ref)
-                     if eig.exact is not None and eig.exact == Surd(n - k - 1))
+                     if eig.exact is not None and eig.exact == degree)
     return ref, principal
 
 
@@ -590,7 +583,7 @@ def _reference_breakdown(s, assume_exact):
 
 def _reference_verdict(s, k, loops, assume_exact):
     if loops:
-        return s.n == 2 * k + 1, None
+        return s.n == 2 * k, None
     sigma, t_count, m0, s_terms = _reference_breakdown(s, assume_exact)
     delta = s_terms + (sigma + t_count + m0)
     return delta == 2 * k + 1 - s.n, delta

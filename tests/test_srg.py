@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from equigraph import srg as srg_module
 
 from equigraph.exact import ExactValue, Surd
-from equigraph.graphs import complement, numeric_spectrum, paley, shrikhande, srg_detect, gp_graph
+from equigraph.graphs import complement, numeric_spectrum, paley, shrikhande, gp_graph
+from equigraph.fields import is_prime_power
+from equigraph.rings import RingProfile, unitary_spectrum
 from equigraph.spectra import spectra_match
 from equigraph.srg import (
     CaseB,
@@ -27,7 +29,6 @@ from equigraph.srg import (
     equien_condition,
     family_params,
     gp_spectrum,
-    imprimitive_energy,
     imprimitive_equien,
     is_conference,
     is_primitive,
@@ -38,9 +39,10 @@ from equigraph.srg import (
     spectrum_of,
     steiner_params,
     theorem_tuples,
-    two_fields_srg,
 )
 from equigraph.verify import _oracle_direct_energy, verify_srg_enumeration
+
+from oracles import srg_counts
 
 
 # -- eigen data ----------------------------------------------------------------
@@ -253,8 +255,7 @@ def test_trace_identities_all_feasible_small():
 
 def test_complement_params_shrikhande():
     assert complement_params(SrgParams(16, 6, 2, 2)) == SrgParams(16, 9, 4, 6)
-    got = srg_detect(complement(shrikhande()))
-    assert (got.n, got.k, got.e, got.d) == (16, 9, 4, 6)
+    assert srg_counts(complement(shrikhande())) == (16, 9, 4, 6)
 
 
 def test_conference_self_complementary_params():
@@ -413,19 +414,12 @@ def test_negative_latin_square_params():
 
 
 def test_two_fields_srg():
-    p = two_fields_srg(4)
-    assert p == SrgParams(16, 9, 4, 6)
-    assert oa_params(p) == (4, 3)
-    assert oa_params(two_fields_srg(3)) == (3, 2)
-    assert two_fields_srg(3) == SrgParams(9, 4, 1, 2)
-
-
-def test_two_fields_srg_equals_its_former_closed_form():
+    # the unitary Cayley graph of F_q x F_q is the Latin square graph L_{q-1}(q)
     for q in range(3, 60):
-        assert two_fields_srg(q) == SrgParams(q * q, (q - 1) ** 2, (q - 2) ** 2,
-                                              (q - 1) * (q - 2)), q
-    with pytest.raises(ValueError):
-        two_fields_srg(2)
+        if is_prime_power(q):
+            p = latin_square_params(q - 1, q)
+            assert unitary_spectrum(RingProfile.of((q, 1), (q, 1))) == spectrum_of(p), q
+            assert oa_params(p) == (q, q - 1)
 
 
 def test_latin_square_and_steiner_params():
@@ -601,8 +595,6 @@ def test_imprimitive_rule():
     assert imprimitive_equien(3, 3)
     assert not imprimitive_equien(2, 3)
     assert imprimitive_equien(2, 2)
-    assert imprimitive_energy(3, 3) == 12
-    assert imprimitive_energy(2, 2) == 4
 
 
 # -- generalized Paley closed forms ---------------------------------------------------------
