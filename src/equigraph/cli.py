@@ -131,7 +131,8 @@ def _load_source(family: Optional[str], file: Optional[str], ring: Optional[str]
         return label, spec, k, exact is not None, False
     if file:
         try:
-            text = open(file, "r", encoding="utf-8").read()
+            with open(file, "r", encoding="utf-8") as fh:
+                text = fh.read()
             graph = G.read_graph(text)
         except (OSError, ValueError) as exc:
             raise SourceError(str(exc))
@@ -173,8 +174,11 @@ def main():
 @JSON_FLAG
 @CSV_FLAG
 def spectrum(family, file, ring, srg, assume_exact, fmt, **params):
-    """Spectrum, energy and discrepancy breakdown of a graph source."""
-    label, spec, k, exact, _ = _load_source(family, file, ring, srg, _family_params(params))
+    """Spectrum, energy and discrepancy breakdown of a graph source.
+
+    A looped graph file is decided by n == 2k, so it has no breakdown.
+    """
+    label, spec, k, exact, loops = _load_source(family, file, ring, srg, _family_params(params))
     report = {
         "command": "spectrum",
         "source": label,
@@ -184,17 +188,20 @@ def spectrum(family, file, ring, srg, assume_exact, fmt, **params):
         "spectrum": spec.to_json_dict(),
         "energy": _render_value(energy(spec)),
     }
-    try:
-        breakdown = discrepancy(spec, assume_exact=assume_exact)
-        report["discrepancy"] = {
-            "sigma": breakdown.sigma,
-            "T": breakdown.T,
-            "m0": breakdown.m0,
-            "S": str(breakdown.S),
-            "total": str(breakdown.delta_total),
-        }
-    except UncertifiableBranch as exc:
-        report["discrepancy"] = f"uncertifiable: {exc}"
+    if loops:
+        report["discrepancy"] = None
+    else:
+        try:
+            breakdown = discrepancy(spec, assume_exact=assume_exact)
+            report["discrepancy"] = {
+                "sigma": breakdown.sigma,
+                "T": breakdown.T,
+                "m0": breakdown.m0,
+                "S": str(breakdown.S),
+                "total": str(breakdown.delta_total),
+            }
+        except UncertifiableBranch as exc:
+            report["discrepancy"] = f"uncertifiable: {exc}"
     if fmt == "csv":
         out = io.StringIO()
         writer = csv.writer(out)

@@ -90,6 +90,15 @@ class Surd:
         self.b = b
         self.d = d
 
+    @classmethod
+    def from_int(cls, x: int) -> "Surd":
+        """``Surd(x)`` for an int, which is canonical as it stands."""
+        s = cls.__new__(cls)
+        s.a = Fraction(x)
+        s.b = _ZERO
+        s.d = 1
+        return s
+
     # -- basic protocol -------------------------------------------------
 
     @property
@@ -337,7 +346,7 @@ class ExactValue:
 
     @classmethod
     def from_rational(cls, q: RationalLike) -> "ExactValue":
-        return cls([(1, q)])
+        return cls._from_squarefree({1: q})
 
     # -- protocol ---------------------------------------------------------
 
@@ -412,7 +421,12 @@ class ExactValue:
         other = ExactValue._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return ExactValue(self._terms + other._terms)
+        if not self._terms:  # values are immutable, so 0 + x can be x itself
+            return other
+        acc = dict(self._terms)
+        for d, c in other._terms:
+            acc[d] = acc.get(d, 0) + c
+        return ExactValue._from_squarefree(acc)
 
     __radd__ = __add__
 

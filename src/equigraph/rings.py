@@ -16,7 +16,7 @@ from math import prod
 from typing import Iterable
 
 from .fields import is_prime_power, prime_power_decompose
-from .spectra import Eig, Spectrum, check_equienergetic
+from .spectra import Spectrum, check_equienergetic
 
 __all__ = [
     "RingProfile",
@@ -127,8 +127,7 @@ def unitary_spectrum(profile: RingProfile) -> Spectrum:
     zero_mult = profile.order - prod(qs)
     if zero_mult:
         eig_mult[0] = eig_mult.get(0, 0) + zero_mult
-    spec = Spectrum([(Eig.from_exact(lam), mult) for lam, mult in eig_mult.items()],
-                    principal_value=units)
+    spec = Spectrum(eig_mult.items(), principal_value=units)
     assert spec.n == profile.order
     return spec
 

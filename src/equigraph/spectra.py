@@ -51,6 +51,8 @@ class Eig:
 
     @classmethod
     def from_exact(cls, x: Union[Surd, int, Fraction]) -> "Eig":
+        if type(x) is int:
+            return cls(Surd.from_int(x), float(x), 0.0)
         s = x if isinstance(x, Surd) else Surd(x)
         return cls(exact=s, value=float(s), radius=0.0)
 
@@ -117,25 +119,45 @@ def _sort_entries(entries: list[tuple[Eig, int]]) -> None:
 class Spectrum:
     """Multiset of eigenvalues with multiplicities, sorted descending.
 
+    ``entries`` holds ``(Eig, mult)`` pairs.  ``integral`` holds the same
+    spectrum as ``(int, mult)`` pairs in entry order when every entry is
+    an exact integer, and is None otherwise; the consumers below read it
+    first, so an integral spectrum never reaches the surd arithmetic.
     ``principal`` is the index of the principal (degree) entry in the
     sorted entries; ``principal_value`` locates it by its exact value
     instead.  A spectrum is not changed after it is built.
+
+    The constructor takes ``(Eig, mult)`` pairs, or ``(int, mult)`` pairs
+    throughout, which merge and sort as ints alone.
     """
 
-    __slots__ = ("entries", "n", "principal")
+    __slots__ = ("entries", "n", "principal", "integral")
 
-    def __init__(self, entries: Iterable[tuple[Eig, int]], n: Optional[int] = None,
+    def __init__(self, entries: Iterable[tuple[Union[Eig, int], int]], n: Optional[int] = None,
                  principal: Optional[int] = None, *,
                  principal_value: Union[Surd, int, Fraction, None] = None):
-        # exact entries merge on their canonical value; approximate ones never merge
-        merged: dict[object, list] = {}
-        for eig, mult in entries:
-            if mult <= 0:
-                raise ValueError("multiplicities must be positive")
-            key = eig.exact if eig.exact is not None else object()
-            merged.setdefault(key, [eig, 0])[1] += mult
-        ordered = [(eig, mult) for eig, mult in merged.values()]
-        _sort_entries(ordered)
+        pairs = list(entries)
+        if all(type(x) is int for x, _ in pairs):
+            counts: dict[int, int] = {}
+            for x, mult in pairs:
+                if mult <= 0:
+                    raise ValueError("multiplicities must be positive")
+                counts[x] = counts.get(x, 0) + mult
+            integral = sorted(counts.items(), reverse=True)
+            ordered = [(Eig.from_exact(x), mult) for x, mult in integral]
+        else:
+            # exact entries merge on their canonical value; approximate ones never merge
+            merged: dict[object, list] = {}
+            for eig, mult in pairs:
+                if mult <= 0:
+                    raise ValueError("multiplicities must be positive")
+                key = eig.exact if eig.exact is not None else object()
+                merged.setdefault(key, [eig, 0])[1] += mult
+            ordered = [(eig, mult) for eig, mult in merged.values()]
+            _sort_entries(ordered)
+            integral = None
+            if all(eig.exact is not None and eig.exact.is_integer for eig, _ in ordered):
+                integral = [(eig.exact.a.numerator, mult) for eig, mult in ordered]
         total = sum(m for _, m in ordered)
         if n is None:
             n = total
@@ -144,11 +166,11 @@ class Spectrum:
         if principal_value is not None:
             if principal is not None:
                 raise ValueError("give principal or principal_value, not both")
-            target = principal_value if isinstance(principal_value, Surd) else Surd(principal_value)
-            principal = next((i for i, (eig, _) in enumerate(ordered) if eig.exact == target),
+            values = integral if integral is not None else [(e.exact, m) for e, m in ordered]
+            principal = next((i for i, (x, _) in enumerate(values) if x == principal_value),
                              None)
             if principal is None:
-                raise ValueError(f"principal value {target} is not an eigenvalue")
+                raise ValueError(f"principal value {principal_value} is not an eigenvalue")
         elif principal is None:
             principal = 0
         if ordered and not 0 <= principal < len(ordered):
@@ -156,6 +178,7 @@ class Spectrum:
         self.entries = tuple(ordered)
         self.n = n
         self.principal = principal
+        self.integral = None if integral is None else tuple(integral)
 
     @classmethod
     def from_values(cls, values: Iterable[tuple[Union[Surd, int, Fraction], int]]) -> "Spectrum":
@@ -309,23 +332,42 @@ class DiscrepancyBreakdown:
         return self.S + (self.sigma + self.T + self.m0)
 
 
-def _sp_prime(s: Spectrum) -> list[tuple[Eig, int]]:
-    """Spectrum entries with exactly one copy of the principal eigenvalue removed."""
+def _sp_prime(pairs, principal: int) -> list:
+    """Spectrum pairs (``entries`` or ``integral``) with exactly one copy of
+    the principal eigenvalue removed."""
     out = []
-    for i, (eig, mult) in enumerate(s.entries):
-        if i == s.principal:
+    for i, (x, mult) in enumerate(pairs):
+        if i == principal:
             if mult > 1:
-                out.append((eig, mult - 1))
+                out.append((x, mult - 1))
         else:
-            out.append((eig, mult))
+            out.append((x, mult))
     return out
 
 
+_ZERO_VALUE = ExactValue()
+
+
 def discrepancy(s: Spectrum, assume_exact: bool = False) -> DiscrepancyBreakdown:
-    """Exact discrepancy of a regular spectrum, over Sp' = Spec minus one degree copy."""
+    """Exact discrepancy of a regular spectrum, over Sp' = Spec minus one degree copy.
+
+    Over an integral spectrum Delta is a count: sigma = #(x >= 1) -
+    #(x <= -1) and m0 = #(x = 0) over Sp', while T and S vanish, since no
+    integer lies in (0, 1) or (-1, 0).
+    """
+    if s.integral is not None:
+        sigma = m0 = 0
+        for x, mult in _sp_prime(s.integral, s.principal):
+            if x >= 1:
+                sigma += mult
+            elif x <= -1:
+                sigma -= mult
+            else:
+                m0 += mult
+        return DiscrepancyBreakdown(sigma=sigma, T=0, m0=m0, S=_ZERO_VALUE)
     counts = {"sigma+": 0, "sigma-": 0, "m0": 0, "T": 0}
     s_terms = []
-    for eig, mult in _sp_prime(s):
+    for eig, mult in _sp_prime(s.entries, s.principal):
         branch = delta_branch(eig, assume_exact)
         if branch == "S":
             s_terms.append((_point(eig) * 2 + 1, mult))
@@ -337,6 +379,8 @@ def discrepancy(s: Spectrum, assume_exact: bool = False) -> DiscrepancyBreakdown
 
 def energy(s: Spectrum) -> Union[ExactValue, Approximate]:
     """Sum of |eigenvalue| * multiplicity; exact when every entry is exact."""
+    if s.integral is not None:
+        return ExactValue.from_rational(sum(abs(x) * mult for x, mult in s.integral))
     if s.is_exact:
         return exact_sum([(abs(e.exact), m) for e, m in s.entries])
     value = 0.0
@@ -355,12 +399,18 @@ def complement_spectrum(s: Spectrum, k: int, loops: bool = False) -> Spectrum:
 
     The loopless complement J - I - A maps eig -> -1 - eig and has degree
     n - k - 1; with loops the complement is J - A, which maps eig -> -eig
-    and has degree n - k.  The degree replaces the principal entry.
+    and has degree n - k.  The degree replaces the principal entry.  An
+    integral spectrum maps to an integral one, built from ints.
     """
     n = s.n
-    degree = Surd(n - k if loops else n - k - 1)
-    new_entries: list[tuple[Eig, int]] = [(Eig.from_exact(degree), 1)]
-    for eig, mult in _sp_prime(s):
+    degree = n - k if loops else n - k - 1
+    if s.integral is not None:
+        ints = [(degree, 1)]
+        for x, mult in _sp_prime(s.integral, s.principal):
+            ints.append((-x if loops else -1 - x, mult))
+        return Spectrum(ints, n=n, principal_value=degree)
+    new_entries = [(Eig.from_exact(degree), 1)]
+    for eig, mult in _sp_prime(s.entries, s.principal):
         x = eig.exact
         if x is not None:
             mapped = -x if loops else Surd(-1 - x.a, -x.b, x.d)

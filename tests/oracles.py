@@ -3,20 +3,23 @@
 Each one is written without the package's algebra where it can be: srg
 parameters from common-neighbour counts, isospectrality from LAPACK,
 surds parsed back from their canonical text, multiplicative orders by
-trying every divisor of q - 1.
+trying every divisor of q - 1.  The exception is the generic exact
+route, which is the surd path itself, kept as the reference for the
+integral view that bypasses it.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Optional
 
 import numpy as np
 
-from equigraph.exact import Surd
+from equigraph.exact import ExactValue, Surd, exact_sum
 from equigraph.graphs import Graph, regularity
-from equigraph.spectra import Eig, Spectrum
+from equigraph.spectra import Eig, Spectrum, delta_branch, delta_of
 
 
 def srg_counts(g: Graph) -> Optional[tuple[int, int, int, int]]:
@@ -89,3 +92,47 @@ def read_spectrum_json(obj: dict) -> Spectrum:
 def multiplicative_order(f, x: int) -> int:
     """The order of x != 0 in the multiplicative group of the field f."""
     return next(e for e in range(1, f.q) if (f.q - 1) % e == 0 and f.pow(x, e) == 1)
+
+
+def generic_exact_route(values: list[tuple[Surd, int]], principal: int, k: int,
+                        loops: bool = False) -> dict:
+    """What ``discrepancy``, ``energy``, ``complement_spectrum`` and
+    ``check_equienergetic`` give for an exact spectrum, through the surd
+    path alone: one ``delta_branch`` and ``delta_of`` per entry of Sp' and
+    ``exact_sum`` over ``Surd``s.
+
+    ``values`` are distinct (Surd, mult) pairs sorted descending, and
+    ``principal`` indexes the degree entry among them.
+    """
+    n = sum(m for _, m in values)
+    sp = [(x, m - (i == principal)) for i, (x, m) in enumerate(values)]
+    sp = [(x, m) for x, m in sp if m]
+    counts = {"sigma+": 0, "sigma-": 0, "m0": 0, "T": 0}
+    s_terms = []
+    delta_terms = []
+    for x, m in sp:
+        eig = Eig.from_exact(x)
+        branch = delta_branch(eig)
+        if branch == "S":
+            s_terms.append((x * 2 + 1, m))
+        else:
+            counts[branch] += m
+        delta_terms += [(d, c * m) for d, c in delta_of(eig).terms]
+    delta = ExactValue(delta_terms)  # the generic constructor, not ExactValue.__add__
+    degree = Surd(n - k if loops else n - k - 1)
+    merged = {degree: 1}
+    for x, m in sp:
+        y = -x if loops else Surd(-1) - x
+        merged[y] = merged.get(y, 0) + m
+    complement = sorted(merged.items(), key=cmp_to_key(lambda p, q: q[0].compare(p[0])))
+    e_graph = exact_sum([(abs(x), m) for x, m in values])
+    e_comp = exact_sum([(abs(y), m) for y, m in complement])
+    equal = n == 2 * k if loops else delta == 2 * k + 1 - n
+    return {
+        "sigma": counts["sigma+"] - counts["sigma-"], "T": counts["T"], "m0": counts["m0"],
+        "S": exact_sum(s_terms), "delta_total": delta,
+        "energy": e_graph, "energy_complement": e_comp,
+        "complement": complement,
+        "complement_principal": next(i for i, (y, _) in enumerate(complement) if y == degree),
+        "equal": equal, "routes_agree": (e_graph == e_comp) == equal,
+    }

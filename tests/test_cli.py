@@ -95,17 +95,32 @@ def test_check_file_rejects_a_bad_loops_flag(runner, tmp_path):
     assert "line 1" in result.output
 
 
+# C6 with a loop at every vertex: A has spectrum {3, 2^2, 0^2, -1} and
+# J - A has {3, 1, 0^2, -2^2}, both of energy 8; J - I - A has energy 10
+LOOPED_C6 = "6 1\n" + "".join(f"{i} {i}\n{i} {(i + 1) % 6}\n" for i in range(6))
+
+
 def test_check_file_with_loops_compares_with_j_minus_a(runner, tmp_path):
-    # C6 with a loop at every vertex: A has spectrum {3, 2^2, 0^2, -1} and
-    # J - A has {3, 1, 0^2, -2^2}, both of energy 8; J - I - A has energy 10
     path = tmp_path / "c6.g"
-    path.write_text("6 1\n" + "".join(f"{i} {i}\n{i} {(i + 1) % 6}\n" for i in range(6)))
+    path.write_text(LOOPED_C6)
     result = runner.invoke(main, ["check", "--file", str(path), "--json"])
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert payload["degree"] == 3 and payload["equal"] and payload["routes_agree"]
     for key in ("energy", "energy_complement"):
         assert abs(payload[key]["approx"] - 8) <= payload[key]["radius"]
+
+
+def test_spectrum_file_with_loops_reports_no_discrepancy(runner, tmp_path):
+    # n == 2k decides a looped file, so no Delta breakdown is printed
+    path = tmp_path / "c6.g"
+    path.write_text(LOOPED_C6)
+    result = runner.invoke(main, ["spectrum", "--file", str(path), "--json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["discrepancy"] is None
+    text = runner.invoke(main, ["spectrum", "--file", str(path)])
+    assert text.exit_code == 0
+    assert "discrepancy: None" in text.output.splitlines()
 
 
 def test_check_has_no_loops_flag(runner):

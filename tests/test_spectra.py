@@ -26,7 +26,7 @@ from equigraph.spectra import (
 )
 from equigraph.spectra import _sp_prime
 
-from oracles import read_spectrum_json
+from oracles import generic_exact_route, read_spectrum_json
 
 
 def spec(values, principal=0):
@@ -386,6 +386,10 @@ def test_spectrum_exact_comparator_only_on_float_near_ties(monkeypatch):
     assert calls == []
     Spectrum.from_values([(10 ** 17, 1), (10 ** 17 + 1, 1), (5, 3)])
     assert calls and all({x, y} == {Surd(10 ** 17), Surd(10 ** 17 + 1)} for x, y in calls)
+    # (int, mult) pairs merge and sort as ints, so even float ties need no comparator
+    calls.clear()
+    ints = Spectrum([(10 ** 17, 1), (10 ** 17 + 1, 1), (5, 3)])
+    assert calls == [] and ints.integral == ((10 ** 17 + 1, 1), (10 ** 17, 1), (5, 3))
 
 
 def test_spectrum_principal_value_errors():
@@ -402,7 +406,7 @@ def _reference_complement(s, k, loops):
     n = s.n
     degree = Surd(n - k if loops else n - k - 1)
     new_entries = [(Eig.from_exact(degree), 1)]
-    for eig, mult in _sp_prime(s):
+    for eig, mult in _sp_prime(s.entries, s.principal):
         if eig.exact is not None:
             mapped = -eig.exact if loops else Surd(-1) - eig.exact
             new_entries.append((Eig.from_exact(mapped), mult))
@@ -432,7 +436,7 @@ def test_complement_single_build_matches_two_step(entries, loops, data):
 def _reference_discrepancy(s):
     sigma = t_count = m0 = 0
     s_terms = ExactValue()
-    for eig, mult in _sp_prime(s):
+    for eig, mult in _sp_prime(s.entries, s.principal):
         v = eig.exact
         if v.compare(Surd(1)) >= 0:
             sigma += mult
@@ -550,7 +554,7 @@ def _reference_delta_of(x, assume_exact):
 def _reference_breakdown(s, assume_exact):
     sigma = t_count = m0 = 0
     s_terms = ExactValue()
-    for eig, mult in _sp_prime(s):
+    for eig, mult in _sp_prime(s.entries, s.principal):
         if eig.exact is not None:
             branch = _reference_exact_branch(eig.exact, eig.value)
             if branch == "sigma+":
@@ -693,3 +697,62 @@ def test_spectrum_eq_matches_the_former_loop(entries, data):
     a, b = Spectrum(entries), Spectrum(other)
     assert (a == b) == _reference_spectrum_eq(a, b)
     assert (a == Spectrum(rebuilt)) == _reference_spectrum_eq(a, Spectrum(rebuilt))
+
+
+# -- the integral view against the generic exact path ------------------------------
+
+
+def _assert_integral_route_matches(s, k, loops):
+    """Every consumer of ``s.integral`` against ``generic_exact_route``."""
+    values = [(Surd(x), m) for x, m in s.integral]
+    assert [(e.exact, e.value, m) for e, m in s.entries] == [(x, float(x), m) for x, m in values]
+    want = generic_exact_route(values, s.principal, k, loops)
+    b = discrepancy(s)
+    assert (b.sigma, b.T, b.m0, b.S, b.delta_total) == tuple(
+        want[f] for f in ("sigma", "T", "m0", "S", "delta_total"))
+    assert energy(s) == want["energy"]
+    c = complement_spectrum(s, k, loops=loops)
+    assert [(e.exact, m) for e, m in c.entries] == want["complement"]
+    assert c.integral == tuple((int(y.a), m) for y, m in want["complement"])
+    assert c.principal == want["complement_principal"] and c.n == s.n
+    report = check_equienergetic(s, k, loops=loops)
+    assert report.delta == (None if loops else want["delta_total"])
+    assert (report.equal, report.energy, report.energy_complement, report.routes_agree) == (
+        want["equal"], want["energy"], want["energy_complement"], want["routes_agree"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 4)), max_size=10),
+       st.lists(st.integers(1, 3), min_size=3, max_size=3), st.booleans(), st.data())
+def test_integral_view_matches_the_generic_exact_path(extra, unit_mults, loops, data):
+    # 0, -1 and 1 sit at the branch points; the principal may repeat
+    pairs = list(zip((0, -1, 1), unit_mults)) + extra
+    counts: dict[int, int] = {}
+    for x, m in pairs:
+        counts[x] = counts.get(x, 0) + m
+    degree = data.draw(st.sampled_from(sorted(counts)))
+    repeat = data.draw(st.integers(0, 2))
+    if repeat:
+        pairs.append((degree, repeat))
+        counts[degree] += repeat
+    s = Spectrum(pairs, principal_value=degree)
+    assert s.integral == tuple(sorted(counts.items(), reverse=True))
+    assert s.principal_eig.exact == degree
+    k = data.draw(st.integers(0, s.n - 1))
+    _assert_integral_route_matches(s, k, loops)
+
+
+def test_integral_view_matches_the_generic_exact_path_on_unitary_spectra():
+    from equigraph.rings import profiles_with_order_up_to, unitary_spectrum
+    for factors in range(1, 5):
+        for profile in profiles_with_order_up_to(factors, 256):
+            s = unitary_spectrum(profile)
+            _assert_integral_route_matches(s, profile.units, loops=False)
+
+
+def test_integral_view_is_set_exactly_when_every_entry_is_an_integer():
+    assert spec([(Surd(3), 1), (Surd(-1), 3)]).integral == ((3, 1), (-1, 3))
+    assert spec([(3, 1), (Fraction(-1, 2), 2), (-2, 1)]).integral is None
+    assert spec([(2, 1), (Surd(0, 1, 2), 1), (Surd(0, -1, 2), 1)]).integral is None
+    approx = Spectrum([(Eig.from_exact(2), 1), (Eig.from_approx(-2.0, 0.0), 1)])
+    assert approx.integral is None
