@@ -60,6 +60,11 @@ MAX_EIGEN_N = 600
 NUMERIC_RADIUS = 1e-8
 
 
+def _check_eigen_cap(n: int) -> None:
+    if n > MAX_EIGEN_N:
+        raise ValueError(f"n={n} above the {MAX_EIGEN_N} eigensolver cap")
+
+
 class Graph:
     """Undirected graph on n vertices; loops only when loops_allowed."""
 
@@ -79,12 +84,14 @@ class Graph:
         self.loops_allowed = loops_allowed
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
+    def from_edges(cls, n: int, edges: Sequence[tuple[int, int]] | np.ndarray,
                    loops_allowed: bool = False) -> "Graph":
+        """The graph with the given (u, v) pairs, a sequence of pairs or an
+        (m, 2) integer array, as edges."""
+        us, vs = np.asarray(edges, dtype=np.intp).reshape(len(edges), 2).T
         adj = np.zeros((n, n), dtype=bool)
-        for u, v in edges:
-            adj[u, v] = True
-            adj[v, u] = True
+        adj[us, vs] = True
+        adj[vs, us] = True
         return cls(adj, loops_allowed=loops_allowed)
 
     def edges(self) -> list[tuple[int, int]]:
@@ -228,13 +235,9 @@ def cayley(moduli: Sequence[int], connection: Iterable[tuple[int, ...]]) -> Grap
             raise ValueError(f"connection set not closed under negation: {t}")
     elements = list(iter_product(*[range(m) for m in moduli]))
     index = {e: i for i, e in enumerate(elements)}
-    n = len(elements)
-    adj = np.zeros((n, n), dtype=bool)
-    for i, x in enumerate(elements):
-        for s in conn:
-            y = tuple((xc + sc) % m for xc, sc, m in zip(x, s, moduli))
-            adj[i, index[y]] = True
-    return Graph(adj)
+    edges = [(i, index[tuple((xc + sc) % m for xc, sc, m in zip(x, s, moduli))])
+             for i, x in enumerate(elements) for s in conn]
+    return Graph.from_edges(len(elements), edges)
 
 
 def _power_residue_guard(k: int, q: int) -> None:
@@ -254,13 +257,7 @@ def gp_graph(k: int, q: int) -> Graph:
     FAMILIES["gp"].guard(k, q)
     field = GF(q)
     residues = field.power_residues(k)
-    n = q
-    adj = np.zeros((n, n), dtype=bool)
-    for x in range(n):
-        for r in residues:
-            y = field.add(x, r)
-            adj[x, y] = True
-    return Graph(adj)
+    return Graph.from_edges(q, [(x, field.add(x, r)) for x in range(q) for r in residues])
 
 
 def paley(q: int) -> Graph:
@@ -403,9 +400,8 @@ def numeric_spectrum(g: Graph) -> Spectrum:
     computed value) plus half the group's spread, and never below
     ``NUMERIC_RADIUS``.
     """
-    if g.n > MAX_EIGEN_N:
-        raise ValueError(f"n={g.n} above the {MAX_EIGEN_N} eigensolver cap")
-    result = jacobi_eigenvalues(g.adj.astype(np.float64))
+    _check_eigen_cap(g.n)
+    result = jacobi_eigenvalues(g.adj)
     bound = result.off_norm + result.rounding
     # adjacent values that would overlap at the certified radius scale
     # collapse into one entry
@@ -484,10 +480,67 @@ def _read_header(parts: list[str], line_no: int, line: str) -> tuple[int, bool]:
     return int(count), flag == "1"
 
 
+# the common body shape: ASCII decimal tokens of at most 18 digits (so
+# np.fromstring cannot saturate at 2^63 - 1), two per line, spaces or tabs
+# between them, blank lines allowed, '\n' line ends
+_BODY_CHARS = b"0123456789 \t\n"
+_MAX_TOKEN_DIGITS = 18
+
+
+def _read_edges(body: str, n: int, loops: bool) -> Optional[np.ndarray]:
+    """The (m, 2) edge array of a body in the common shape whose vertices lie
+    in [0, n) and which has no loop unless ``loops``; None for any other body,
+    which the per-line reader parses or names the bad line of."""
+    raw = body.encode()
+    if raw.translate(None, _BODY_CHARS):    # UTF-8 encodes non-ASCII as bytes >= 0x80
+        return None
+    chars = np.frombuffer(raw, dtype=np.uint8)
+    digit = np.zeros(len(chars) + 2, dtype=bool)
+    np.less(chars - ord("0"), 10, out=digit[1:-1])     # uint8 wraps below "0"
+    runs = np.flatnonzero(digit[1:] != digit[:-1])     # token starts and ends, alternating
+    starts = runs[0::2]
+    if len(starts) == 0:    # np.fromstring reads a blank string as [0]
+        return np.empty((0, 2), dtype=np.int64)
+    if len(starts) % 2 or (runs[1::2] - starts).max() > _MAX_TOKEN_DIGITS:
+        return None
+    # the line of each token: a pair shares one, the next pair is on a later one
+    step = np.diff(np.cumsum(chars == ord("\n"), dtype=np.int32)[starts])
+    if step[0::2].any() or not step[1::2].all():
+        return None
+    tokens = np.fromstring(body, dtype=np.int64, sep=" ")
+    if tokens.max() >= n:
+        return None
+    edges = tokens.reshape(-1, 2)
+    if not loops and (edges[:, 0] == edges[:, 1]).any():
+        return None
+    return edges
+
+
 def read_graph(text: str) -> Graph:
     """Parse an 'n loops' header (n >= 1, loops 0 or 1) and one 'u v' edge
     per line, vertices in [0, n).  Blank lines are skipped; every error is
-    a ValueError that names its line in the text."""
+    a ValueError that names its line in the text.  A vertex count above
+    ``MAX_EIGEN_N`` is refused as soon as the header is read, before any
+    n x n array exists.
+
+    A file whose first line is its header and whose body has the common
+    shape (see ``_read_edges``) is parsed in a fixed number of numpy calls;
+    any other text, and any error, goes through the per-line reader, which
+    gives the same Graph or the same error.
+    """
+    header, _, body = text.partition("\n")
+    parts = header.split()
+    if parts and header.splitlines() == [header]:   # the per-line reader's line 1
+        n, loops = _read_header(parts, 1, header)
+        _check_eigen_cap(n)
+        edges = _read_edges(body, n, loops)
+        if edges is not None:
+            return Graph.from_edges(n, edges, loops_allowed=loops)
+    return _read_lines(text)
+
+
+def _read_lines(text: str) -> Graph:
+    """``read_graph`` one line at a time."""
     n = None
     edges = []
     for ln_no, ln in enumerate(text.splitlines(), start=1):
@@ -496,6 +549,7 @@ def read_graph(text: str) -> Graph:
             continue
         if n is None:
             n, loops = _read_header(parts, ln_no, ln)
+            _check_eigen_cap(n)
             continue
         if len(parts) != 2:
             raise ValueError(f"line {ln_no}: expected 'u v', got {ln!r}")

@@ -187,11 +187,16 @@ def _implicit_ql(d: list[float], e: list[float], tol: float) -> tuple[float, flo
 
 def jacobi_eigenvalues(matrix: np.ndarray) -> JacobiResult:
     """All eigenvalues of a symmetric matrix, ascending, with their error
-    bound, as a :class:`JacobiResult`."""
+    bound, as a :class:`JacobiResult`.
+
+    The input, a bool adjacency matrix say, is copied once to float64.  The
+    bound holds for exactly symmetric matrices only, so any other input is
+    refused, however small its asymmetry.
+    """
     a = np.array(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.allclose(a, a.T, atol=1e-12):
+    if not np.array_equal(a, a.T):
         raise ValueError("matrix must be symmetric")
     norm = math.sqrt(float(np.vdot(a, a)))
     eps = sys.float_info.epsilon

@@ -207,6 +207,17 @@ def test_check_file_above_eigensolver_cap(runner, tmp_path):
     assert "eigensolver cap" in result.output
 
 
+@pytest.mark.parametrize("command", ["check", "spectrum"])
+@pytest.mark.parametrize("body", ["", "0 1\nx y z\n"])
+def test_file_header_above_the_cap_is_refused_before_the_body(runner, tmp_path, command, body):
+    # an n x n array for this header would not fit in memory
+    path = tmp_path / "huge.g"
+    path.write_text("1000000000 0\n" + body)
+    result = runner.invoke(main, [command, "--file", str(path)])
+    assert result.exit_code == 2
+    assert "n=1000000000 above the 600 eigensolver cap" in result.output
+
+
 @pytest.mark.parametrize("family, n, code", [
     ("lattice", 21, 0),        # n = 441; eigenvalues 40, 19 and -2
     ("triangular", 30, 1),     # n = 435; eigenvalues 56, 26 and -2

@@ -1,9 +1,10 @@
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equigraph.fields import GF, is_prime_power, prime_power_decompose
@@ -36,7 +37,7 @@ from equigraph.graphs import (
     triangular,
     unitary_cayley_concrete,
 )
-from equigraph import jacobi
+from equigraph import graphs, jacobi
 from equigraph.jacobi import JacobiConvergenceError, JacobiResult, jacobi_eigenvalues
 from equigraph.spectra import APPROX_RADIUS_CAP, Spectrum, spectra_match
 
@@ -114,6 +115,13 @@ def test_jacobi_against_lapack_random():
         ours = jacobi_eigenvalues(m).values
         ref = np.linalg.eigvalsh(m)
         assert np.max(np.abs(ours - ref)) < 1e-9
+
+
+def test_jacobi_refuses_a_matrix_that_is_not_exactly_symmetric():
+    # allclose's default rtol let this through with a bound of about 4e-15,
+    # although its eigenvalues are +-1.0000005
+    with pytest.raises(ValueError, match="^matrix must be symmetric$"):
+        jacobi_eigenvalues(np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]]))
 
 
 def test_jacobi_trivial_sizes():
@@ -531,6 +539,7 @@ def test_read_graph_errors():
     ("3 0\n0 1\n1.5 2\n", 3),
     ("\n3 0\n\n0 1\nq 2\n", 5),      # blank lines keep the file's numbering
     ("\nx 0\n", 2),
+    ("3 0\n0 1\n2 2\n", 3),         # a loop in a loopless graph
 ])
 def test_read_graph_names_the_line_of_a_bad_token(text, line):
     with pytest.raises(ValueError, match=f"^line {line}: "):
@@ -546,3 +555,108 @@ def test_read_graph_accepts_a_single_vertex():
 def test_read_graph_rejects_a_loops_flag_other_than_0_or_1(flag):
     with pytest.raises(ValueError, match="^line 1: "):
         read_graph(f"4 {flag}\n0 1\n")
+
+
+@pytest.mark.parametrize("text", [
+    "1000000000 0\n",
+    "1000000000 0\nx y z\n0 1\n",
+    "20000 1\n0 1\n",
+    "1000000000 0\r\n0 1\r\n",          # outside the common shape
+    "\n\n601 0\n0 1\n",
+])
+def test_read_graph_refuses_a_header_above_the_cap_before_building(text):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^n=\d+ above the 600 eigensolver cap$"):
+            read_graph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_from_edges_takes_pairs_or_an_array():
+    pairs = [(0, 1), (1, 2), (3, 2)]
+    g = Graph.from_edges(4, pairs)
+    assert np.array_equal(g.adj, Graph.from_edges(4, np.array(pairs)).adj)
+    assert g.edges() == [(0, 1), (1, 2), (2, 3)]
+    assert not Graph.from_edges(3, []).adj.any()
+    looped = Graph.from_edges(2, np.array([[1, 1]]), loops_allowed=True)
+    assert looped.adj.tolist() == [[False, False], [False, True]]
+
+
+_REGULAR_GRAPHS = [cycle(5), crown(4), complete(4), petersen(), paley(9), complete(1),
+                   complete_multipartite(3, 2), cube_q3()]
+# edge lines outside the common shape, most of them errors; "{u}" and "{v}"
+# are vertices in range
+_NEAR_MISSES = ["{u} {v} {u}", "{u}", "{u} {v} {u} {v}", "+{u} {v}", "-1 {v}", "\u0663 {v}", "1_0 {v}",
+                "{u} {n}", "{u} 99999999999999999999", "{u} {u}", "0000000000000000000{u} {v}",
+                "1000000000000000000 {v}", "{u} 0x1", "{u},{v}", "{u}\u00a0{v}", "{u} {v}\r"]
+# str.splitlines breaks at these too
+_LINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+
+
+@st.composite
+def _graph_files(draw, common=False):
+    """Graph files of relabelled regular graphs in the common shape: spaces
+    and tabs, blank and whitespace-only lines, with or without a trailing
+    newline, loops flag 0 or 1.  Unless ``common``, sometimes with up to two
+    near-miss lines, CRLF line ends or leading blank lines."""
+    g = draw(st.sampled_from(_REGULAR_GRAPHS))
+    perm = draw(st.permutations(range(g.n)))
+    edges = draw(st.permutations([(perm[u], perm[v]) for u, v in g.edges()]))
+    space = st.sampled_from([" ", "\t", "  ", " \t "])
+    pad = st.sampled_from(["", " ", "\t"])
+    lines = [f"{g.n} {int(draw(st.booleans()))}"]
+    for u, v in edges:
+        if draw(st.booleans()):
+            u, v = v, u
+        lines.append(draw(pad) + f"{u}{draw(space)}{v}" + draw(pad))
+        if draw(st.integers(0, 7)) == 0:
+            lines.append(draw(pad))
+    if common:
+        return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    vertex = st.integers(0, g.n - 1)
+    for _ in range(draw(st.integers(0, 2))):
+        bad = draw(st.sampled_from(_NEAR_MISSES)).format(u=draw(vertex), v=draw(vertex), n=g.n)
+        lines.insert(draw(st.integers(1, len(lines))), bad)
+    # other line breaks than "\n": CRLF throughout, or one after the header
+    end = draw(st.sampled_from(["\n"] * 4 + ["\r\n"]))
+    lines[:2] = [draw(st.sampled_from([end] * 18 + _LINE_BREAKS)).join(lines[:2])]
+    lead = draw(st.sampled_from([""] * 8 + ["\n", " \n"]))
+    return lead + end.join(lines) + draw(st.sampled_from([end, ""]))
+
+
+def _graph_or_error(read, text):
+    try:
+        g = read(text)
+    except ValueError as exc:
+        return str(exc)
+    return g.adj.tolist(), g.loops_allowed
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_graph_files())
+# each example breaks one condition of the numpy path (the shape, the range,
+# no loops, a one-line header) so that no other condition catches it
+@example(text="3 0\n0 1 2\n1\n")
+@example(text="3 0\n0 1\n2\n0\n")
+@example(text="3 0\n0\n1 2 0\n")
+@example(text="3 0\n0 1\n2 2\n")
+@example(text="3 0\n0 1\n2\n")
+@example(text="3 0\n0 1 1 2\n")
+@example(text="3 0\n0 1\n-1 2\n")
+@example(text="3 0\x0b0 1\n")
+def test_read_graph_equals_the_per_line_reader(text):
+    assert _graph_or_error(read_graph, text) == _graph_or_error(graphs._read_lines, text)
+
+
+@settings(max_examples=50, deadline=None)
+@given(text=_graph_files(common=True))
+def test_read_graph_parses_the_common_shape_in_numpy(text):
+    header, _, body = text.partition("\n")
+    n, loops = int(header.split()[0]), header.split()[1] == "1"
+    edges = graphs._read_edges(body, n, loops)
+    assert edges is not None
+    assert np.array_equal(Graph.from_edges(n, edges, loops_allowed=loops).adj,
+                          graphs._read_lines(text).adj)
