@@ -18,7 +18,6 @@ import io
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Optional
 
 import click
@@ -47,8 +46,6 @@ def _render_value(v) -> object:
         return str(v)
     if isinstance(v, Approximate):
         return {"approx": v.value, "radius": v.radius}
-    if isinstance(v, Fraction):
-        return str(v) if v.denominator != 1 else int(v)
     return v
 
 
@@ -98,11 +95,15 @@ def _parse_srg(text: str, derive):
         raise SourceError(f"bad srg tuple {text!r}: {exc}")
 
 
-def _numeric_spectrum(graph: G.Graph):
+def _build_within_cap(family: str, params: dict) -> G.Graph:
+    """A family without a closed form, built only once its vertex count is
+    within the eigensolver cap: a larger n x n array may not fit in memory."""
+    fam, args = G.family_args(family, params)
     try:
-        return G.numeric_spectrum(graph)
-    except ValueError as exc:  # above the eigensolver cap
+        G._check_eigen_cap(fam.order(*args))
+    except ValueError as exc:
         raise SourceError(str(exc))
+    return fam.build(*args)
 
 
 def _load_source(family: Optional[str], file: Optional[str], ring: Optional[str],
@@ -120,13 +121,13 @@ def _load_source(family: Optional[str], file: Optional[str], ring: Optional[str]
     if family:
         try:
             exact = D.exact_spectrum_of_family(family, **params)  # runs the family's guard
-            graph = G.gen_named(family, **params) if exact is None else None
         except ValueError as exc:  # InfeasibleParams included
             raise SourceError(f"family {family} with {params}: {exc}")
+        graph = _build_within_cap(family, params) if exact is None else None
         k = G.regularity(graph) if exact is None else G.spectral_regularity(exact)
         if k is None:
             raise SourceError(f"family {family} with {params} is not regular")
-        spec = exact if exact is not None else _numeric_spectrum(graph)
+        spec = exact if exact is not None else G.numeric_spectrum(graph)
         label = f"{family}({', '.join(f'{p}={v}' for p, v in params.items())})"
         return label, spec, k, exact is not None, False
     if file:
@@ -139,7 +140,8 @@ def _load_source(family: Optional[str], file: Optional[str], ring: Optional[str]
         k = G.regularity(graph)
         if k is None:
             raise SourceError("graph in file is not regular")
-        return file, _numeric_spectrum(graph), k, False, graph.loops_allowed
+        # read_graph has refused a header above the eigensolver cap
+        return file, G.numeric_spectrum(graph), k, False, graph.loops_allowed
     if ring:
         try:
             profile = R.RingProfile.parse(ring)
@@ -270,8 +272,8 @@ def _srg_fields(p: S.SrgParams, cls_name: str, data: S.SrgEigenData) -> dict:
         "alpha": data.alpha,
         "r": format_surd(data.r),
         "s": format_surd(data.s),
-        "m_r": _render_value(data.m_r),
-        "m_s": _render_value(data.m_s),
+        "m_r": data.m_r,
+        "m_s": data.m_s,
         "energy": str(S.energy_closed(p, data)),
         "oa": f"OA({oa[0]},{oa[1]})" if oa else "",
     }

@@ -3,15 +3,13 @@
 Two value types:
 
 * ``Surd`` -- a single-radicand number ``a + b*sqrt(D)`` with rational
-  ``a, b`` and squarefree integer ``D >= 0``.  Supports field arithmetic
+  ``a, b`` and squarefree integer ``D >= 0``.  Supports sums and products
   within one radicand and a fully exact total order across radicands
   (sign analysis by repeated rational squaring, never floating point).
 * ``ExactValue`` -- a finite sum ``sum c_D * sqrt(D)`` over distinct
   squarefree radicands (``D = 1`` holds the rational part).  Used to
   accumulate energies and discrepancy totals whose terms may carry
-  different radicands.  Equality is coefficient-wise; order against a
-  rational threshold is decided by adaptive-precision integer-sqrt
-  intervals, which terminates because equality is decided first.
+  different radicands.  Equality is coefficient-wise.
 
 Rationals are ``fractions.Fraction`` throughout, so all integers are
 arbitrary precision.
@@ -20,7 +18,6 @@ arbitrary precision.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction]
@@ -120,9 +117,6 @@ class Surd:
         a, b = self.a, self.b
         return hash((a.numerator, a.denominator, b.numerator, b.denominator, self.d))
 
-    def __bool__(self) -> bool:
-        return self.a != 0 or self.b != 0
-
     def __float__(self) -> float:
         if not self.b:
             return float(self.a)
@@ -178,15 +172,6 @@ class Surd:
     def __neg__(self):
         return Surd(-self.a, -self.b, self.d)
 
-    def __sub__(self, other):
-        other = Surd._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = Surd._coerce(other)
         if other is NotImplemented:
@@ -197,25 +182,6 @@ class Surd:
         return Surd(a, b, d)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "Surd":
-        if not self:
-            raise ZeroDivisionError("surd division by zero")
-        norm = self.a * self.a - self.b * self.b * self.d
-        if norm == 0:
-            # cannot happen for squarefree d > 1 with a, b != 0
-            raise ZeroDivisionError("degenerate surd norm")
-        return Surd(self.a / norm, -self.b / norm, self.d)
-
-    def __truediv__(self, other):
-        other = Surd._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._join_radicand(other)
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return Surd(other) / self
 
     def __abs__(self) -> "Surd":
         return self if self.sign() >= 0 else -self
@@ -280,20 +246,6 @@ class Surd:
     def __ge__(self, other):
         return self.compare(other) >= 0
 
-    # -- misc -------------------------------------------------------------
-
-    def bounds(self, prec_bits: int = 64) -> tuple[Fraction, Fraction]:
-        """Rational enclosure of the value, sharp to ~2**-prec_bits."""
-        if self.b == 0:
-            return self.a, self.a
-        scale = 1 << prec_bits
-        root = isqrt(self.d * scale * scale)
-        lo = Fraction(root, scale)
-        hi = Fraction(root + 1, scale)
-        if self.b > 0:
-            return self.a + self.b * lo, self.a + self.b * hi
-        return self.a + self.b * hi, self.a + self.b * lo
-
 
 # -- text rendering --------------------------------------------------------
 
@@ -341,10 +293,6 @@ class ExactValue:
         return value
 
     @classmethod
-    def from_surd(cls, s: Surd) -> "ExactValue":
-        return cls([(1, s.a), (s.d, s.b)])
-
-    @classmethod
     def from_rational(cls, q: RationalLike) -> "ExactValue":
         return cls._from_squarefree({1: q})
 
@@ -361,16 +309,8 @@ class ExactValue:
         return Fraction(0)
 
     @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    @property
     def is_rational(self) -> bool:
         return all(d == 1 for d, _ in self._terms)
-
-    @property
-    def is_integer(self) -> bool:
-        return self.is_rational and self.rational_part.denominator == 1
 
     @property
     def rational_part(self) -> Fraction:
@@ -411,8 +351,6 @@ class ExactValue:
     def _coerce(x) -> "ExactValue":
         if isinstance(x, ExactValue):
             return x
-        if isinstance(x, Surd):
-            return ExactValue.from_surd(x)
         if isinstance(x, (int, Fraction)):
             return ExactValue.from_rational(x)
         return NotImplemented
@@ -430,30 +368,7 @@ class ExactValue:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return ExactValue([(d, -c) for d, c in self._terms])
-
-    def __sub__(self, other):
-        other = ExactValue._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def scaled(self, q: RationalLike) -> "ExactValue":
-        q = Fraction(q)
-        return ExactValue([(d, c * q) for d, c in self._terms])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    # -- exact comparison ----------------------------------------------------
+    # -- equality -------------------------------------------------------------
 
     def __eq__(self, other):
         other = ExactValue._coerce(other)
@@ -461,43 +376,6 @@ class ExactValue:
             return NotImplemented
         # sqrt(D) over distinct squarefree D are linearly independent over Q
         return self._terms == other._terms
-
-    def bounds(self, prec_bits: int = 64) -> tuple[Fraction, Fraction]:
-        lo = Fraction(0)
-        hi = Fraction(0)
-        for d, c in self._terms:
-            tlo, thi = Surd(0, c, d).bounds(prec_bits)
-            lo += tlo
-            hi += thi
-        return lo, hi
-
-    def compare(self, other) -> int:
-        other = ExactValue._coerce(other)
-        diff = self - other
-        if diff.is_zero:
-            return 0
-        if diff.is_rational:
-            return _sign(diff.rational_part)
-        prec = 64
-        while True:
-            lo, hi = diff.bounds(prec)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            prec *= 2
-
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
 
 
 def exact_sum(values: Iterable[tuple[Surd, int]]) -> ExactValue:

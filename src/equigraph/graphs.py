@@ -71,7 +71,7 @@ class Graph:
     __slots__ = ("n", "adj", "loops_allowed")
 
     def __init__(self, adj: np.ndarray, loops_allowed: bool = False):
-        adj = np.asarray(adj, dtype=bool)
+        adj = np.array(adj, dtype=bool)  # a copy, so the caller's array stays writable
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency must be square")
         if not np.array_equal(adj, adj.T):
@@ -300,12 +300,15 @@ def unitary_cayley_concrete(factors: Sequence[str]) -> Graph:
 class Family:
     """A named family: its parameter names, a guard that raises ValueError when
     the parameters name no graph, the builder, and the closed-form exact
-    spectrum (None where the family has none for those parameters)."""
+    spectrum (None where the family has none for those parameters).  A
+    family whose spectrum can be None also gives its vertex count, so that
+    a graph above the eigensolver cap is refused before it is built."""
 
     params: tuple[str, ...]
     guard: Callable[..., None]
     build: Callable[..., Graph]
     spectrum: Callable[..., Optional[Spectrum]]
+    order: Optional[Callable[..., int]] = None
 
 
 def _need(ok: bool, message: str) -> None:
@@ -343,7 +346,7 @@ FAMILIES: dict[str, Family] = {
     "crown": Family(("t",), lambda t: _need(t >= 2, "crown needs t >= 2"), crown,
                     lambda t: _spec([(t - 1, 1), (1, t - 1), (-1, t - 1), (1 - t, 1)])),
     "cycle": Family(("n",), lambda n: _need(n >= 3, "cycle needs n >= 3"), cycle,
-                    _cycle_spectrum),
+                    _cycle_spectrum, order=lambda n: n),
     "complete": Family(("n",), lambda n: _need(n >= 1, "complete graph needs n >= 1"),
                        complete, lambda n: _spec([(n - 1, 1), (-1, n - 1)])),
     "complete_bipartite": Family(
@@ -368,7 +371,8 @@ FAMILIES: dict[str, Family] = {
                        lambda: _spec([(3, 1), (1, 1), (0, 2), (-2, 2)])),
     "paley": Family(("q",), lambda q: _power_residue_guard(2, q), paley,
                     lambda q: spectrum_of(family_params(Conference((q - 1) // 4)))),
-    "gp": Family(("k", "q"), _power_residue_guard, gp_graph, _gp_spectrum),
+    "gp": Family(("k", "q"), _power_residue_guard, gp_graph, _gp_spectrum,
+                 order=lambda k, q: q),
 }
 
 

@@ -48,6 +48,8 @@ class RingProfile:
             if decomp is None:
                 raise ValueError(f"residue field size {q} is not a prime power")
             p = decomp[0]
+            if m < 1:
+                raise ValueError(f"ideal size {m} must be at least 1")
             t = m
             while t % p == 0:
                 t //= p

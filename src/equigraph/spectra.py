@@ -26,7 +26,6 @@ __all__ = [
     "DiscrepancyBreakdown",
     "EquienReport",
     "delta_branch",
-    "delta_of",
     "discrepancy",
     "energy",
     "complement_spectrum",
@@ -302,14 +301,6 @@ def delta_branch(e: Eig, assume_exact: bool = False) -> str:
     if sign > 0:
         return "sigma+" if x.compare(_ONE) >= 0 else "T"
     return "sigma-" if x.compare(_MINUS_ONE) <= 0 else "S"
-
-
-def delta_of(x: Eig, assume_exact: bool = False) -> ExactValue:
-    """The piecewise-linear term ``|1 + x| - |x|`` of one eigenvalue."""
-    branch = delta_branch(x, assume_exact)
-    if branch == "S":
-        return ExactValue.from_surd(_point(x) * 2 + 1)
-    return ExactValue.from_rational(-1 if branch == "sigma-" else 1)
 
 
 @dataclass(frozen=True)

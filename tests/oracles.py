@@ -19,7 +19,7 @@ import numpy as np
 
 from equigraph.exact import ExactValue, Surd, exact_sum
 from equigraph.graphs import Graph, regularity
-from equigraph.spectra import Eig, Spectrum, delta_branch, delta_of
+from equigraph.spectra import Eig, Spectrum, _point, delta_branch
 
 
 def srg_counts(g: Graph) -> Optional[tuple[int, int, int, int]]:
@@ -94,6 +94,14 @@ def multiplicative_order(f, x: int) -> int:
     return next(e for e in range(1, f.q) if (f.q - 1) % e == 0 and f.pow(x, e) == 1)
 
 
+def delta_of(x: Eig, assume_exact: bool = False) -> ExactValue:
+    """The piecewise-linear term ``|1 + x| - |x|`` of one eigenvalue."""
+    branch = delta_branch(x, assume_exact)
+    if branch == "S":
+        return exact_sum([(_point(x) * 2 + 1, 1)])
+    return ExactValue.from_rational(-1 if branch == "sigma-" else 1)
+
+
 def generic_exact_route(values: list[tuple[Surd, int]], principal: int, k: int,
                         loops: bool = False) -> dict:
     """What ``discrepancy``, ``energy``, ``complement_spectrum`` and
@@ -122,7 +130,7 @@ def generic_exact_route(values: list[tuple[Surd, int]], principal: int, k: int,
     degree = Surd(n - k if loops else n - k - 1)
     merged = {degree: 1}
     for x, m in sp:
-        y = -x if loops else Surd(-1) - x
+        y = -x if loops else Surd(-1) + -x
         merged[y] = merged.get(y, 0) + m
     complement = sorted(merged.items(), key=cmp_to_key(lambda p, q: q[0].compare(p[0])))
     e_graph = exact_sum([(abs(x), m) for x, m in values])

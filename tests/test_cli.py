@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,36 @@ def test_check_file_above_eigensolver_cap(runner, tmp_path):
     result = runner.invoke(main, ["check", "--file", str(path)])
     assert result.exit_code == 2
     assert "eigensolver cap" in result.output
+
+
+@pytest.mark.parametrize("command", ["check", "spectrum"])
+@pytest.mark.parametrize("family_args, n", [
+    (["--family", "cycle", "--n", "10000000"], 10000000),
+    (["--family", "gp", "--k", "3", "--q", "607"], 607),   # not semiprimitive
+])
+def test_family_above_the_cap_is_refused_before_it_is_built(runner, monkeypatch, command,
+                                                            family_args, n):
+    from equigraph import graphs as G
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a graph was built")
+    monkeypatch.setattr(G.Graph, "__init__", refuse)
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, [command, *family_args])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 2
+    assert result.output == f"Error: n={n} above the 600 eigensolver cap\n"
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("command", ["check", "spectrum"])
+def test_ring_with_an_ideal_of_size_zero_is_refused(runner, command):
+    result = runner.invoke(main, [command, "--ring", "3:0"])
+    assert result.exit_code == 2
+    assert result.output == "Error: ideal size 0 must be at least 1\n"
 
 
 @pytest.mark.parametrize("command", ["check", "spectrum"])

@@ -585,6 +585,14 @@ def test_from_edges_takes_pairs_or_an_array():
     assert looped.adj.tolist() == [[False, False], [False, True]]
 
 
+def test_graph_leaves_the_callers_array_writable():
+    a = np.zeros((2, 2), dtype=bool)
+    g = Graph(a)
+    a[0, 1] = a[1, 0] = True
+    assert not g.adj.any()
+    assert not g.adj.flags.writeable
+
+
 _REGULAR_GRAPHS = [cycle(5), crown(4), complete(4), petersen(), paley(9), complete(1),
                    complete_multipartite(3, 2), cube_q3()]
 # edge lines outside the common shape, most of them errors; "{u}" and "{v}"

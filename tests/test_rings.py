@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equigraph.exact import ExactValue, Surd
+from equigraph.exact import ExactValue, Surd, exact_sum
 from equigraph.fields import is_prime_power
 from equigraph.graphs import numeric_spectrum, unitary_cayley_concrete
 from equigraph.rings import (
@@ -30,6 +30,9 @@ def test_profile_validation():
         RingProfile.of((4, 3))      # ideal size has the wrong characteristic
     with pytest.raises(ValueError):
         RingProfile(())
+    for m in (0, -3):               # m = 0 used to strip factors of p forever
+        with pytest.raises(ValueError, match=f"ideal size {m} must be at least 1"):
+            RingProfile.of((3, m))
 
 
 def test_profile_parse_round_trip():
@@ -73,8 +76,8 @@ def test_unitary_spectrum_total_multiplicity_random_profiles():
         assert spec.n == profile.order
         total = ExactValue()
         for eig, mult in spec.entries:
-            total = total + ExactValue.from_surd(eig.exact).scaled(mult)
-        assert total.is_zero  # trace of a loopless graph
+            total = total + exact_sum([(eig.exact, mult)])
+        assert total == ExactValue()  # trace of a loopless graph
 
 
 def test_subset_sums_examples():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from equigraph import srg as srg_module
 
-from equigraph.exact import ExactValue, Surd
+from equigraph.exact import ExactValue, Surd, exact_sum
 from equigraph.graphs import complement, numeric_spectrum, paley, shrikhande, gp_graph
 from equigraph.fields import is_prime_power
 from equigraph.rings import RingProfile, unitary_spectrum
@@ -97,7 +97,8 @@ def _division_form(p: SrgParams) -> tuple[Surd, Surd]:
     """The former r, s: (sqrt(alpha) + (e - d)) / 2 and ((e - d) - sqrt(alpha)) / 2."""
     ed = p.e - p.d
     root = Surd(0, 1, ed * ed + 4 * (p.k - p.d))
-    return (root + ed) / 2, (Surd(ed) - root) / 2
+    half = Fraction(1, 2)
+    return (root + ed) * half, (Surd(ed) + -root) * half
 
 
 @settings(max_examples=300, deadline=None)
@@ -186,7 +187,7 @@ def _surd_condition(p: SrgParams) -> bool:
     """The former equien_condition: both routes by Surd multiplication."""
     root = Surd(0, 1, _fraction_first_eigen_data(p).alpha)
     ed = p.e - p.d
-    via_condition = (root - ed) * (p.n - 1) == (root + 1) * (2 * p.k)
+    via_condition = (root + -ed) * (p.n - 1) == (root + 1) * (2 * p.k)
     t = 2 * p.k + (p.n - 1) * ed
     via_delta = root * (2 * p.k + 1 - p.n) == -t
     assert via_condition == via_delta
@@ -218,8 +219,7 @@ def test_equien_condition_matches_surd_form(p):
 def test_energy_closed_matches_three_term_sum(p):
     data = eigen_data(p)
     former = ExactValue.from_rational(p.k) \
-        + ExactValue.from_surd(data.r).scaled(data.m_r) \
-        + ExactValue.from_surd(abs(data.s)).scaled(data.m_s)
+        + exact_sum([(data.r, data.m_r)]) + exact_sum([(abs(data.s), data.m_s)])
     assert energy_closed(p) == former
 
 
@@ -240,12 +240,11 @@ def test_trace_identities_all_feasible_small():
                 except InfeasibleParams:
                     continue
                 zero = ExactValue.from_rational(p.k) \
-                    + ExactValue.from_surd(data.r).scaled(data.m_r) \
-                    + ExactValue.from_surd(data.s).scaled(data.m_s)
+                    + exact_sum([(data.r, data.m_r)]) + exact_sum([(data.s, data.m_s)])
                 square = ExactValue.from_rational(p.k * p.k) \
-                    + ExactValue.from_surd(data.r * data.r).scaled(data.m_r) \
-                    + ExactValue.from_surd(data.s * data.s).scaled(data.m_s)
-                assert zero.is_zero
+                    + exact_sum([(data.r * data.r, data.m_r)]) \
+                    + exact_sum([(data.s * data.s, data.m_s)])
+                assert zero == ExactValue()
                 assert square == ExactValue.from_rational(p.n * p.k)
                 checked += 1
     assert checked > 100
@@ -291,13 +290,19 @@ def test_equien_condition_examples():
     assert equien_condition(SrgParams(4 * t * t, 2 * t * t - t, t * t - t, t * t - t))
 
 
+def _quotient(x: Surd, y: Surd) -> Surd:
+    """x / y, as x times the conjugate of y over the norm of y."""
+    norm = y.a * y.a - y.b * y.b * y.d
+    return x * Surd(y.a / norm, -y.b / norm, y.d)
+
+
 def _division_condition(p: SrgParams) -> bool:
     """The former equien_condition: both routes with a surd division."""
     data = eigen_data(p)
     root = Surd(0, 1, data.alpha)
-    via_condition = (root + 1) * (2 * p.k) / (root - (p.e - p.d)) + 1 == Surd(p.n)
+    via_condition = _quotient((root + 1) * (2 * p.k), root + (p.d - p.e)) + 1 == Surd(p.n)
     t = 2 * p.k + (p.n - 1) * (p.e - p.d)
-    via_delta = Surd(-t) / root == Surd(2 * p.k + 1 - p.n)
+    via_delta = _quotient(Surd(-t), root) == Surd(2 * p.k + 1 - p.n)
     assert via_condition == via_delta
     return via_condition
 
@@ -316,7 +321,7 @@ def test_equien_condition_matches_division_form(p):
 def test_equien_condition_divisor_positive_on_all_feasible_small():
     for p in _feasible_tuples():
         root = Surd(0, 1, eigen_data(p).alpha)
-        assert root - (p.e - p.d) > 0, p
+        assert root + (p.d - p.e) > 0, p
 
 
 def test_classification_examples():
@@ -563,7 +568,7 @@ def test_enumeration_energies_divisible_by_four():
         if isinstance(cls, Conference):
             continue
         energy = energy_closed(p)
-        assert energy.is_integer
+        assert energy.is_rational and energy.rational_part.denominator == 1
         assert int(energy.rational_part) % 4 == 0
 
 
