@@ -92,16 +92,21 @@ def _spec(values) -> Spectrum:
     return Spectrum.from_values(values)
 
 
+# the five rows that both cubic tables hold
+_K4 = CuratedGraph("K_4", 4, 3, _spec([(3, 1), (-1, 3)]), lambda: G.complete(4), False)
+_K33 = CuratedGraph("K_{3,3}", 6, 3, _spec([(3, 1), (0, 4), (-3, 1)]),
+                    lambda: G.complete_bipartite(3, 3), True)
+_Q3 = CuratedGraph("Q_3", 8, 3, _spec([(3, 1), (1, 3), (-1, 3), (-3, 1)]), G.cube_q3, True)
+_PETERSEN = CuratedGraph("Petersen", 10, 3, _spec([(3, 1), (1, 5), (-2, 4)]), G.petersen, False)
+_DESARGUES = CuratedGraph("Desargues", 20, 3,
+                          _spec([(3, 1), (2, 4), (1, 5), (-1, 5), (-2, 4), (-3, 1)]),
+                          lambda: G.kronecker(G.petersen(), G.complete(2)), True)
+
+
 def _integral_cubic_rows() -> list[CuratedGraph]:
     rows = [
-        CuratedGraph(
-            "K_{3,3}", 6, 3,
-            _spec([(3, 1), (0, 4), (-3, 1)]),
-            lambda: G.complete_bipartite(3, 3), True),
-        CuratedGraph(
-            "Q_3", 8, 3,
-            _spec([(3, 1), (1, 3), (-1, 3), (-3, 1)]),
-            G.cube_q3, True),
+        _K33,
+        _Q3,
         CuratedGraph(
             "K*_{2,3} x K_2", 10, 3,
             _spec([(3, 1), (2, 1), (1, 2), (0, 2), (-1, 2), (-2, 1), (-3, 1)]),
@@ -113,10 +118,7 @@ def _integral_cubic_rows() -> list[CuratedGraph]:
             lambda: G.cartesian(G.cycle(6), G.complete(2)), True,
             note="printed multiplicities summed to 10, not 12; spectrum "
                  "recomputed from the cartesian-product eigenvalue sums"),
-        CuratedGraph(
-            "Desargues", 20, 3,
-            _spec([(3, 1), (2, 4), (1, 5), (-1, 5), (-2, 4), (-3, 1)]),
-            lambda: G.kronecker(G.petersen(), G.complete(2)), True),
+        _DESARGUES,
         CuratedGraph(
             "T* x K_2", 20, 3,
             _spec([(3, 1), (2, 4), (1, 5), (-1, 5), (-2, 4), (-3, 1)]),
@@ -130,18 +132,12 @@ def _integral_cubic_rows() -> list[CuratedGraph]:
             "Tutte-Coxeter (GQ(2,2))", 30, 3,
             _spec([(3, 1), (2, 9), (0, 10), (-2, 9), (-3, 1)]),
             None, True),
-        CuratedGraph(
-            "K_4", 4, 3,
-            _spec([(3, 1), (-1, 3)]),
-            lambda: G.complete(4), False),
+        _K4,
         CuratedGraph(
             "K_3 x K_2 (3-prism)", 6, 3,
             _spec([(3, 1), (1, 1), (0, 2), (-2, 2)]),
             G.prism_k3, False),
-        CuratedGraph(
-            "Petersen", 10, 3,
-            _spec([(3, 1), (1, 5), (-2, 4)]),
-            G.petersen, False),
+        _PETERSEN,
         CuratedGraph(
             "(Petersen x K_2)/sigma", 10, 3,
             _spec([(3, 1), (2, 1), (1, 3), (-1, 2), (-2, 3)]),
@@ -163,14 +159,10 @@ def _distance_transitive_rows() -> list[CuratedGraph]:
     biggs_quad = [-4, -1, 1]    # x^2 - x - 4, ascending
     biggs_cubic = [-3, 0, 3, 1]  # x^3 + 3x^2 - 3
     rows = [
-        CuratedGraph("K_4", 4, 3, _spec([(3, 1), (-1, 3)]),
-                     lambda: G.complete(4), False),
-        CuratedGraph("K_{3,3}", 6, 3, _spec([(3, 1), (0, 4), (-3, 1)]),
-                     lambda: G.complete_bipartite(3, 3), True),
-        CuratedGraph("Q_3", 8, 3, _spec([(3, 1), (1, 3), (-1, 3), (-3, 1)]),
-                     G.cube_q3, True),
-        CuratedGraph("Petersen", 10, 3, _spec([(3, 1), (1, 5), (-2, 4)]),
-                     G.petersen, False),
+        _K4,
+        _K33,
+        _Q3,
+        _PETERSEN,
         CuratedGraph("Heawood", 14, 3,
                      _spec([(Surd(3), 1)] + _sqrt_entries(1, 2, 6) + [(Surd(-3), 1)]),
                      None, True,
@@ -185,9 +177,7 @@ def _distance_transitive_rows() -> list[CuratedGraph]:
                      _spec([(Surd(3), 1), (Surd(0, 1, 5), 3), (Surd(1), 5),
                             (Surd(0), 4), (Surd(0, -1, 5), 3), (Surd(-2), 4)]),
                      None, False),
-        CuratedGraph("Desargues", 20, 3,
-                     _spec([(3, 1), (2, 4), (1, 5), (-1, 5), (-2, 4), (-3, 1)]),
-                     lambda: G.kronecker(G.petersen(), G.complete(2)), True),
+        _DESARGUES,
         CuratedGraph("Coxeter", 28, 3,
                      _spec([(Surd(3), 1), (Surd(-1, 1, 2), 6), (Surd(2), 8),
                             (Surd(-1, -1, 2), 6), (Surd(-1), 7)]),

@@ -30,17 +30,38 @@ __all__ = [
 
 
 def _sign(x) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
+    return (x > 0) - (x < 0)
+
+
+def _surd_sign(a: Fraction, b: Fraction, d: int) -> int:
+    """Exact sign of ``a + b*sqrt(d)``: when a and b differ in sign, compare
+    a^2 with b^2 d."""
+    sa, sb = _sign(a.numerator), _sign(b.numerator)
+    if sa == sb or not sb:
+        return sa
+    if not sa:
+        return sb
+    return sa * _sign((a * a - b * b * d).numerator)
+
+
+# trial division up to sqrt(n) takes about a second at this bound
+TRIAL_DIVISION_MAX = 10 ** 14
+
+
+def check_trial_division(n: int) -> None:
+    """Refuse an argument that trial division could not factor in time."""
+    if n > TRIAL_DIVISION_MAX:
+        raise ValueError(f"{n} is above the trial-division bound {TRIAL_DIVISION_MAX}")
 
 
 def squarefree_decompose(d: int) -> tuple[int, int]:
-    """Write ``d = f*f * s`` with ``s`` squarefree; returns ``(f, s)``."""
+    """Write ``d = f*f * s`` with ``s`` squarefree; returns ``(f, s)``.
+
+    Raises ValueError above the trial-division bound.
+    """
     if d < 0:
         raise ValueError("radicand must be nonnegative")
+    check_trial_division(d)
     if d in (0, 1):
         return 1, d
     f = 1
@@ -54,7 +75,6 @@ def squarefree_decompose(d: int) -> tuple[int, int]:
     return f, s
 
 
-_EXACT_FLOAT_INT = 2 ** 53
 _ZERO = Fraction(0)
 
 
@@ -122,22 +142,6 @@ class Surd:
             return float(self.a)
         return float(self.a) + float(self.b) * (self.d ** 0.5)
 
-    def float_error(self) -> float:
-        """An upper bound on ``|float(self) - self|``.
-
-        ``float(a)`` is correctly rounded and ``d ** 0.5`` is within an ulp,
-        so the error is at most a few units in the last place of the two
-        parts: 2**-52 relative for a rational, 2**-50 relative to
-        ``|a| + |b|*sqrt(d)`` otherwise, plus the subnormal spacing.
-        Integers of magnitude at most 2**53 convert exactly.
-        """
-        a, b = self.a, self.b
-        if not b:
-            if a.denominator == 1 and -_EXACT_FLOAT_INT <= a.numerator <= _EXACT_FLOAT_INT:
-                return 0.0
-            return abs(float(a)) * 2.0 ** -52 + 2.0 ** -1072
-        return (abs(float(a)) + abs(float(b)) * self.d ** 0.5) * 2.0 ** -50 + 2.0 ** -1072
-
     # -- arithmetic (closed within a single radicand) --------------------
 
     @staticmethod
@@ -189,42 +193,25 @@ class Surd:
     # -- exact ordering ---------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of ``a + b*sqrt(d)`` by rational squaring."""
-        a, b, d = self.a, self.b, self.d
-        if not b:
-            return _sign(a.numerator)
-        if a == 0:
-            return _sign(b)
-        sa, sb = _sign(a), _sign(b)
-        if sa == sb:
-            return sa
-        # opposite signs: |a| vs |b|*sqrt(d)  <=>  a^2 vs b^2 d
-        t = a * a - b * b * Fraction(d)
-        return sa * _sign(t)
+        """Exact sign of ``a + b*sqrt(d)``."""
+        return _surd_sign(self.a, self.b, self.d)
 
     def compare(self, other) -> int:
         """Exact three-way comparison, allowing different radicands."""
-        other = Surd._coerce(other)
-        x, y = self, other
-        if x.b == y.b and x.d == y.d:
-            # shared radical part: ordering reduces to the rational parts
-            return _sign(x.a - y.a)
-        if x.b == 0 or y.b == 0 or x.d == y.d:
-            d = x._join_radicand(y)
-            return Surd(x.a - y.a, x.b - y.b, d).sign()
-        # x - y = (ax - ay) + bx*sqrt(dx) - by*sqrt(dy);
-        # compare L = (ax - ay) + bx*sqrt(dx) against R = by*sqrt(dy).
-        left = Surd(x.a - y.a, x.b, x.d)
-        sl = left.sign()
-        sr = _sign(y.b)
+        x, y = self, Surd._coerce(other)
+        a = x.a - y.a
+        if not y.b or x.d == y.d:
+            return _surd_sign(a, x.b - y.b, x.d)
+        if not x.b:
+            return _surd_sign(a, -y.b, y.d)
+        # x - y = L - R with L = a + bx*sqrt(dx) and R = by*sqrt(dy)
+        sl = _surd_sign(a, x.b, x.d)
+        sr = _sign(y.b.numerator)
         if sl != sr:
             return 1 if sl > sr else -1
-        if sl == 0:
-            return 0
-        # same nonzero sign: square both sides (single radicand remains)
-        a, b = left.a, left.b
-        sq_diff = Surd(a * a + b * b * x.d - y.b * y.b * Fraction(y.d), 2 * a * b, x.d)
-        return sq_diff.sign() if sl > 0 else -sq_diff.sign()
+        # same nonzero sign: L^2 - R^2 has the single radicand dx
+        sq = _surd_sign(a * a + x.b * x.b * x.d - y.b * y.b * y.d, 2 * a * x.b, x.d)
+        return sq if sl > 0 else -sq
 
     def __eq__(self, other):
         # canonical form makes equality a plain field comparison

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from math import isqrt
 
+from .exact import check_trial_division
+
 __all__ = ["GF", "is_prime", "prime_power_decompose", "is_prime_power"]
 
 
@@ -30,9 +32,13 @@ def is_prime(n: int) -> bool:
 
 
 def prime_power_decompose(q: int):
-    """Return (p, m) with q = p**m, or None when q is not a prime power."""
+    """Return (p, m) with q = p**m, or None when q is not a prime power.
+
+    Raises ValueError above the trial-division bound.
+    """
     if q < 2:
         return None
+    check_trial_division(q)
     for p in range(2, isqrt(q) + 1):
         if q % p == 0:
             m = 0

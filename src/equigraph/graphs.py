@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iter_product
+from math import isqrt
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -325,6 +326,14 @@ def _spec(values) -> Spectrum:
     return Spectrum.from_values([(v, m) for v, m in values if m])
 
 
+def _complete_bipartite_spectrum(a: int, b: int) -> Spectrum:
+    """+-sqrt(ab) and 0; a square ab (every K_{a,a}) gives ints, so no
+    radicand is factored."""
+    root = isqrt(a * b)
+    root = root if root * root == a * b else Surd(0, 1, a * b)
+    return _spec([(root, 1), (0, a + b - 2), (-root, 1)])
+
+
 def _cycle_spectrum(n: int) -> Optional[Spectrum]:
     """C_3 .. C_6 in closed form; longer cycles are solved numerically."""
     if n == 5:
@@ -351,8 +360,7 @@ FAMILIES: dict[str, Family] = {
                        complete, lambda n: _spec([(n - 1, 1), (-1, n - 1)])),
     "complete_bipartite": Family(
         ("a", "b"), lambda a, b: _need(a >= 1 and b >= 1, "parts must be nonempty"),
-        complete_bipartite,
-        lambda a, b: _spec([(Surd(0, 1, a * b), 1), (0, a + b - 2), (Surd(0, -1, a * b), 1)])),
+        complete_bipartite, _complete_bipartite_spectrum),
     "complete_multipartite": Family(
         ("a", "m"), lambda a, m: _need(a >= 1 and m >= 1, "need a, m >= 1"),
         complete_multipartite,

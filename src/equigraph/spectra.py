@@ -79,40 +79,30 @@ class Eig:
         return f"{self.value!r}(+-{self.radius:g})"
 
 
-def _float_key(entry: tuple[Eig, int]) -> tuple[float, bool, float]:
-    """The canonical order on float values: larger value first, exact before
-    approximate, then the smaller radius."""
+def _float_key(entry: tuple[Eig, int]) -> tuple[float, float]:
+    """The order of approximate entries: larger value first, then the
+    smaller radius."""
     eig = entry[0]
-    return -eig.value, eig.exact is None, eig.radius
+    return -eig.value, eig.radius
 
 
 _exact_key = cmp_to_key(lambda p, q: q[0].exact.compare(p[0].exact))
 
 
 def _sort_entries(entries: list[tuple[Eig, int]]) -> None:
-    """Sort descending: by float value, then exactly on near-ties.
-
-    Two exact entries whose floats are in the wrong order lie at most
-    ``tol`` apart, ``tol`` being twice the largest ``Surd.float_error``
-    present, and so does every entry sorted between them.  Runs of
-    adjacent exact entries at most ``tol`` apart are therefore re-sorted
-    with the exact comparator.  Distinct integers up to 2**53 convert
-    exactly (``tol`` is 0), so their spectra never reach it.  Approximate
-    entries are ordered against every other entry by float value.
-    """
-    entries.sort(key=_float_key)
-    tol = 2 * max((eig.exact.float_error() for eig, _ in entries if eig.exact is not None),
-                  default=0.0)
-    start = 0
-    for i in range(1, len(entries) + 1):
-        if i < len(entries):
-            upper, lower = entries[i - 1][0], entries[i][0]
-            if (upper.exact is not None and lower.exact is not None
-                    and upper.value - lower.value <= tol):
-                continue
-        if i - start > 1:
-            entries[start:i] = sorted(entries[start:i], key=_exact_key)
-        start = i
+    """Sort descending: exact entries in exact order, approximate ones in
+    ``_float_key`` order, the two merged by float value with exact first
+    on ties."""
+    exact = sorted((p for p in entries if p[0].exact is not None), key=_exact_key)
+    approx = sorted((p for p in entries if p[0].exact is None), key=_float_key)
+    entries.clear()
+    i = 0
+    for entry in approx:
+        while i < len(exact) and exact[i][0].value >= entry[0].value:
+            entries.append(exact[i])
+            i += 1
+        entries.append(entry)
+    entries.extend(exact[i:])
 
 
 class Spectrum:
@@ -253,9 +243,8 @@ def delta_branch(e: Eig, assume_exact: bool = False) -> str:
     """The discrepancy term an eigenvalue x feeds: 'sigma+' (x >= 1),
     'sigma-' (x <= -1), 'm0' (x == 0), 'T' (0 < x < 1) or 'S' (-1 < x < 0).
 
-    An exact x is decided by its float when that is exact or farther than
-    ``x.float_error()`` from -1, 0 and 1, and by exact comparisons
-    otherwise.  An interval of radius at most ``APPROX_RADIUS_CAP`` is
+    An exact x is decided by its exact sign and its exact comparison with
+    1 or -1.  An interval of radius at most ``APPROX_RADIUS_CAP`` is
     decided when it lies in (-inf, -1] or [0, inf); one in [0, inf) that
     reaches 1 counts as 'sigma+' whatever its midpoint's last digits, so the
     sigma/T split does not depend on the vertex labelling (both add +1).
@@ -282,19 +271,6 @@ def delta_branch(e: Eig, assume_exact: bool = False) -> str:
         x = Surd(_assumed_value(e))
         if e.hi >= 1 and x.sign() >= 0:
             return "sigma+"
-    else:
-        err = x.float_error()
-        value = e.value
-        if value - err >= 1:
-            return "sigma+"
-        if value + err <= -1:
-            return "sigma-"
-        if err == 0.0:  # an integer strictly between -1 and 1
-            return "m0"
-        if err < value < 1 - err:
-            return "T"
-        if -1 + err < value < -err:
-            return "S"
     sign = x.sign()
     if sign == 0:
         return "m0"

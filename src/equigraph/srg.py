@@ -48,7 +48,6 @@ __all__ = [
     "steiner_params",
     "theorem_tuples",
     "enumerate_equien",
-    "imprimitive_equien",
     "gp_spectrum",
 ]
 
@@ -488,13 +487,6 @@ def enumerate_equien(n_max: int, n_min: int = 2) -> list[SrgRow]:
         if not isinstance(cls, Conference) and oa_params(p) is None:
             raise AssertionError(f"non-conference entry without OA parameters: {p}")
     return results
-
-
-def imprimitive_equien(a: int, m: int) -> bool:
-    """Complete multipartite K_{a x m}: equienergetic with complement iff a == m."""
-    if a < 2 or m < 2:
-        raise ValueError("need a, m >= 2")
-    return a == m
 
 
 # -- generalized Paley spectra -----------------------------------------------------------

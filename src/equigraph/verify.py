@@ -187,6 +187,17 @@ def _lattice_failures() -> list[int]:
             if not S.equien_condition(S.latin_square_params(2, n))]
 
 
+def _multipartite_failures(m_max: int) -> list[str]:
+    """K_{mxm}, m in [2, m_max], whose closed-form spectrum fails the
+    criterion against the complement, a disjoint union of m copies of K_m."""
+    fails = []
+    for m in range(2, m_max + 1):
+        spec = D.exact_spectrum_of_family("complete_multipartite", a=m, m=m)
+        if not check_equienergetic(spec, k=m * (m - 1)).equal:
+            fails.append(f"K_{m}x{m}")
+    return fails
+
+
 def _triangular_failures() -> list[int]:
     """n in [5,50] whose triangular tuple T(n) passes the equienergy condition."""
     return [n for n in range(5, 51)
@@ -382,10 +393,7 @@ def verify_cameron() -> list[CheckResult]:
     results.append(_all("integral Smith tuples never pass the equienergy condition "
                         "(r in [1,20], s in [-20,-2])", smith_hits))
 
-    c5_fail = []
-    for m in range(2, 13):
-        if not S.imprimitive_equien(m, m):
-            c5_fail.append(f"K_{m}x{m}")
+    c5_fail = _multipartite_failures(12)
     if not S.equien_condition(S.SrgParams(5, 2, 0, 1)):
         c5_fail.append("pentagon")
     p9 = S.SrgParams(9, 4, 1, 2)
@@ -394,10 +402,7 @@ def verify_cameron() -> list[CheckResult]:
     results.append(_all("K_{mxm}, the pentagon and the 3x3 rook tuple all pass",
                         c5_fail))
 
-    ds_fail = []
-    for m in range(2, 30):
-        if not S.imprimitive_equien(m, m):
-            ds_fail.append(f"K_{m}x{m}")
+    ds_fail = _multipartite_failures(29)
     ds_fail += _ds_conference_failures()
     # n = 4: two graphs share the L2(4) parameters; not spectrally determined
     ds_fail += [f"L2({n})" for n in _lattice_failures() if n != 4]

@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from equigraph.cli import main
+from equigraph.exact import TRIAL_DIVISION_MAX
 from equigraph.graphs import petersen
 
 from oracles import read_spectrum_json, write_graph
@@ -238,6 +239,30 @@ def test_ring_with_an_ideal_of_size_zero_is_refused(runner, command):
     assert result.output == "Error: ideal size 0 must be at least 1\n"
 
 
+_CONFERENCE_D_1E17 = ",".join(str(x) for x in (4 * 10 ** 17 + 1, 2 * 10 ** 17,
+                                                10 ** 17 - 1, 10 ** 17))
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--ring", "1000000000000000003:1"],
+    ["check", "--family", "paley", "--q", "1000000000000000003"],
+    ["classify", "--srg", _CONFERENCE_D_1E17],
+])
+def test_input_above_the_trial_division_bound_is_refused(runner, argv):
+    # trial division of these arguments would run for hours
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert f"above the trial-division bound {TRIAL_DIVISION_MAX}\n" in result.output
+
+
+def test_square_radicand_above_the_trial_division_bound_is_not_factored(runner):
+    t = 10000019  # t * t is above the bound, and sqrt(t * t) is read off isqrt
+    result = runner.invoke(main, ["check", "--family", "complete_bipartite",
+                                  "--a", str(t), "--b", str(t)])
+    assert result.exit_code == 1
+    assert f"delta: {2 * t - 3}\n" in result.stdout
+
+
 @pytest.mark.parametrize("command", ["check", "spectrum"])
 @pytest.mark.parametrize("body", ["", "0 1\nx y z\n"])
 def test_file_header_above_the_cap_is_refused_before_the_body(runner, tmp_path, command, body):
@@ -452,3 +477,41 @@ def test_verify_reports_a_faulty_generator_as_a_fail_row(runner, monkeypatch):
     assert result.exit_code == 1
     first = result.output.splitlines()[0]
     assert first.startswith("[FAIL] every enumerated tuple (n <= 30)") and "srg(4,2,0,2)" in first
+
+
+# -- entry order of irrational and mixed spectra, pinned literally ------------------
+
+def _conference_13_json(source):
+    entries = [("6", 1), ("-1/2 + 1/2*sqrt(13)", 6), ("-1/2 - 1/2*sqrt(13)", 6)]
+    return json.dumps({
+        "command": "spectrum", "source": source, "n": 13, "degree": 6, "exact": True,
+        "spectrum": {"n": 13, "entries": [{"value": v, "mult": m} for v, m in entries],
+                     "principal": 0},
+        "energy": "6 + 6*sqrt(13)",
+        "discrepancy": {"sigma": 0, "T": 0, "m0": 0, "S": "0", "total": "0"},
+    }, indent=2) + "\n"
+
+
+def test_irrational_spectra_print_in_a_pinned_order(runner):
+    cases = [
+        (["spectrum", "--family", "paley", "--q", "13", "--json"], 0,
+         _conference_13_json("paley(q=13)")),
+        (["spectrum", "--srg", "13,6,2,3", "--json"], 0, _conference_13_json("srg(13,6,2,3)")),
+        # K_{2,3} is not regular, so it has no report; its closed form is pinned in test_data
+        (["spectrum", "--family", "complete_bipartite", "--a", "2", "--b", "3", "--json"], 2,
+         ""),
+        (["check", "--srg", "101,50,24,25"], 0,
+         "command: check\n"
+         "source: srg(101,50,24,25)\n"
+         "n: 101\n"
+         "degree: 50\n"
+         "equal: True\n"
+         "delta: 0\n"
+         "energy: 50 + 50*sqrt(101)\n"
+         "energy_complement: 50 + 50*sqrt(101)\n"
+         "routes_agree: True\n"
+         "provenance: exact closed form\n"),
+    ]
+    for argv, code, stdout in cases:
+        result = runner.invoke(main, argv)
+        assert (result.exit_code, result.stdout) == (code, stdout), argv

@@ -115,6 +115,22 @@ def test_biggs_smith_row_intervals():
         assert abs(got - want) < 1e-3
 
 
+def test_mixed_radicand_catalog_spectra_keep_their_entry_order():
+    rows = {r.name: r for r in TABLE_DISTANCE_TRANSITIVE_CUBIC}
+    assert [(str(e), m) for e, m in rows["Tutte 12-cage"].spectrum.entries] == [
+        ("3", 1), ("sqrt(6)", 21), ("sqrt(2)", 27), ("0", 28), ("-sqrt(2)", 27),
+        ("-sqrt(6)", 21), ("-3", 1)]
+    assert [(str(e), m) for e, m in rows["Foster"].spectrum.entries] == [
+        ("3", 1), ("sqrt(6)", 12), ("2", 9), ("1", 18), ("0", 10), ("-1", 18), ("-2", 9),
+        ("-sqrt(6)", 12), ("-3", 1)]
+    assert [(str(e), m) for e, m in rows["Biggs-Smith"].spectrum.entries] == [
+        ("3", 1), ("2.5615528127818834(+-1e-10)", 9), ("2", 18),
+        ("0.8793852415692527(+-1e-10)", 16), ("0", 17), ("-1.3472963553213049(+-1e-10)", 16),
+        ("-1.5615528127818834(+-1e-10)", 9), ("-2.532088886218844(+-1e-10)", 16)]
+    k23 = exact_spectrum_of_family("complete_bipartite", a=2, b=3)
+    assert [(str(e), m) for e, m in k23.entries] == [("sqrt(6)", 1), ("0", 3), ("-sqrt(6)", 1)]
+
+
 def test_exact_family_spectra_match_numeric():
     cases = [
         ("crown", {"t": 4}),

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equigraph import exact as exact_module
 from equigraph.exact import ExactValue, Surd, exact_sum, format_surd
 
 from oracles import parse_surd
@@ -221,20 +223,56 @@ def test_exact_sum_matches_generic_construction(pairs):
     assert all(type(c) is Fraction for _, c in got.terms)
 
 
-# -- the float error bound behind the float-sorted Spectrum -------------------------
+# -- cross-radicand comparison: exact, with no Surd built and no radicand factored --
 
-@settings(max_examples=500, deadline=None)
-@given(wide_surds_st)
-def test_float_error_bounds_the_conversion(s):
-    err = s.float_error()
-    gap = Surd(Fraction(float(s))) + -s
-    assert abs(gap).compare(Surd(Fraction(err))) <= 0
+def _reference_bounds(s, k):
+    """Integers lo <= s * 2**k <= hi, from integer square roots alone."""
+    a = s.a * 2 ** k
+    lo, hi = a.numerator // a.denominator, -(-a.numerator // a.denominator)
+    if s.b:
+        n, m = s.b.numerator, s.b.denominator
+        t = isqrt(n * n * s.d * 4 ** k)  # t <= |b|*sqrt(d)*2**k*m < t + 1
+        b_lo, b_hi = t // m, -(-(t + 1) // m)
+        if n < 0:
+            b_lo, b_hi = -b_hi, -b_lo
+        lo, hi = lo + b_lo, hi + b_hi
+    return lo, hi
 
 
-def test_float_error_is_zero_exactly_for_exactly_representable_integers():
-    assert Surd(2 ** 53).float_error() == 0.0
-    assert Surd(-(2 ** 53)).float_error() == 0.0
-    assert Surd(7).float_error() == 0.0
-    assert Surd(2 ** 53 + 1).float_error() > 0.5
-    assert Surd(Fraction(1, 2)).float_error() > 0.0
-    assert Surd(0, 1, 2).float_error() > 0.0
+def _reference_compare(x, y):
+    """Order by refining integer intervals until they separate; canonical
+    surds are equal exactly when their fields are."""
+    if (x.a, x.b, x.d) == (y.a, y.b, y.d):
+        return 0
+    k = 0
+    while True:
+        x_lo, x_hi = _reference_bounds(x, k)
+        y_lo, y_hi = _reference_bounds(y, k)
+        if x_lo > y_hi:
+            return 1
+        if x_hi < y_lo:
+            return -1
+        k += 16
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(wide_surds_st, wide_surds_st).filter(lambda p: p[0].d != p[1].d))
+def test_cross_radicand_compare_builds_no_surd_and_factors_nothing(pair):
+    x, y = pair
+    calls = []
+    init, decompose = Surd.__init__, exact_module.squarefree_decompose
+
+    def counted_init(self, *args):
+        calls.append("Surd.__init__")
+        init(self, *args)
+
+    def counted_decompose(d):
+        calls.append("squarefree_decompose")
+        return decompose(d)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Surd, "__init__", counted_init)
+        mp.setattr(exact_module, "squarefree_decompose", counted_decompose)
+        got = x.compare(y), y.compare(x)
+    assert calls == []
+    assert got == (_reference_compare(x, y), _reference_compare(y, x))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from equigraph.exact import TRIAL_DIVISION_MAX, squarefree_decompose
 from equigraph.fields import GF, is_prime_power, prime_power_decompose
 from equigraph.graphs import (
     MAX_EIGEN_N,
@@ -52,6 +53,13 @@ def test_prime_power_decompose():
     assert prime_power_decompose(7) == (7, 1)
     assert prime_power_decompose(12) is None
     assert not is_prime_power(1)
+
+
+def test_trial_division_refuses_arguments_above_its_bound():
+    assert prime_power_decompose(999999999989) == (999999999989, 1)
+    for decompose in (prime_power_decompose, squarefree_decompose):
+        with pytest.raises(ValueError, match=f"trial-division bound {TRIAL_DIVISION_MAX}$"):
+            decompose(TRIAL_DIVISION_MAX + 1)
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49, 64, 81, 121, 128])

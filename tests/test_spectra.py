@@ -370,7 +370,7 @@ def test_spectrum_float_ties_use_the_exact_order():
     assert (near.entries[0][0].exact > near.entries[1][0].exact)
 
 
-def test_spectrum_exact_comparator_only_on_float_near_ties(monkeypatch):
+def test_spectrum_orders_float_ties_exactly_and_int_pairs_without_the_comparator(monkeypatch):
     calls = []
     original = Surd.compare
 
@@ -379,15 +379,21 @@ def test_spectrum_exact_comparator_only_on_float_near_ties(monkeypatch):
         return original(self, other)
 
     monkeypatch.setattr(Surd, "compare", counted)
-    Spectrum.from_values([(v, 1) for v in range(-300, 300, 7)] + [(3, 2), (-2, 5)])
-    Spectrum.from_values([(Surd(0, 1, 2), 1), (Surd(Fraction(1, 3)), 1), (Surd(1, -1, 5), 2)])
-    assert calls == []
-    Spectrum.from_values([(10 ** 17, 1), (10 ** 17 + 1, 1), (5, 3)])
-    assert calls and all({x, y} == {Surd(10 ** 17), Surd(10 ** 17 + 1)} for x, y in calls)
+    surds = Spectrum.from_values([(10 ** 17, 1), (10 ** 17 + 1, 1), (5, 3)])
+    assert [e.exact for e, _ in surds.entries] == [Surd(10 ** 17 + 1), Surd(10 ** 17), Surd(5)]
     # (int, mult) pairs merge and sort as ints, so even float ties need no comparator
     calls.clear()
     ints = Spectrum([(10 ** 17, 1), (10 ** 17 + 1, 1), (5, 3)])
     assert calls == [] and ints.integral == ((10 ** 17 + 1, 1), (10 ** 17, 1), (5, 3))
+
+
+def test_mixed_spectrum_keeps_exact_entries_in_exact_order_at_a_float_tie():
+    near = Eig.from_approx(1e17, 1e-9)
+    for entries in ([(Eig.from_exact(10 ** 17), 1), (Eig.from_exact(10 ** 17 + 1), 1), (near, 1)],
+                    [(near, 1), (Eig.from_exact(10 ** 17), 1), (Eig.from_exact(10 ** 17 + 1), 1)]):
+        s = Spectrum(entries)
+        assert [e.exact for e, _ in s.entries] == [Surd(10 ** 17 + 1), Surd(10 ** 17), None]
+        assert s.integral is None
 
 
 def test_spectrum_principal_value_errors():
@@ -513,18 +519,7 @@ def _reference_region(e, assume_exact):
     return "unit_neg"
 
 
-def _reference_exact_branch(x, value):
-    err = x.float_error()
-    if value - err >= 1:
-        return "sigma+"
-    if value + err <= -1:
-        return "sigma-"
-    if err == 0.0:
-        return "m0"
-    if err < value < 1 - err:
-        return "T"
-    if -1 + err < value < -err:
-        return "S"
+def _reference_exact_branch(x):
     sign = x.sign()
     if sign == 0:
         return "m0"
@@ -535,7 +530,7 @@ def _reference_exact_branch(x, value):
 
 def _reference_delta_of(x, assume_exact):
     if x.exact is not None:
-        branch = _reference_exact_branch(x.exact, x.value)
+        branch = _reference_exact_branch(x.exact)
         if branch == "sigma-":
             return ExactValue.from_rational(-1)
         if branch == "S":
@@ -554,7 +549,7 @@ def _reference_breakdown(s, assume_exact):
     s_terms = ExactValue()
     for eig, mult in _sp_prime(s.entries, s.principal):
         if eig.exact is not None:
-            branch = _reference_exact_branch(eig.exact, eig.value)
+            branch = _reference_exact_branch(eig.exact)
             if branch == "sigma+":
                 sigma += mult
             elif branch == "sigma-":

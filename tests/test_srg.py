@@ -12,7 +12,8 @@ from equigraph.exact import ExactValue, Surd, exact_sum
 from equigraph.graphs import complement, numeric_spectrum, paley, shrikhande, gp_graph
 from equigraph.fields import is_prime_power
 from equigraph.rings import RingProfile, unitary_spectrum
-from equigraph.spectra import spectra_match
+from equigraph.data import exact_spectrum_of_family
+from equigraph.spectra import check_equienergetic, spectra_match
 from equigraph.srg import (
     CaseB,
     CaseC,
@@ -29,7 +30,6 @@ from equigraph.srg import (
     equien_condition,
     family_params,
     gp_spectrum,
-    imprimitive_equien,
     is_conference,
     is_primitive,
     latin_square_params,
@@ -597,9 +597,12 @@ def test_oa_tuples_pass_whenever_primitive_feasible():
 # -- imprimitive rule ---------------------------------------------------------------------
 
 def test_imprimitive_rule():
-    assert imprimitive_equien(3, 3)
-    assert not imprimitive_equien(2, 3)
-    assert imprimitive_equien(2, 2)
+    """K_{a x m} is equienergetic with its complement exactly when a == m."""
+    for a in range(2, 8):
+        for m in range(2, 8):
+            spec = exact_spectrum_of_family("complete_multipartite", a=a, m=m)
+            report = check_equienergetic(spec, k=(a - 1) * m)
+            assert report.equal == (a == m) and report.routes_agree, (a, m)
 
 
 # -- generalized Paley closed forms ---------------------------------------------------------
