@@ -73,9 +73,57 @@ def _emit(report: dict, fmt: Optional[str]):
 
 _FAMILY_PARAM_NAMES = tuple(dict.fromkeys(p for fam in G.FAMILIES.values() for p in fam.params))
 
+# The family parameters are not Click options: Click's cost per call grows
+# with each registered option, and a source command takes only the few
+# that its family names.  Click leaves them in ctx.args for _family_params.
+FAMILY_ARGS = {"ignore_unknown_options": True, "allow_extra_args": True}
+FAMILY_EPILOG = "\b\nFamily parameters (integers) and the families that take them:\n" + "\n".join(
+    f"  --{name} N  {', '.join(f for f, fam in G.FAMILIES.items() if name in fam.params)}"
+    for name in _FAMILY_PARAM_NAMES)
 
-def _family_params(kwargs) -> dict:
-    return {name: kwargs[name] for name in _FAMILY_PARAM_NAMES if kwargs.get(name) is not None}
+
+def _family_params(ctx: click.Context) -> dict:
+    """The family parameters among the arguments Click left in ``ctx.args``.
+
+    Takes ``--t 5`` and ``--t=5``; the last copy of a repeated option wins.
+    The dict is in ``_FAMILY_PARAM_NAMES`` order.  Errors are the Click
+    exceptions, with Click's text, that the parameters raised when they
+    were Click options: an unknown option, a missing value, a value that
+    is not an integer (checked in order of first appearance, once every
+    option is read), then a stray positional argument.
+    """
+    raw: dict[str, str] = {}
+    extra = []
+    args = iter(ctx.args)
+    for arg in args:
+        if arg[:1] != "-" or len(arg) == 1:
+            extra.append(arg)
+            continue
+        opt, eq, value = arg.partition("=")
+        if opt[:2] != "--":
+            raise click.NoSuchOption(arg[:2], ctx=ctx)
+        name = opt[2:]
+        if name not in _FAMILY_PARAM_NAMES:
+            known = [o for p in ctx.command.get_params(ctx)
+                     for o in (*p.opts, *p.secondary_opts) if o[:2] == "--"]
+            raise click.NoSuchOption(opt, ctx=ctx, possibilities=known + [
+                f"--{n}" for n in _FAMILY_PARAM_NAMES])
+        if not eq:
+            value = next(args, None)
+            if value is None:  # Click printed this one without usage lines
+                raise SourceError(f"Option {opt!r} requires an argument.")
+        raw[name] = value
+    params = {}
+    for name, value in raw.items():
+        try:
+            params[name] = int(value)
+        except ValueError:
+            raise click.BadParameter(f"{value!r} is not a valid integer.", ctx,
+                                     param_hint=f"'--{name}'")
+    if extra:
+        s = "" if len(extra) == 1 else "s"
+        ctx.fail(f"Got unexpected extra argument{s} ({' '.join(extra)})")
+    return {name: params[name] for name in _FAMILY_PARAM_NAMES if name in params}
 
 
 class SourceError(click.ClickException):
@@ -158,9 +206,6 @@ def _source_options(fn):
     fn = click.option("--file", help="graph file: 'n loops' header then edge lines")(fn)
     fn = click.option("--ring", help="ring profile q1:m1,q2:m2,...")(fn)
     fn = click.option("--srg", help="strongly regular tuple n,k,e,d")(fn)
-    for name in _FAMILY_PARAM_NAMES:
-        fn = click.option(f"--{name}", type=int, default=None,
-                          help=f"family parameter {name}")(fn)
     return fn
 
 
@@ -169,18 +214,19 @@ def main():
     """Exact equienergy analysis of regular graphs and their complements."""
 
 
-@main.command()
+@main.command(context_settings=FAMILY_ARGS, epilog=FAMILY_EPILOG)
+@click.pass_context
 @_source_options
 @click.option("--assume-exact", is_flag=True,
               help="trust interval midpoints at delta branch points")
 @JSON_FLAG
 @CSV_FLAG
-def spectrum(family, file, ring, srg, assume_exact, fmt, **params):
+def spectrum(ctx, family, file, ring, srg, assume_exact, fmt):
     """Spectrum, energy and discrepancy breakdown of a graph source.
 
     A looped graph file is decided by n == 2k, so it has no breakdown.
     """
-    label, spec, k, exact, loops = _load_source(family, file, ring, srg, _family_params(params))
+    label, spec, k, exact, loops = _load_source(family, file, ring, srg, _family_params(ctx))
     report = {
         "command": "spectrum",
         "source": label,
@@ -217,19 +263,20 @@ def spectrum(family, file, ring, srg, assume_exact, fmt, **params):
     _emit(report, fmt)
 
 
-@main.command()
+@main.command(context_settings=FAMILY_ARGS, epilog=FAMILY_EPILOG)
+@click.pass_context
 @_source_options
 @click.option("--assume-exact", is_flag=True,
               help="trust interval midpoints at delta branch points")
 @JSON_FLAG
-def check(family, file, ring, srg, assume_exact, fmt, **params):
+def check(ctx, family, file, ring, srg, assume_exact, fmt):
     """Equienergy verdict for a graph against its complement.
 
     A graph file whose header sets loops is compared with J - A.  Exit
     code 0 when equal, 1 when not, 2 on errors (including uncertifiable
     eigenvalue intervals).
     """
-    label, spec, k, exact, loops = _load_source(family, file, ring, srg, _family_params(params))
+    label, spec, k, exact, loops = _load_source(family, file, ring, srg, _family_params(ctx))
     provenance = "exact closed form" if exact else "numeric (certified intervals)"
     try:
         report = check_equienergetic(spec, k=k, loops=loops)

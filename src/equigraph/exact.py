@@ -110,10 +110,16 @@ class Surd:
     @classmethod
     def from_int(cls, x: int) -> "Surd":
         """``Surd(x)`` for an int, which is canonical as it stands."""
+        return cls._canonical(Fraction(x), _ZERO, 1)
+
+    @classmethod
+    def _canonical(cls, a: Fraction, b: Fraction, d: int) -> "Surd":
+        """``Surd(a, b, d)`` for Fraction parts over a radicand ``d`` that is
+        already squarefree, so nothing is factored; d becomes 1 when b == 0."""
         s = cls.__new__(cls)
-        s.a = Fraction(x)
-        s.b = _ZERO
-        s.d = 1
+        s.a = a
+        s.b = b
+        s.d = d if b else 1
         return s
 
     # -- basic protocol -------------------------------------------------
@@ -169,12 +175,12 @@ class Surd:
         if other is NotImplemented:
             return NotImplemented
         d = self._join_radicand(other)
-        return Surd(self.a + other.a, self.b + other.b, d)
+        return Surd._canonical(self.a + other.a, self.b + other.b, d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Surd(-self.a, -self.b, self.d)
+        return Surd._canonical(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
         other = Surd._coerce(other)
@@ -183,7 +189,7 @@ class Surd:
         d = self._join_radicand(other)
         a = self.a * other.a + self.b * other.b * d
         b = self.a * other.b + self.b * other.a
-        return Surd(a, b, d)
+        return Surd._canonical(a, b, d)
 
     __rmul__ = __mul__
 

@@ -111,7 +111,8 @@ class Spectrum:
     ``entries`` holds ``(Eig, mult)`` pairs.  ``integral`` holds the same
     spectrum as ``(int, mult)`` pairs in entry order when every entry is
     an exact integer, and is None otherwise; the consumers below read it
-    first, so an integral spectrum never reaches the surd arithmetic.
+    first, so an integral spectrum never reaches the surd arithmetic, and
+    builds its ``entries`` only when something reads them.
     ``principal`` is the index of the principal (degree) entry in the
     sorted entries; ``principal_value`` locates it by its exact value
     instead.  A spectrum is not changed after it is built.
@@ -120,7 +121,7 @@ class Spectrum:
     throughout, which merge and sort as ints alone.
     """
 
-    __slots__ = ("entries", "n", "principal", "integral")
+    __slots__ = ("_entries", "n", "principal", "integral")
 
     def __init__(self, entries: Iterable[tuple[Union[Eig, int], int]], n: Optional[int] = None,
                  principal: Optional[int] = None, *,
@@ -133,7 +134,7 @@ class Spectrum:
                     raise ValueError("multiplicities must be positive")
                 counts[x] = counts.get(x, 0) + mult
             integral = sorted(counts.items(), reverse=True)
-            ordered = [(Eig.from_exact(x), mult) for x, mult in integral]
+            ordered = integral  # its Eig entries are built when first read
         else:
             # exact entries merge on their canonical value; approximate ones never merge
             merged: dict[object, list] = {}
@@ -164,10 +165,16 @@ class Spectrum:
             principal = 0
         if ordered and not 0 <= principal < len(ordered):
             raise ValueError("principal index out of range")
-        self.entries = tuple(ordered)
+        self._entries = None if ordered is integral else tuple(ordered)
         self.n = n
         self.principal = principal
         self.integral = None if integral is None else tuple(integral)
+
+    @property
+    def entries(self) -> tuple[tuple[Eig, int], ...]:
+        if self._entries is None:
+            self._entries = tuple((Eig.from_exact(x), mult) for x, mult in self.integral)
+        return self._entries
 
     @classmethod
     def from_values(cls, values: Iterable[tuple[Union[Surd, int, Fraction], int]]) -> "Spectrum":
@@ -175,7 +182,7 @@ class Spectrum:
 
     @property
     def is_exact(self) -> bool:
-        return all(e.is_exact for e, _ in self.entries)
+        return self.integral is not None or all(e.is_exact for e, _ in self.entries)
 
     @property
     def principal_eig(self) -> Eig:
@@ -380,7 +387,7 @@ def complement_spectrum(s: Spectrum, k: int, loops: bool = False) -> Spectrum:
     for eig, mult in _sp_prime(s.entries, s.principal):
         x = eig.exact
         if x is not None:
-            mapped = -x if loops else Surd(-1 - x.a, -x.b, x.d)
+            mapped = -x if loops else Surd._canonical(-1 - x.a, -x.b, x.d)
             new_entries.append((Eig.from_exact(mapped), mult))
         else:
             v = -eig.value if loops else -1.0 - eig.value

@@ -55,7 +55,13 @@ ENUMERATION_CAP = 10_000
 
 
 class InfeasibleParams(ValueError):
-    pass
+    """A tuple that names no graph.  The arguments are a ``str.format``
+    template and its fields, joined only when the message is read: the
+    scans that try many tuples discard most of these."""
+
+    def __str__(self):
+        template, *fields = self.args
+        return template.format(*fields) if fields else template
 
 
 @dataclass(frozen=True)
@@ -67,11 +73,11 @@ class SrgParams:
 
     def __post_init__(self):
         if not 0 < self.k < self.n - 1:
-            raise InfeasibleParams(f"need 0 < k < n - 1, got {self}")
+            raise InfeasibleParams("need 0 < k < n - 1, got {}", self)
         if self.e < 0 or self.d < 0:
-            raise InfeasibleParams(f"negative common-neighbor count in {self}")
+            raise InfeasibleParams("negative common-neighbor count in {}", self)
         if self.e > self.k - 1 or self.d > self.k:
-            raise InfeasibleParams(f"common-neighbor counts exceed degree in {self}")
+            raise InfeasibleParams("common-neighbor counts exceed degree in {}", self)
 
     def identity_holds(self) -> bool:
         """The counting identity k(k - e - 1) = d(n - k - 1)."""
@@ -108,29 +114,29 @@ def eigen_data(p: SrgParams) -> SrgEigenData:
     conference case (irrational eigenvalues with equal multiplicities).
     """
     if not p.identity_holds():
-        raise InfeasibleParams(f"counting identity fails for {p}")
+        raise InfeasibleParams("counting identity fails for {}", p)
     n1, ed = p.n - 1, p.e - p.d
     alpha = ed * ed + 4 * (p.k - p.d)
     if alpha <= 0:
-        raise InfeasibleParams(f"nonpositive discriminant for {p}")
+        raise InfeasibleParams("nonpositive discriminant for {}", p)
     a = isqrt(alpha)
     t = 2 * p.k + n1 * ed
     if a * a == alpha:
         m_r, rem = divmod(n1 * a - t, 2 * a)
         m_s = n1 - m_r
         if rem or m_r < 0 or m_s < 0:
-            raise InfeasibleParams(f"non-integral or negative multiplicities for {p}")
+            raise InfeasibleParams("non-integral or negative multiplicities for {}", p)
         return SrgEigenData(alpha=alpha, r=Surd((ed + a) // 2), s=Surd((ed - a) // 2),
                             m_r=m_r, m_s=m_s, conference=False)
     if t != 0:
         raise InfeasibleParams(
-            f"irrational eigenvalues with unbalanced multiplicities for {p}"
+            "irrational eigenvalues with unbalanced multiplicities for {}", p
         )
     if n1 % 2:
-        raise InfeasibleParams(f"odd vertex count required for conference {p}")
-    # r, s built directly in canonical form
+        raise InfeasibleParams("odd vertex count required for conference {}", p)
+    # r factors alpha once; its conjugate s reuses the squarefree radicand
     r = Surd(Fraction(ed, 2), Fraction(1, 2), alpha)
-    s = Surd(Fraction(ed, 2), Fraction(-1, 2), alpha)
+    s = Surd._canonical(r.a, -r.b, r.d)
     return SrgEigenData(alpha=alpha, r=r, s=s, m_r=n1 // 2, m_s=n1 // 2, conference=True)
 
 
@@ -148,7 +154,7 @@ def complement_params(p: SrgParams) -> SrgParams:
     ne = p.n - 2 - 2 * p.k + p.d
     nd = p.n - 2 * p.k + p.e
     if ne < 0 or nd < 0:
-        raise InfeasibleParams(f"complement of {p} has negative parameters")
+        raise InfeasibleParams("complement of {} has negative parameters", p)
     return SrgParams(p.n, nk, ne, nd)
 
 
@@ -231,7 +237,7 @@ class CaseB:
 
     def __post_init__(self):
         if self.l in {self.h, -self.h, self.h + 1, -(self.h + 1)}:
-            raise InfeasibleParams(f"excluded l for CaseB(h={self.h}): {self.l}")
+            raise InfeasibleParams("excluded l for CaseB(h={}): {}", self.h, self.l)
 
 
 @dataclass(frozen=True)
@@ -245,7 +251,7 @@ class CaseC:
         if self.h == 0:
             raise InfeasibleParams("CaseC requires h != 0")
         if self.l in {self.h, -self.h, -(self.h + 1), self.h - 1}:
-            raise InfeasibleParams(f"excluded l for CaseC(h={self.h}): {self.l}")
+            raise InfeasibleParams("excluded l for CaseC(h={}): {}", self.h, self.l)
 
 
 EquienClass = Union[NotEquien, Conference, CaseB, CaseC]
@@ -358,10 +364,10 @@ def negative_latin_square_params(n: int, m: int) -> SrgParams:
     """srg(n^2, m(n+1), m^2 + 3m - n, m(m+1)); raises when not admissible."""
     e = m * m + 3 * m - n
     if e < 0:
-        raise InfeasibleParams(f"negative e = {e} for NL({n},{m})")
+        raise InfeasibleParams("negative e = {} for NL({},{})", e, n, m)
     p = SrgParams(n * n, m * (n + 1), e, m * (m + 1))
     if not p.identity_holds():
-        raise InfeasibleParams(f"counting identity fails for NL({n},{m})")
+        raise InfeasibleParams("counting identity fails for NL({},{})", n, m)
     return p
 
 
@@ -376,7 +382,7 @@ def steiner_params(m: int, n: int) -> SrgParams:
     num = t * (t - 1)
     den = m * (m - 1)
     if num % den != 0:
-        raise InfeasibleParams(f"non-integral vertex count for Steiner(m={m}, n={n})")
+        raise InfeasibleParams("non-integral vertex count for Steiner(m={}, n={})", m, n)
     return SrgParams(num // den, m * n, (m - 1) ** 2 + n - 1, m * m)
 
 

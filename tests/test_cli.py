@@ -515,3 +515,128 @@ def test_irrational_spectra_print_in_a_pinned_order(runner):
     for argv, code, stdout in cases:
         result = runner.invoke(main, argv)
         assert (result.exit_code, result.stdout) == (code, stdout), argv
+
+
+# -- family parameters, read from the arguments Click leaves unparsed ----------------
+
+_USAGE = "Usage: main check [OPTIONS]\nTry 'main check --help' for help.\n\n"
+
+
+@pytest.mark.parametrize("argv, same_as", [
+    (["--family", "crown", "--t=5"], ["--family", "crown", "--t", "5"]),
+    (["--family", "crown", "--t", "5", "--t", "6"], ["--family", "crown", "--t", "6"]),
+    # the value of the last copy is the one converted
+    (["--family", "crown", "--t", "abc", "--t", "6"], ["--family", "crown", "--t", "6"]),
+    (["--t", "5", "--family", "crown"], ["--family", "crown", "--t", "5"]),
+    (["--family", "crown", "--t", "+5"], ["--family", "crown", "--t", "5"]),
+    (["--ring", "2:2", "--t", "5"], ["--ring", "2:2"]),
+])
+def test_family_parameter_spellings_match_the_plain_form(runner, argv, same_as):
+    got, want = runner.invoke(main, ["check", *argv]), runner.invoke(main, ["check", *same_as])
+    assert want.exit_code == 0
+    assert (got.exit_code, got.output) == (want.exit_code, want.output)
+
+
+@pytest.mark.parametrize("argv, output", [
+    (["--family", "cycle", "--n", "-3"],
+     "Error: family cycle with {'n': -3}: cycle needs n >= 3\n"),
+    # the parameters reach the family in _FAMILY_PARAM_NAMES order, whatever the argv order
+    (["--family", "lattice", "--n", "5", "--t", "3"],
+     "Error: family lattice with {'t': 3, 'n': 5}: family 'lattice' takes parameters ('n',)\n"),
+    (["--family", "crown", "--t", "abc"],
+     _USAGE + "Error: Invalid value for '--t': 'abc' is not a valid integer.\n"),
+    (["--family", "crown", "--t", "6", "--t", "abc"],
+     _USAGE + "Error: Invalid value for '--t': 'abc' is not a valid integer.\n"),
+    (["--family", "crown", "--n", "xyz", "--t", "abc"],
+     _USAGE + "Error: Invalid value for '--n': 'xyz' is not a valid integer.\n"),
+    (["--family", "crown", "--t", "abc", "foo"],
+     _USAGE + "Error: Invalid value for '--t': 'abc' is not a valid integer.\n"),
+    (["--family", "crown", "--t", "--zz"],
+     _USAGE + "Error: Invalid value for '--t': '--zz' is not a valid integer.\n"),
+    (["--family", "crown", "--t"], "Error: Option '--t' requires an argument.\n"),
+    # the value slot holds one of check's own options: Click takes that option,
+    # so --t has no value
+    (["--family", "crown", "--t", "--json"], "Error: Option '--t' requires an argument.\n"),
+    (["--family", "crown", "--zz", "1"], _USAGE + "Error: No such option '--zz'.\n"),
+    (["--family", "crown", "--zz", "--t"], _USAGE + "Error: No such option '--zz'.\n"),
+    (["--srg", "16,6,2,2", "--loops"],
+     _USAGE + "Error: No such option '--loops'. Did you mean '--help'?\n"),
+    (["--family", "crown", "--tt", "5"],
+     _USAGE + "Error: No such option '--tt'. Did you mean '--t'?\n"),
+    (["--family", "crown", "--nn", "5"],
+     _USAGE + "Error: No such option '--nn'. (Did you mean one of: '--json', '--n', '--ring'?)\n"),
+    (["--family", "crown", "-t5"], _USAGE + "Error: No such option '-t'.\n"),
+    (["--family", "crown", "--t", "5", "-3"], _USAGE + "Error: No such option '-3'.\n"),
+    (["--ring", "2:2", "foo"], _USAGE + "Error: Got unexpected extra argument (foo)\n"),
+    (["--family", "crown", "--t", "5", "6", "-"],
+     _USAGE + "Error: Got unexpected extra arguments (6 -)\n"),
+])
+def test_family_parameter_errors_keep_clicks_text(runner, argv, output):
+    result = runner.invoke(main, ["check", *argv])
+    assert (result.exit_code, result.output) == (2, output)
+
+
+def test_spectrum_reads_family_parameters_as_check_does(runner):
+    result = runner.invoke(main, ["spectrum", "--family", "paley", "--q=13", "--json"])
+    assert (result.exit_code, result.stdout) == (0, _conference_13_json("paley(q=13)"))
+    stray = runner.invoke(main, ["spectrum", "--ring", "2:2", "x"])
+    assert stray.exit_code == 2
+    assert stray.output.endswith("Error: Got unexpected extra argument (x)\n")
+
+
+@pytest.mark.parametrize("command", ["check", "spectrum"])
+def test_help_lists_every_family_parameter_and_click_registers_none(runner, command):
+    from equigraph import graphs as G
+    names = {p for fam in G.FAMILIES.values() for p in fam.params}
+    assert not names & {p.name for p in main.commands[command].params}
+    lines = runner.invoke(main, [command, "--help"]).output.splitlines()
+    for name in names:
+        line, = [ln for ln in lines if ln.split()[:1] == [f"--{name}"]]
+        assert set(line.split(None, 2)[2].split(", ")) == {
+            f for f, fam in G.FAMILIES.items() if name in fam.params}
+
+
+def test_integral_check_builds_no_eig(runner, monkeypatch):
+    from equigraph.spectra import Eig
+    calls = []
+    monkeypatch.setattr(Eig, "from_exact", lambda x: calls.append(x))
+    result = runner.invoke(main, ["check", "--ring", "4:2,9:1", "--json"])
+    assert result.exit_code == 1
+    assert json.loads(result.stdout)["delta"] == "49"
+    assert calls == []
+
+
+def test_srg_check_factors_its_radicand_once(runner, monkeypatch):
+    from equigraph import exact
+    calls = []
+    original = exact.squarefree_decompose
+
+    def counted(d):
+        calls.append(d)
+        return original(d)
+    monkeypatch.setattr(exact, "squarefree_decompose", counted)
+    result = runner.invoke(main, ["check", "--srg",
+                                  "1000000000041,500000000020,250000000009,250000000010"])
+    assert (result.exit_code, result.stdout) == (0, (
+        "command: check\n"
+        "source: srg(1000000000041,500000000020,250000000009,250000000010)\n"
+        "n: 1000000000041\n"
+        "degree: 500000000020\n"
+        "equal: True\n"
+        "delta: 0\n"
+        "energy: 500000000020 + 500000000020*sqrt(1000000000041)\n"
+        "energy_complement: 500000000020 + 500000000020*sqrt(1000000000041)\n"
+        "routes_agree: True\n"
+        "provenance: exact closed form\n"))
+    assert calls == [1000000000041]
+
+
+@pytest.mark.parametrize("argv, output", [
+    (["classify", "--srg", "10,3,1,1"],
+     "Error: bad srg tuple '10,3,1,1': counting identity fails for srg(10,3,1,1)\n"),
+    (["check", "--srg", "10,10,1,1"],
+     "Error: bad srg tuple '10,10,1,1': need 0 < k < n - 1, got srg(10,10,1,1)\n"),
+])
+def test_srg_refusals_print_the_formatted_tuple(runner, argv, output):
+    result = runner.invoke(main, argv)
+    assert (result.exit_code, result.output) == (2, output)

@@ -106,6 +106,27 @@ def test_arithmetic_in_one_radicand():
     assert phi * phi == phi + 1          # golden ratio identity
 
 
+squarefree_st = st.integers(2, 10 ** 6).filter(
+    lambda d: exact_module.squarefree_decompose(d) == (1, d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fractions_st, fractions_st, fractions_st, fractions_st, squarefree_st)
+def test_one_radicand_arithmetic_equals_the_canonicalising_constructor(a1, b1, a2, b2, d):
+    x, y = Surd(a1, b1, d), Surd(a2, b2, d)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact_module, "squarefree_decompose", lambda n: calls.append(n))
+        got = [-x, x + y, x * y, abs(x), x + 3, x * Fraction(1, 2)]
+    assert calls == []
+    want = [Surd(-a1, -b1, d), Surd(a1 + a2, b1 + b2, d),
+            Surd(a1 * a2 + b1 * b2 * d, a1 * b2 + a2 * b1, d),
+            x if x.sign() >= 0 else Surd(-a1, -b1, d), Surd(a1 + 3, b1, d),
+            Surd(a1 / 2, b1 / 2, d)]
+    assert [(v.a, v.b, v.d) for v in got] == [(v.a, v.b, v.d) for v in want]
+    assert all(type(v.a) is Fraction and type(v.b) is Fraction for v in got)
+
+
 def test_mixed_radicand_arithmetic_rejected():
     with pytest.raises(ValueError):
         Surd(0, 1, 2) + Surd(0, 1, 3)

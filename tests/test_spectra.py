@@ -749,3 +749,31 @@ def test_integral_view_is_set_exactly_when_every_entry_is_an_integer():
     assert spec([(2, 1), (Surd(0, 1, 2), 1), (Surd(0, -1, 2), 1)]).integral is None
     approx = Spectrum([(Eig.from_exact(2), 1), (Eig.from_approx(-2.0, 0.0), 1)])
     assert approx.integral is None
+
+
+_LAZY_READERS = {
+    "entries": lambda s: s.entries,
+    "principal_eig": lambda s: s.principal_eig,
+    "hash": hash,
+    "to_json_dict": lambda s: s.to_json_dict(),
+    "repr": repr,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-10 ** 18, 10 ** 18) | st.integers(-3, 3),
+                          st.integers(1, 5)), min_size=1, max_size=12), st.data())
+def test_lazy_integral_entries_equal_those_built_from_eigs(pairs, data):
+    i = data.draw(st.integers(0, len({x for x, _ in pairs}) - 1))
+    eigs = Spectrum([(Eig.from_exact(Surd(x)), m) for x, m in pairs], principal=i)
+    calls = []
+    original = Eig.from_exact
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Eig, "from_exact", lambda x: calls.append(x) or original(x))
+        built = Spectrum(pairs, principal=i)
+        assert built.is_exact and built.integral == eigs.integral and calls == []
+        # each reader is the first to read the entries of a spectrum of its own
+        for name, read in _LAZY_READERS.items():
+            assert read(Spectrum(pairs, principal=i)) == read(eigs), name
+        assert built == eigs and eigs == built
+        assert built.entries is built.entries

@@ -557,6 +557,23 @@ def test_direct_energy_oracle_steps_over_the_same_tuples():
     assert SrgParams(16, 6, 2, 2) in stepped and SrgParams(25, 12, 5, 6) in stepped
 
 
+def test_direct_energy_oracle_formats_no_discarded_message(monkeypatch):
+    calls = []
+    monkeypatch.setattr(SrgParams, "__str__", lambda p: calls.append(p) or "srg")
+    assert SrgParams(16, 6, 2, 2) in _oracle_direct_energy(60)
+    assert calls == []
+
+
+def test_infeasible_messages_are_formatted_when_read():
+    with pytest.raises(InfeasibleParams) as info:
+        eigen_data(SrgParams(10, 3, 1, 1))
+    assert str(info.value) == "counting identity fails for srg(10,3,1,1)"
+    with pytest.raises(InfeasibleParams) as info:
+        CaseB(h=0, l=1)
+    assert str(info.value) == "excluded l for CaseB(h=0): 1"
+    assert str(InfeasibleParams("no fields {}")) == "no fields {}"
+
+
 def test_enumeration_closed_under_complement():
     for p, _, _ in enumerate_equien(200):
         comp = complement_params(p)
