@@ -88,18 +88,14 @@ class CuratedGraph:
     note: str = ""
 
 
-def _spec(values) -> Spectrum:
-    return Spectrum.from_values(values)
-
-
 # the five rows that both cubic tables hold
-_K4 = CuratedGraph("K_4", 4, 3, _spec([(3, 1), (-1, 3)]), lambda: G.complete(4), False)
-_K33 = CuratedGraph("K_{3,3}", 6, 3, _spec([(3, 1), (0, 4), (-3, 1)]),
+_K4 = CuratedGraph("K_4", 4, 3, Spectrum([(3, 1), (-1, 3)]), lambda: G.complete(4), False)
+_K33 = CuratedGraph("K_{3,3}", 6, 3, Spectrum([(3, 1), (0, 4), (-3, 1)]),
                     lambda: G.complete_bipartite(3, 3), True)
-_Q3 = CuratedGraph("Q_3", 8, 3, _spec([(3, 1), (1, 3), (-1, 3), (-3, 1)]), G.cube_q3, True)
-_PETERSEN = CuratedGraph("Petersen", 10, 3, _spec([(3, 1), (1, 5), (-2, 4)]), G.petersen, False)
+_Q3 = CuratedGraph("Q_3", 8, 3, Spectrum([(3, 1), (1, 3), (-1, 3), (-3, 1)]), G.cube_q3, True)
+_PETERSEN = CuratedGraph("Petersen", 10, 3, Spectrum([(3, 1), (1, 5), (-2, 4)]), G.petersen, False)
 _DESARGUES = CuratedGraph("Desargues", 20, 3,
-                          _spec([(3, 1), (2, 4), (1, 5), (-1, 5), (-2, 4), (-3, 1)]),
+                          Spectrum([(3, 1), (2, 4), (1, 5), (-1, 5), (-2, 4), (-3, 1)]),
                           lambda: G.kronecker(G.petersen(), G.complete(2)), True)
 
 
@@ -109,42 +105,42 @@ def _integral_cubic_rows() -> list[CuratedGraph]:
         _Q3,
         CuratedGraph(
             "K*_{2,3} x K_2", 10, 3,
-            _spec([(3, 1), (2, 1), (1, 2), (0, 2), (-1, 2), (-2, 1), (-3, 1)]),
+            Spectrum([(3, 1), (2, 1), (1, 2), (0, 2), (-1, 2), (-2, 1), (-3, 1)]),
             None, True,
             note="tensor double of a multigraph-like base; carried as data"),
         CuratedGraph(
             "C_6 x K_2 (prism)", 12, 3,
-            _spec([(3, 1), (2, 2), (1, 1), (0, 4), (-1, 1), (-2, 2), (-3, 1)]),
+            Spectrum([(3, 1), (2, 2), (1, 1), (0, 4), (-1, 1), (-2, 2), (-3, 1)]),
             lambda: G.cartesian(G.cycle(6), G.complete(2)), True,
             note="printed multiplicities summed to 10, not 12; spectrum "
                  "recomputed from the cartesian-product eigenvalue sums"),
         _DESARGUES,
         CuratedGraph(
             "T* x K_2", 20, 3,
-            _spec([(3, 1), (2, 4), (1, 5), (-1, 5), (-2, 4), (-3, 1)]),
+            Spectrum([(3, 1), (2, 4), (1, 5), (-1, 5), (-2, 4), (-3, 1)]),
             None, True,
             note="isospectral mate of Desargues; carried as data"),
         CuratedGraph(
             "Sigma x K_2", 24, 3,
-            _spec([(3, 1), (2, 6), (1, 3), (0, 4), (-1, 3), (-2, 6), (-3, 1)]),
+            Spectrum([(3, 1), (2, 6), (1, 3), (0, 4), (-1, 3), (-2, 6), (-3, 1)]),
             None, True),
         CuratedGraph(
             "Tutte-Coxeter (GQ(2,2))", 30, 3,
-            _spec([(3, 1), (2, 9), (0, 10), (-2, 9), (-3, 1)]),
+            Spectrum([(3, 1), (2, 9), (0, 10), (-2, 9), (-3, 1)]),
             None, True),
         _K4,
         CuratedGraph(
             "K_3 x K_2 (3-prism)", 6, 3,
-            _spec([(3, 1), (1, 1), (0, 2), (-2, 2)]),
+            Spectrum([(3, 1), (1, 1), (0, 2), (-2, 2)]),
             G.prism_k3, False),
         _PETERSEN,
         CuratedGraph(
             "(Petersen x K_2)/sigma", 10, 3,
-            _spec([(3, 1), (2, 1), (1, 3), (-1, 2), (-2, 3)]),
+            Spectrum([(3, 1), (2, 1), (1, 3), (-1, 2), (-2, 3)]),
             None, False),
         CuratedGraph(
             "Sigma", 12, 3,
-            _spec([(3, 1), (2, 3), (0, 2), (-1, 3), (-2, 3)]),
+            Spectrum([(3, 1), (2, 3), (0, 2), (-1, 3), (-2, 3)]),
             None, False),
     ]
     return rows
@@ -164,44 +160,44 @@ def _distance_transitive_rows() -> list[CuratedGraph]:
         _Q3,
         _PETERSEN,
         CuratedGraph("Heawood", 14, 3,
-                     _spec([(Surd(3), 1)] + _sqrt_entries(1, 2, 6) + [(Surd(-3), 1)]),
+                     Spectrum([(Surd(3), 1)] + _sqrt_entries(1, 2, 6) + [(Surd(-3), 1)]),
                      None, True,
                      note="the incidence graph of the Fano plane has "
                           "eigenvalues +-sqrt(2), not the printed +-sqrt(6) "
                           "(which fails sum(eig^2) = 2|E|)"),
         CuratedGraph("Pappus", 18, 3,
-                     _spec([(Surd(3), 1)] + _sqrt_entries(1, 3, 6)
-                           + [(Surd(0), 4), (Surd(-3), 1)]),
+                     Spectrum([(Surd(3), 1)] + _sqrt_entries(1, 3, 6)
+                              + [(Surd(0), 4), (Surd(-3), 1)]),
                      None, True),
         CuratedGraph("dodecahedron", 20, 3,
-                     _spec([(Surd(3), 1), (Surd(0, 1, 5), 3), (Surd(1), 5),
-                            (Surd(0), 4), (Surd(0, -1, 5), 3), (Surd(-2), 4)]),
+                     Spectrum([(Surd(3), 1), (Surd(0, 1, 5), 3), (Surd(1), 5),
+                               (Surd(0), 4), (Surd(0, -1, 5), 3), (Surd(-2), 4)]),
                      None, False),
         _DESARGUES,
         CuratedGraph("Coxeter", 28, 3,
-                     _spec([(Surd(3), 1), (Surd(-1, 1, 2), 6), (Surd(2), 8),
-                            (Surd(-1, -1, 2), 6), (Surd(-1), 7)]),
+                     Spectrum([(Surd(3), 1), (Surd(-1, 1, 2), 6), (Surd(2), 8),
+                               (Surd(-1, -1, 2), 6), (Surd(-1), 7)]),
                      None, False,
                      note="printed as 1 +- sqrt(2), which makes the trace 24; "
                           "the actual eigenvalues are -1 +- sqrt(2)"),
         CuratedGraph("Tutte-Coxeter", 30, 3,
-                     _spec([(3, 1), (2, 9), (0, 10), (-2, 9), (-3, 1)]),
+                     Spectrum([(3, 1), (2, 9), (0, 10), (-2, 9), (-3, 1)]),
                      None, True),
         CuratedGraph("Foster", 90, 3,
-                     _spec([(Surd(3), 1)] + _sqrt_entries(1, 6, 12)
-                           + [(Surd(2), 9), (Surd(1), 18), (Surd(0), 10),
-                              (Surd(-1), 18), (Surd(-2), 9), (Surd(-3), 1)]),
+                     Spectrum([(Surd(3), 1)] + _sqrt_entries(1, 6, 12)
+                              + [(Surd(2), 9), (Surd(1), 18), (Surd(0), 10),
+                                 (Surd(-1), 18), (Surd(-2), 9), (Surd(-3), 1)]),
                      None, True,
                      note="printed table row was corrupted (multiplicities "
                           "summed to 48); spectrum taken from the "
                           "intersection array, verified by trace identities"),
         CuratedGraph("Biggs-Smith", 102, 3,
                      Spectrum([
-                         (Eig.from_exact(3), 1),
+                         (3, 1),
                          (bisect_root(biggs_quad, Fraction(2), Fraction(3)), 9),
-                         (Eig.from_exact(2), 18),
+                         (2, 18),
                          (bisect_root(biggs_cubic, Fraction(0), Fraction(1)), 16),
-                         (Eig.from_exact(0), 17),
+                         (0, 17),
                          (bisect_root(biggs_cubic, Fraction(-3, 2), Fraction(-1)), 16),
                          (bisect_root(biggs_quad, Fraction(-2), Fraction(-3, 2)), 9),
                          (bisect_root(biggs_cubic, Fraction(-3), Fraction(-2)), 16),
@@ -211,9 +207,9 @@ def _distance_transitive_rows() -> list[CuratedGraph]:
                           "intervals of the polynomials x^2 - x - 4 and "
                           "x^3 + 3x^2 - 3, bisected to radius 1e-10"),
         CuratedGraph("Tutte 12-cage", 126, 3,
-                     _spec([(Surd(3), 1)] + _sqrt_entries(1, 6, 21)
-                           + _sqrt_entries(1, 2, 27)
-                           + [(Surd(0), 28), (Surd(-3), 1)]),
+                     Spectrum([(Surd(3), 1)] + _sqrt_entries(1, 6, 21)
+                              + _sqrt_entries(1, 2, 27)
+                              + [(Surd(0), 28), (Surd(-3), 1)]),
                      None, True),
     ]
     return rows

@@ -371,25 +371,30 @@ class ExactValue:
         return self._terms == other._terms
 
 
-def exact_sum(values: Iterable[tuple[Surd, int]]) -> ExactValue:
-    """Multiset sum of (surd, multiplicity) pairs, accumulated per radicand.
+_EMPTY_SUM = ExactValue()  # values are immutable, so every empty sum can share it
 
-    Numerators are summed as integers per (radicand, denominator), so no
-    ``Fraction`` is built per entry.  A ``Surd``'s radicand is squarefree
-    already, so the sum also skips the squarefree pass of the generic
-    ``ExactValue`` constructor.
+
+def exact_sum(values: Iterable[tuple[Union[int, Surd], int]]) -> ExactValue:
+    """Multiset sum of (int or surd, multiplicity) pairs, accumulated per radicand.
+
+    Numerators are summed as integers per (radicand, denominator), so a
+    ``Fraction`` is built only per denominator other than 1.  A ``Surd``'s
+    radicand is squarefree already, so the sum also skips the squarefree
+    pass of the generic ``ExactValue`` constructor.
     """
     acc: dict[tuple[int, int], int] = {}
     for s, mult in values:
         if mult <= 0:
             raise ValueError("multiplicities must be positive")
-        a, b = s.a, s.b
+        a, b = (s, 0) if type(s) is int else (s.a, s.b)
         key = (1, a.denominator)
         acc[key] = acc.get(key, 0) + a.numerator * mult
         if b:
             key = (s.d, b.denominator)
             acc[key] = acc.get(key, 0) + b.numerator * mult
-    coefficients: dict[int, Fraction] = {}
+    if not acc:
+        return _EMPTY_SUM
+    coefficients: dict[int, RationalLike] = {}
     for (d, den), num in acc.items():
-        coefficients[d] = coefficients.get(d, 0) + Fraction(num, den)
+        coefficients[d] = coefficients.get(d, 0) + (num if den == 1 else Fraction(num, den))
     return ExactValue._from_squarefree(coefficients)

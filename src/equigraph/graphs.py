@@ -323,7 +323,7 @@ def _no_params() -> None:
 
 def _spec(values) -> Spectrum:
     """An exact spectrum from (value, multiplicity) pairs, dropping multiplicity 0."""
-    return Spectrum.from_values([(v, m) for v, m in values if m])
+    return Spectrum([(v, m) for v, m in values if m])
 
 
 def _complete_bipartite_spectrum(a: int, b: int) -> Spectrum:
@@ -451,9 +451,10 @@ def spectral_regularity(spec: Spectrum) -> Optional[int]:
     with equality exactly when the graph is regular (Brouwer-Haemers,
     *Spectra of Graphs*, section 3.1).
     """
-    trace = exact_sum([(eig.exact * eig.exact, m) for eig, m in spec.entries])
+    trace = exact_sum([(x * x, m) for x, m in spec.values])
     average = trace.rational_part / spec.n
-    if trace.is_rational and average.denominator == 1 and spec.principal_eig.exact == average:
+    if (trace.is_rational and average.denominator == 1
+            and spec.values[spec.principal][0] == average):
         return int(average)
     return None
 

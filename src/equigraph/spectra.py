@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Iterable, Optional, Union
 
 from .exact import ExactValue, Surd, exact_sum, format_surd
@@ -79,75 +78,69 @@ class Eig:
         return f"{self.value!r}(+-{self.radius:g})"
 
 
-def _float_key(entry: tuple[Eig, int]) -> tuple[float, float]:
-    """The order of approximate entries: larger value first, then the
-    smaller radius."""
-    eig = entry[0]
-    return -eig.value, eig.radius
+Value = Union[int, Surd, Eig]
 
 
-_exact_key = cmp_to_key(lambda p, q: q[0].exact.compare(p[0].exact))
+def _value(x) -> Value:
+    """The stored form of an eigenvalue: an int, a Surd that is not an
+    integer, or an interval Eig.  An exact Eig, a Surd or a Fraction is
+    reduced to the first two."""
+    if type(x) is Eig:
+        if x.exact is None:
+            return x
+        x = x.exact
+    elif type(x) is not Surd:
+        x = Surd(x)
+    return x.a.numerator if x.is_integer else x
 
 
-def _sort_entries(entries: list[tuple[Eig, int]]) -> None:
-    """Sort descending: exact entries in exact order, approximate ones in
-    ``_float_key`` order, the two merged by float value with exact first
-    on ties."""
-    exact = sorted((p for p in entries if p[0].exact is not None), key=_exact_key)
-    approx = sorted((p for p in entries if p[0].exact is None), key=_float_key)
-    entries.clear()
-    i = 0
-    for entry in approx:
-        while i < len(exact) and exact[i][0].value >= entry[0].value:
-            entries.append(exact[i])
-            i += 1
-        entries.append(entry)
-    entries.extend(exact[i:])
+def _float(x: Value) -> float:
+    return x.value if type(x) is Eig else float(x)
 
 
 class Spectrum:
     """Multiset of eigenvalues with multiplicities, sorted descending.
 
-    ``entries`` holds ``(Eig, mult)`` pairs.  ``integral`` holds the same
-    spectrum as ``(int, mult)`` pairs in entry order when every entry is
-    an exact integer, and is None otherwise; the consumers below read it
-    first, so an integral spectrum never reaches the surd arithmetic, and
-    builds its ``entries`` only when something reads them.
-    ``principal`` is the index of the principal (degree) entry in the
-    sorted entries; ``principal_value`` locates it by its exact value
-    instead.  A spectrum is not changed after it is built.
+    ``values`` holds ``(value, mult)`` pairs, where a value is an int, a
+    ``Surd`` that is not an integer, or an interval ``Eig``; the consumers
+    below walk it once, switching on the value's type.  Equal exact values
+    merge and sort in exact order; intervals never merge, sort by float
+    value and then radius, and join the exact values by float value, exact
+    first on ties.  ``principal`` is the index of the principal (degree)
+    entry; ``principal_value`` locates it by its exact value instead.
+    A spectrum is not changed after it is built.
 
-    The constructor takes ``(Eig, mult)`` pairs, or ``(int, mult)`` pairs
-    throughout, which merge and sort as ints alone.
+    The constructor also takes exact ``Eig``s, Surds and Fractions, which
+    it reduces to values, and an int is stored as it is given.
     """
 
-    __slots__ = ("_entries", "n", "principal", "integral")
+    __slots__ = ("values", "n", "principal", "_entries")
 
-    def __init__(self, entries: Iterable[tuple[Union[Eig, int], int]], n: Optional[int] = None,
+    def __init__(self, values: Iterable[tuple[object, int]], n: Optional[int] = None,
                  principal: Optional[int] = None, *,
                  principal_value: Union[Surd, int, Fraction, None] = None):
-        pairs = list(entries)
-        if all(type(x) is int for x, _ in pairs):
-            counts: dict[int, int] = {}
-            for x, mult in pairs:
-                if mult <= 0:
-                    raise ValueError("multiplicities must be positive")
-                counts[x] = counts.get(x, 0) + mult
-            integral = sorted(counts.items(), reverse=True)
-            ordered = integral  # its Eig entries are built when first read
-        else:
-            # exact entries merge on their canonical value; approximate ones never merge
-            merged: dict[object, list] = {}
-            for eig, mult in pairs:
-                if mult <= 0:
-                    raise ValueError("multiplicities must be positive")
-                key = eig.exact if eig.exact is not None else object()
-                merged.setdefault(key, [eig, 0])[1] += mult
-            ordered = [(eig, mult) for eig, mult in merged.values()]
-            _sort_entries(ordered)
-            integral = None
-            if all(eig.exact is not None and eig.exact.is_integer for eig, _ in ordered):
-                integral = [(eig.exact.a.numerator, mult) for eig, mult in ordered]
+        exact: dict[Value, int] = {}
+        intervals = []
+        for x, mult in values:
+            if mult <= 0:
+                raise ValueError("multiplicities must be positive")
+            if type(x) is not int:
+                x = _value(x)
+                if type(x) is Eig:
+                    intervals.append((x, mult))
+                    continue
+            exact[x] = exact.get(x, 0) + mult
+        # ints compare natively, and a Surd against either by Surd.compare
+        ordered = sorted(exact.items(), reverse=True)
+        if intervals:
+            intervals.sort(key=lambda entry: (-entry[0].value, entry[0].radius))
+            exact_part, ordered, i = ordered, [], 0
+            for entry in intervals:
+                while i < len(exact_part) and float(exact_part[i][0]) >= entry[0].value:
+                    ordered.append(exact_part[i])
+                    i += 1
+                ordered.append(entry)
+            ordered.extend(exact_part[i:])
         total = sum(m for _, m in ordered)
         if n is None:
             n = total
@@ -156,33 +149,30 @@ class Spectrum:
         if principal_value is not None:
             if principal is not None:
                 raise ValueError("give principal or principal_value, not both")
-            values = integral if integral is not None else [(e.exact, m) for e, m in ordered]
-            principal = next((i for i, (x, _) in enumerate(values) if x == principal_value),
-                             None)
+            target = principal_value if type(principal_value) is int else _value(principal_value)
+            principal = next((i for i, (x, _) in enumerate(ordered) if x == target), None)
             if principal is None:
                 raise ValueError(f"principal value {principal_value} is not an eigenvalue")
         elif principal is None:
             principal = 0
         if ordered and not 0 <= principal < len(ordered):
             raise ValueError("principal index out of range")
-        self._entries = None if ordered is integral else tuple(ordered)
+        self.values = tuple(ordered)
         self.n = n
         self.principal = principal
-        self.integral = None if integral is None else tuple(integral)
+        self._entries = None
 
     @property
     def entries(self) -> tuple[tuple[Eig, int], ...]:
+        """The values as ``(Eig, mult)`` pairs, built the first time they are read."""
         if self._entries is None:
-            self._entries = tuple((Eig.from_exact(x), mult) for x, mult in self.integral)
+            self._entries = tuple((x if type(x) is Eig else Eig.from_exact(x), m)
+                                  for x, m in self.values)
         return self._entries
-
-    @classmethod
-    def from_values(cls, values: Iterable[tuple[Union[Surd, int, Fraction], int]]) -> "Spectrum":
-        return cls([(Eig.from_exact(v), m) for v, m in values])
 
     @property
     def is_exact(self) -> bool:
-        return self.integral is not None or all(e.is_exact for e, _ in self.entries)
+        return all(type(x) is not Eig for x, _ in self.values)
 
     @property
     def principal_eig(self) -> Eig:
@@ -191,24 +181,21 @@ class Spectrum:
     def __eq__(self, other):
         if not isinstance(other, Spectrum):
             return NotImplemented
-        return self.n == other.n and self.entries == other.entries
+        return self.n == other.n and self.values == other.values
 
     def __hash__(self):
-        return hash((self.n, self.entries))
+        return hash((self.n, self.values))
 
     def __repr__(self):
-        inner = ", ".join(f"[{eig}]^{m}" for eig, m in self.entries)
+        inner = ", ".join(f"[{x}]^{m}" for x, m in self.values)
         return f"Spectrum({{{inner}}}, n={self.n})"
 
     # -- JSON wire format ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
         entries = []
-        for eig, mult in self.entries:
-            if eig.exact is not None:
-                value = format_surd(eig.exact)
-            else:
-                value = {"approx": eig.value, "radius": eig.radius}
+        for x, mult in self.values:
+            value = {"approx": x.value, "radius": x.radius} if type(x) is Eig else str(x)
             entries.append({"value": value, "mult": mult})
         return {"n": self.n, "entries": entries, "principal": self.principal}
 
@@ -237,47 +224,52 @@ def _assumed_value(e: Eig) -> Fraction:
     return Fraction(e.value)
 
 
-def _point(e: Eig) -> Surd:
-    """The exact value of ``e``, or the assume-exact reading of an interval."""
-    return e.exact if e.exact is not None else Surd(_assumed_value(e))
+def _point(x: Union[Surd, Eig]) -> Surd:
+    """A Surd or exact Eig as a Surd, or the assume-exact reading of an interval."""
+    if type(x) is Eig:
+        return x.exact if x.exact is not None else Surd(_assumed_value(x))
+    return x
 
 
 _ONE = Surd(1)
 _MINUS_ONE = Surd(-1)
 
 
-def delta_branch(e: Eig, assume_exact: bool = False) -> str:
+def delta_branch(x: Union[Surd, Eig], assume_exact: bool = False) -> str:
     """The discrepancy term an eigenvalue x feeds: 'sigma+' (x >= 1),
     'sigma-' (x <= -1), 'm0' (x == 0), 'T' (0 < x < 1) or 'S' (-1 < x < 0).
 
-    An exact x is decided by its exact sign and its exact comparison with
-    1 or -1.  An interval of radius at most ``APPROX_RADIUS_CAP`` is
-    decided when it lies in (-inf, -1] or [0, inf); one in [0, inf) that
-    reaches 1 counts as 'sigma+' whatever its midpoint's last digits, so the
-    sigma/T split does not depend on the vertex labelling (both add +1).
-    Any other interval raises ``UncertifiableBranch``, unless
-    ``assume_exact`` reads it as the point ``_assumed_value`` and decides
-    that exactly.
+    ``x`` is a Surd or an Eig, exact or interval (``discrepancy`` decides
+    an int by its sign).  An exact x is decided by its exact sign and its
+    exact comparison with 1 or -1.  An interval of radius at most
+    ``APPROX_RADIUS_CAP`` is decided when it lies in (-inf, -1] or
+    [0, inf); one in [0, inf) that reaches 1 counts as 'sigma+' whatever
+    its midpoint's last digits, so the sigma/T split does not depend on the
+    vertex labelling (both add +1).  Any other interval raises
+    ``UncertifiableBranch``, unless ``assume_exact`` reads it as the point
+    ``_assumed_value`` and decides that exactly.
     """
-    x = e.exact
-    if x is None:
-        if e.radius > APPROX_RADIUS_CAP and not assume_exact:
-            raise UncertifiableBranch(
-                f"interval radius {e.radius!r} exceeds the decision cap {APPROX_RADIUS_CAP}"
-            )
-        if e.hi <= -1:
-            return "sigma-"
-        if not assume_exact:
-            if e.lo < 0:
+    if type(x) is Eig:
+        e = x
+        x = e.exact
+        if x is None:
+            if e.radius > APPROX_RADIUS_CAP and not assume_exact:
                 raise UncertifiableBranch(
-                    f"interval [{e.lo!r}, {e.hi!r}] is not certifiably clear of (-1, 0)"
+                    f"interval radius {e.radius!r} exceeds the decision cap {APPROX_RADIUS_CAP}"
                 )
-            if e.hi >= 1:
+            if e.hi <= -1:
+                return "sigma-"
+            if not assume_exact:
+                if e.lo < 0:
+                    raise UncertifiableBranch(
+                        f"interval [{e.lo!r}, {e.hi!r}] is not certifiably clear of (-1, 0)"
+                    )
+                if e.hi >= 1:
+                    return "sigma+"
+                return "m0" if e.value == 0 and e.radius == 0 else "T"
+            x = Surd(_assumed_value(e))
+            if e.hi >= 1 and x.sign() >= 0:
                 return "sigma+"
-            return "m0" if e.value == 0 and e.radius == 0 else "T"
-        x = Surd(_assumed_value(e))
-        if e.hi >= 1 and x.sign() >= 0:
-            return "sigma+"
     sign = x.sign()
     if sign == 0:
         return "m0"
@@ -307,8 +299,7 @@ class DiscrepancyBreakdown:
 
 
 def _sp_prime(pairs, principal: int) -> list:
-    """Spectrum pairs (``entries`` or ``integral``) with exactly one copy of
-    the principal eigenvalue removed."""
+    """Spectrum pairs with exactly one copy of the principal eigenvalue removed."""
     out = []
     for i, (x, mult) in enumerate(pairs):
         if i == principal:
@@ -319,53 +310,56 @@ def _sp_prime(pairs, principal: int) -> list:
     return out
 
 
-_ZERO_VALUE = ExactValue()
-
-
 def discrepancy(s: Spectrum, assume_exact: bool = False) -> DiscrepancyBreakdown:
     """Exact discrepancy of a regular spectrum, over Sp' = Spec minus one degree copy.
 
-    Over an integral spectrum Delta is a count: sigma = #(x >= 1) -
-    #(x <= -1) and m0 = #(x = 0) over Sp', while T and S vanish, since no
-    integer lies in (0, 1) or (-1, 0).
+    Each value adds its multiplicity to the count of its ``delta_branch``,
+    except that an S-branch value x adds (2x + 1)·mult to S.  An int's
+    branch is its sign, as no integer lies in (0, 1) or (-1, 0).
     """
-    if s.integral is not None:
-        sigma = m0 = 0
-        for x, mult in _sp_prime(s.integral, s.principal):
-            if x >= 1:
-                sigma += mult
-            elif x <= -1:
-                sigma -= mult
+    sigma = t_count = m0 = 0
+    s_terms = []
+    for x, mult in _sp_prime(s.values, s.principal):
+        if type(x) is int:
+            if x:
+                sigma += mult if x > 0 else -mult
             else:
                 m0 += mult
-        return DiscrepancyBreakdown(sigma=sigma, T=0, m0=m0, S=_ZERO_VALUE)
-    counts = {"sigma+": 0, "sigma-": 0, "m0": 0, "T": 0}
-    s_terms = []
-    for eig, mult in _sp_prime(s.entries, s.principal):
-        branch = delta_branch(eig, assume_exact)
+            continue
+        branch = delta_branch(x, assume_exact)
         if branch == "S":
-            s_terms.append((_point(eig) * 2 + 1, mult))
+            s_terms.append((_point(x) * 2 + 1, mult))
+        elif branch == "T":
+            t_count += mult
+        elif branch == "m0":
+            m0 += mult
         else:
-            counts[branch] += mult
-    return DiscrepancyBreakdown(sigma=counts["sigma+"] - counts["sigma-"], T=counts["T"],
-                                m0=counts["m0"], S=exact_sum(s_terms))
+            sigma += mult if branch == "sigma+" else -mult
+    return DiscrepancyBreakdown(sigma=sigma, T=t_count, m0=m0, S=exact_sum(s_terms))
 
 
 def energy(s: Spectrum) -> Union[ExactValue, Approximate]:
-    """Sum of |eigenvalue| * multiplicity; exact when every entry is exact."""
-    if s.integral is not None:
-        return ExactValue.from_rational(sum(abs(x) * mult for x, mult in s.integral))
-    if s.is_exact:
-        return exact_sum([(abs(e.exact), m) for e, m in s.entries])
-    value = 0.0
-    radius = 0.0
-    for eig, mult in s.entries:
-        if eig.exact is not None:
-            value += abs(float(eig.exact)) * mult
+    """Sum of |eigenvalue| * multiplicity; exact when every value is exact,
+    and otherwise a float sum whose radius adds up the interval radii."""
+    rational = 0
+    surds = []
+    value = radius = 0.0
+    approximate = False
+    for x, mult in s.values:
+        if type(x) is int:
+            term = abs(x) * mult
+            rational += term
+            value += term
+        elif type(x) is Surd:
+            surds.append((abs(x), mult))
+            value += abs(float(x)) * mult
         else:
-            value += abs(eig.value) * mult
-            radius += eig.radius * mult
-    return Approximate(value=value, radius=radius)
+            approximate = True
+            value += abs(x.value) * mult
+            radius += x.radius * mult
+    if approximate:
+        return Approximate(value=value, radius=radius)
+    return exact_sum(surds) + rational
 
 
 def complement_spectrum(s: Spectrum, k: int, loops: bool = False) -> Spectrum:
@@ -373,26 +367,20 @@ def complement_spectrum(s: Spectrum, k: int, loops: bool = False) -> Spectrum:
 
     The loopless complement J - I - A maps eig -> -1 - eig and has degree
     n - k - 1; with loops the complement is J - A, which maps eig -> -eig
-    and has degree n - k.  The degree replaces the principal entry.  An
-    integral spectrum maps to an integral one, built from ints.
+    and has degree n - k.  The degree replaces the principal entry.
     """
     n = s.n
     degree = n - k if loops else n - k - 1
-    if s.integral is not None:
-        ints = [(degree, 1)]
-        for x, mult in _sp_prime(s.integral, s.principal):
-            ints.append((-x if loops else -1 - x, mult))
-        return Spectrum(ints, n=n, principal_value=degree)
-    new_entries = [(Eig.from_exact(degree), 1)]
-    for eig, mult in _sp_prime(s.entries, s.principal):
-        x = eig.exact
-        if x is not None:
-            mapped = -x if loops else Surd._canonical(-1 - x.a, -x.b, x.d)
-            new_entries.append((Eig.from_exact(mapped), mult))
+    values = [(degree, 1)]
+    for x, mult in _sp_prime(s.values, s.principal):
+        if type(x) is int:
+            y = -x if loops else -1 - x
+        elif type(x) is Surd:
+            y = -x if loops else Surd._canonical(-1 - x.a, -x.b, x.d)
         else:
-            v = -eig.value if loops else -1.0 - eig.value
-            new_entries.append((Eig.from_approx(v, eig.radius), mult))
-    return Spectrum(new_entries, n=n, principal_value=degree)
+            y = Eig.from_approx(-x.value if loops else -1.0 - x.value, x.radius)
+        values.append((y, mult))
+    return Spectrum(values, n=n, principal_value=degree)
 
 
 @dataclass(frozen=True)
@@ -442,10 +430,10 @@ def spectra_match(numeric: Spectrum, exact: Spectrum, tol: float = 1e-7) -> bool
     """Entrywise agreement with multiplicity grouping at tolerance ``tol``."""
     if numeric.n != exact.n:
         return False
-    for eig, mult in exact.entries:
-        target = float(eig.exact) if eig.exact is not None else eig.value
-        got = sum(m for e, m in numeric.entries if abs(e.value - target) <= tol)
+    for x, mult in exact.values:
+        target = _float(x)
+        got = sum(m for y, m in numeric.values if abs(_float(y) - target) <= tol)
         if got != mult:
             return False
-    total = sum(m for _, m in numeric.entries)
+    total = sum(m for _, m in numeric.values)
     return total == exact.n

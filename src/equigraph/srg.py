@@ -107,7 +107,15 @@ def eigen_data(p: SrgParams) -> SrgEigenData:
     alpha = a^2 both (n - 1)a -+ t must be nonnegative multiples of 2a
     (then a = e - d mod 2, so r and s are integers); otherwise
     sqrt(alpha) is irrational and the multiplicities must balance
-    (t = 0, the conference case) on an odd vertex count.
+    (t = 0, the conference case).
+
+    Two failures cannot happen, so neither is checked:
+
+    * alpha > 0.  ``SrgParams`` forces d <= k and e <= k - 1, so
+      4(k - d) >= 0, and alpha = 0 would need e = d = k.
+    * The conference case has an odd vertex count.  t = 0 means
+      (n - 1)(d - e) = 2k, and 0 < 2k < 2(n - 1) forces d - e = 1, so
+      n - 1 = 2k is even.
 
     Raises InfeasibleParams when the counting identity fails, or when the
     multiplicities come out negative or non-integral outside the
@@ -117,8 +125,6 @@ def eigen_data(p: SrgParams) -> SrgEigenData:
         raise InfeasibleParams("counting identity fails for {}", p)
     n1, ed = p.n - 1, p.e - p.d
     alpha = ed * ed + 4 * (p.k - p.d)
-    if alpha <= 0:
-        raise InfeasibleParams("nonpositive discriminant for {}", p)
     a = isqrt(alpha)
     t = 2 * p.k + n1 * ed
     if a * a == alpha:
@@ -132,8 +138,6 @@ def eigen_data(p: SrgParams) -> SrgEigenData:
         raise InfeasibleParams(
             "irrational eigenvalues with unbalanced multiplicities for {}", p
         )
-    if n1 % 2:
-        raise InfeasibleParams("odd vertex count required for conference {}", p)
     # r factors alpha once; its conjugate s reuses the squarefree radicand
     r = Surd(Fraction(ed, 2), Fraction(1, 2), alpha)
     s = Surd._canonical(r.a, -r.b, r.d)
@@ -142,8 +146,8 @@ def eigen_data(p: SrgParams) -> SrgEigenData:
 
 def spectrum_of(p: SrgParams) -> Spectrum:
     data = eigen_data(p)
-    return Spectrum.from_values([
-        (Surd(p.k), 1),
+    return Spectrum([
+        (p.k, 1),
         (data.r, data.m_r),
         (data.s, data.m_s),
     ])
@@ -320,13 +324,15 @@ def energy_closed(p: SrgParams, data: Optional[SrgEigenData] = None) -> ExactVal
     derived here when not given.
 
     s <= 0 <= r, as sqrt(alpha) >= |e - d| (k >= d).  In the conference
-    case m_r = m_s and r - s = sqrt(alpha), so E = k + m_r sqrt(alpha);
-    otherwise r and s are integers and so is E.
+    case m_r = m_s and r - s = sqrt(alpha) = 2b sqrt(D) for r = a + b sqrt(D),
+    whose radicand D ``eigen_data`` has already reduced, so
+    E = k + 2 m_r b sqrt(D); otherwise r and s are integers and so is E.
     """
     if data is None:
         data = eigen_data(p)
     if data.conference:
-        return ExactValue([(1, p.k), (data.alpha, data.m_r)])
+        r = data.r
+        return ExactValue._from_squarefree({1: p.k, r.d: 2 * data.m_r * r.b})
     return ExactValue.from_rational(p.k + data.m_r * int(data.r.a) - data.m_s * int(data.s.a))
 
 
@@ -547,9 +553,9 @@ def gp_spectrum(k: int, q: int) -> GpReport:
     lam2 = Fraction(-(sign * sqrt_q + 1), k)
     if lam1.denominator != 1 or lam2.denominator != 1:
         raise AssertionError(f"non-integral spectrum for (k={k}, q={q})")
-    spectrum = Spectrum.from_values([
-        (Surd(deg), 1),
-        (Surd(lam1), deg),
-        (Surd(lam2), (k - 1) * deg),
+    spectrum = Spectrum([
+        (deg, 1),
+        (lam1.numerator, deg),
+        (lam2.numerator, (k - 1) * deg),
     ])
     return GpReport(spectrum=spectrum, equien=(s % 2 == 1), s=s, t=t)

@@ -18,6 +18,7 @@ from . import srg as S
 from .exact import ExactValue, Surd
 from .fields import is_prime_power
 from .spectra import (
+    Eig,
     Spectrum,
     check_equienergetic,
     complement_spectrum,
@@ -43,13 +44,8 @@ def _all(claim: str, failures: list[str], detail_ok: str = "") -> CheckResult:
 
 def has_exact_irrational_in_unit_neg(spectrum: Spectrum) -> bool:
     """True when some exact irrational eigenvalue lies strictly inside (-1, 0)."""
-    for eig, _ in spectrum.entries:
-        v = eig.exact
-        if v is None or v.is_rational:
-            continue
-        if v.sign() < 0 and v.compare(Surd(-1)) > 0:
-            return True
-    return False
+    return any(type(x) is Surd and not x.is_rational and x.sign() < 0
+               and x.compare(Surd(-1)) > 0 for x, _ in spectrum.values)
 
 
 # -- crowns (bipartite family) ------------------------------------------------------
@@ -120,9 +116,9 @@ def verify_table2() -> list[CheckResult]:
                 row.spectrum == crown4 and report.routes_agree
                 and report.energy == twelve and report.energy_complement == twelve):
             cube_fail.append("Q_3 is not crown(4) with E = 12 on both sides")
-        for eig, _ in row.spectrum.entries:
-            if eig.exact is None and eig.radius > 1e-10:
-                radius_fail.append(f"{row.name}: radius {eig.radius}")
+        for x, _ in row.spectrum.values:
+            if type(x) is Eig and x.radius > 1e-10:
+                radius_fail.append(f"{row.name}: radius {x.radius}")
     if passing != ["Q_3"]:
         cube_fail.append(f"passing rows: {passing}")
     results = [
@@ -136,7 +132,7 @@ def verify_table2() -> list[CheckResult]:
     # the detector for irrational eigenvalues inside (-1, 0): sound on a
     # synthetic witness; the corrected Coxeter and Biggs-Smith spectra have
     # no such eigenvalue, so both rows fail by plain discrepancy mismatch
-    witness = Spectrum.from_values(
+    witness = Spectrum(
         [(Surd(2), 1), (Surd(1, -1, 2), 2), (Surd(0), 1), (Surd(-2), 1)]
     )
     coxeter = next(r for r in D.TABLE_DISTANCE_TRANSITIVE_CUBIC if r.name == "Coxeter")
@@ -343,7 +339,7 @@ def verify_family_sweeps() -> list[CheckResult]:
 def verify_gp() -> list[CheckResult]:
     r64 = S.gp_spectrum(3, 64)
     r16 = S.gp_spectrum(3, 16)
-    expected = Spectrum.from_values([(21, 1), (5, 21), (-3, 42)])
+    expected = Spectrum([(21, 1), (5, 21), (-3, 42)])
     numeric = G.numeric_spectrum(G.gp_graph(3, 64))
     return [
         CheckResult("cubic-residue graph on 64 field elements is equienergetic "

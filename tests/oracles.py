@@ -5,7 +5,7 @@ parameters from common-neighbour counts, isospectrality from LAPACK,
 surds parsed back from their canonical text, multiplicative orders by
 trying every divisor of q - 1.  The exception is the generic exact
 route, which is the surd path itself, kept as the reference for the
-integral view that bypasses it.
+int values that bypass it.
 """
 
 from __future__ import annotations

@@ -53,3 +53,13 @@ def test_src_imports_only_the_stdlib_numpy_and_click(path):
         linalg += [node.lineno for n in names if "linalg" in n.split(".")]
     assert roots <= set(sys.stdlib_module_names) | THIRD_PARTY, roots
     assert not linalg, f"numpy.linalg used at lines {linalg}"
+
+
+def test_only_spectra_reads_the_entries_view():
+    # a Spectrum stores one list, ``values``; the ``(Eig, mult)`` view is
+    # built on demand for the benchmark references and the tests alone
+    readers = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+               if path.name != "spectra.py"
+               for node in ast.walk(_tree(path))
+               if isinstance(node, ast.Attribute) and node.attr == "entries"]
+    assert not readers, readers

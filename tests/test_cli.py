@@ -640,3 +640,71 @@ def test_srg_check_factors_its_radicand_once(runner, monkeypatch):
 def test_srg_refusals_print_the_formatted_tuple(runner, argv, output):
     result = runner.invoke(main, argv)
     assert (result.exit_code, result.output) == (2, output)
+
+
+def test_srg_classify_factors_its_radicand_once(runner, monkeypatch):
+    # the conference energy reuses the radicand that eigen_data reduced
+    from equigraph import exact
+    calls = []
+    original = exact.squarefree_decompose
+
+    def counted(d):
+        calls.append(d)
+        return original(d)
+    monkeypatch.setattr(exact, "squarefree_decompose", counted)
+    result = runner.invoke(main, ["classify", "--srg",
+                                  "1000000000041,500000000020,250000000009,250000000010"])
+    assert (result.exit_code, result.stdout) == (0, (
+        "command: classify\n"
+        "params: srg(1000000000041,500000000020,250000000009,250000000010)\n"
+        "class: conference(d=250000000010)\n"
+        "alpha: 1000000000041\n"
+        "r: -1/2 + 1/2*sqrt(1000000000041)\n"
+        "s: -1/2 - 1/2*sqrt(1000000000041)\n"
+        "m_r: 500000000020\n"
+        "m_s: 500000000020\n"
+        "energy: 500000000020 + 500000000020*sqrt(1000000000041)\n"
+        "oa: \n"))
+    assert calls == [1000000000041]
+
+
+def test_family_without_closed_form_is_built_solved_and_refused(runner):
+    # C_7 has no closed form here: it is built within the cap and solved, and
+    # 2cos(4pi/7) ~ -0.445 lies in (-1, 0)
+    refused = runner.invoke(main, ["check", "--family", "cycle", "--n", "7"])
+    assert refused.exit_code == 2
+    assert refused.output.startswith("Error: uncertifiable eigenvalue interval: interval [-0.445")
+    assert refused.output.endswith("] is not certifiably clear of (-1, 0)\n")
+    assumed = runner.invoke(main, ["check", "--family", "cycle", "--n", "7", "--assume-exact"])
+    assert assumed.exit_code == 1
+    lines = assumed.stdout.splitlines()
+    assert lines[:5] == ["command: check", "source: cycle(n=7)", "n: 7", "degree: 2",
+                         "equal: False"]
+    assert lines[6].startswith("energy: approx=") and lines[7].startswith(
+        "energy_complement: approx=")
+    assert lines[8:] == ["routes_agree: True", "provenance: numeric (intervals read as exact)"]
+
+
+def test_spectrum_file_reports_an_uncertifiable_discrepancy(runner, tmp_path):
+    from equigraph.graphs import cycle
+    path = tmp_path / "c8.g"
+    path.write_text(write_graph(cycle(8)))
+    result = runner.invoke(main, ["spectrum", "--file", str(path)])
+    assert result.exit_code == 0
+    lines = result.stdout.splitlines()
+    assert lines[4:6] == ["exact: False", "spectrum:"]
+    assert [line.rsplit("^", 1)[1] for line in lines[6:11]] == ["1", "2", "2", "2", "1"]
+    assert lines[-1].startswith("discrepancy: uncertifiable: interval [")
+    assert lines[-1].endswith("] is not certifiably clear of (-1, 0)")
+
+
+def test_check_file_refuses_an_irregular_graph(runner, tmp_path):
+    path = tmp_path / "path3.g"
+    path.write_text("3 0\n0 1\n1 2\n")
+    result = runner.invoke(main, ["check", "--file", str(path)])
+    assert (result.exit_code, result.output) == (2, "Error: graph in file is not regular\n")
+
+
+def test_rings_search_refuses_an_even_factor_count(runner):
+    result = runner.invoke(main, ["rings-search", "--s", "4", "--qmax", "10"])
+    assert (result.exit_code, result.output) == (2, "Error: search applies to odd s >= 3\n")

@@ -476,7 +476,7 @@ def test_unitary_cayley_factors():
 
 def test_numeric_spectrum_petersen():
     s = numeric_spectrum(petersen())
-    expect = Spectrum.from_values([(3, 1), (1, 5), (-2, 4)])
+    expect = Spectrum([(3, 1), (1, 5), (-2, 4)])
     assert spectra_match(s, expect)
 
 
@@ -515,7 +515,7 @@ def test_kronecker_spectrum_is_pairwise_products():
 
 def test_desargues_from_kronecker_doubling():
     desargues = kronecker(petersen(), complete(2))
-    expect = Spectrum.from_values([(3, 1), (2, 4), (1, 5), (-1, 5), (-2, 4), (-3, 1)])
+    expect = Spectrum([(3, 1), (2, 4), (1, 5), (-1, 5), (-2, 4), (-3, 1)])
     assert spectra_match(numeric_spectrum(desargues), expect)
 
 

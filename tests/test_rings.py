@@ -44,25 +44,25 @@ def test_profile_parse_round_trip():
 
 def test_unitary_spectrum_field_is_complete_graph():
     spec = unitary_spectrum(RingProfile.of((5, 1)))
-    assert spec == Spectrum.from_values([(4, 1), (-1, 4)])
+    assert spec == Spectrum([(4, 1), (-1, 4)])
 
 
 def test_unitary_spectrum_z4():
     spec = unitary_spectrum(RingProfile.of((2, 2)))
-    assert spec == Spectrum.from_values([(2, 1), (0, 2), (-2, 1)])
+    assert spec == Spectrum([(2, 1), (0, 2), (-2, 1)])
 
 
 def test_unitary_spectrum_two_fields_no_zero():
     spec = unitary_spectrum(RingProfile.of((3, 1), (4, 1)))
     assert all(eig.exact != 0 for eig, _ in spec.entries)
     assert spec.n == 12
-    assert spec == Spectrum.from_values([(6, 1), (-2, 3), (-3, 2), (1, 6)])
+    assert spec == Spectrum([(6, 1), (-2, 3), (-3, 2), (1, 6)])
 
 
 def test_unitary_spectrum_merges_coinciding_eigenvalues():
     # F_2 x F_2: lambda for both singletons is -2/1 = -2 twice
     spec = unitary_spectrum(RingProfile.of((2, 1), (2, 1)))
-    assert spec == Spectrum.from_values([(1, 1), (-1, 2), (1, 1)])
+    assert spec == Spectrum([(1, 1), (-1, 2), (1, 1)])
 
 
 def test_unitary_spectrum_total_multiplicity_random_profiles():

@@ -29,10 +29,7 @@ from oracles import delta_of, generic_exact_route, read_spectrum_json
 
 
 def spec(values, principal=0):
-    return Spectrum.from_values(values) if principal == 0 else Spectrum(
-        [(Eig.from_exact(v if isinstance(v, Surd) else Surd(v)), m) for v, m in values],
-        principal=principal,
-    )
+    return Spectrum(values, principal=principal)
 
 
 # -- delta ---------------------------------------------------------------
@@ -379,12 +376,12 @@ def test_spectrum_orders_float_ties_exactly_and_int_pairs_without_the_comparator
         return original(self, other)
 
     monkeypatch.setattr(Surd, "compare", counted)
-    surds = Spectrum.from_values([(10 ** 17, 1), (10 ** 17 + 1, 1), (5, 3)])
+    surds = Spectrum([(Surd(10 ** 17), 1), (Surd(10 ** 17 + 1), 1), (Surd(5), 3)])
     assert [e.exact for e, _ in surds.entries] == [Surd(10 ** 17 + 1), Surd(10 ** 17), Surd(5)]
-    # (int, mult) pairs merge and sort as ints, so even float ties need no comparator
-    calls.clear()
+    # integer values merge and sort as ints, so even float ties need no comparator
+    assert calls == [] and surds.values == ((10 ** 17 + 1, 1), (10 ** 17, 1), (5, 3))
     ints = Spectrum([(10 ** 17, 1), (10 ** 17 + 1, 1), (5, 3)])
-    assert calls == [] and ints.integral == ((10 ** 17 + 1, 1), (10 ** 17, 1), (5, 3))
+    assert calls == [] and ints.values == surds.values
 
 
 def test_mixed_spectrum_keeps_exact_entries_in_exact_order_at_a_float_tie():
@@ -393,7 +390,7 @@ def test_mixed_spectrum_keeps_exact_entries_in_exact_order_at_a_float_tie():
                     [(near, 1), (Eig.from_exact(10 ** 17), 1), (Eig.from_exact(10 ** 17 + 1), 1)]):
         s = Spectrum(entries)
         assert [e.exact for e, _ in s.entries] == [Surd(10 ** 17 + 1), Surd(10 ** 17), None]
-        assert s.integral is None
+        assert s.values == ((10 ** 17 + 1, 1), (10 ** 17, 1), (near, 1))
 
 
 def test_spectrum_principal_value_errors():
@@ -637,6 +634,46 @@ def test_discrepancy_and_verdict_match_the_former_rules(entries, assume_exact, l
             == _outcome(_reference_verdict, s, k, loops, assume_exact))
 
 
+def _reference_energy(s):
+    """The former energy: exact through ``exact_sum`` over every entry, or
+    else a float sum in entry order with the radii added up."""
+    if all(e.exact is not None for e, _ in s.entries):
+        return exact_sum([(abs(e.exact), m) for e, m in s.entries])
+    value = radius = 0.0
+    for eig, mult in s.entries:
+        if eig.exact is not None:
+            value += abs(float(eig.exact)) * mult
+        else:
+            value += abs(eig.value) * mult
+            radius += eig.radius * mult
+    return Approximate(value=value, radius=radius)
+
+
+# spectrum values as the constructor takes them: ints, surds over several
+# radicands, rationals, and intervals at -1, 0 and 1
+_mixed_values = st.one_of(st.integers(-4, 4), _mixed_surds, _rationals.map(Surd),
+                          _branch_point_intervals)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_mixed_values, st.integers(1, 4)), min_size=1, max_size=12),
+       st.booleans(), st.booleans(), st.data())
+def test_one_loop_consumers_match_the_references_on_mixed_values(values, assume_exact, loops,
+                                                                  data):
+    principal = data.draw(st.integers(0, len(Spectrum(values).values) - 1))
+    s = Spectrum(values, principal=principal)
+    k = data.draw(st.integers(0, s.n))
+    assert _outcome(_breakdown, s, assume_exact) == _outcome(_reference_breakdown, s,
+                                                              assume_exact)
+    assert (_outcome(_verdict, s, k, loops, assume_exact)
+            == _outcome(_reference_verdict, s, k, loops, assume_exact))
+    assert energy(s) == _reference_energy(s)
+    got = complement_spectrum(s, k, loops=loops)
+    want, want_principal = _reference_complement(s, k, loops)
+    assert _rows(got.entries) == _rows(want)
+    assert (got.principal, got.n) == (want_principal, s.n)
+
+
 def test_delta_refuses_an_interval_wider_than_the_cap():
     clear = Eig.from_approx(2.5, 2 * APPROX_RADIUS_CAP)
     with pytest.raises(UncertifiableBranch, match="cap"):
@@ -692,12 +729,12 @@ def test_spectrum_eq_matches_the_former_loop(entries, data):
     assert (a == Spectrum(rebuilt)) == _reference_spectrum_eq(a, Spectrum(rebuilt))
 
 
-# -- the integral view against the generic exact path ------------------------------
+# -- integer values against the generic exact path ---------------------------------
 
 
 def _assert_integral_route_matches(s, k, loops):
-    """Every consumer of ``s.integral`` against ``generic_exact_route``."""
-    values = [(Surd(x), m) for x, m in s.integral]
+    """Every consumer of an all-int ``s.values`` against ``generic_exact_route``."""
+    values = [(Surd(x), m) for x, m in s.values]
     assert [(e.exact, e.value, m) for e, m in s.entries] == [(x, float(x), m) for x, m in values]
     want = generic_exact_route(values, s.principal, k, loops)
     b = discrepancy(s)
@@ -706,7 +743,7 @@ def _assert_integral_route_matches(s, k, loops):
     assert energy(s) == want["energy"]
     c = complement_spectrum(s, k, loops=loops)
     assert [(e.exact, m) for e, m in c.entries] == want["complement"]
-    assert c.integral == tuple((int(y.a), m) for y, m in want["complement"])
+    assert c.values == tuple((int(y.a), m) for y, m in want["complement"])
     assert c.principal == want["complement_principal"] and c.n == s.n
     report = check_equienergetic(s, k, loops=loops)
     assert report.delta == (None if loops else want["delta_total"])
@@ -729,7 +766,7 @@ def test_integral_view_matches_the_generic_exact_path(extra, unit_mults, loops, 
         pairs.append((degree, repeat))
         counts[degree] += repeat
     s = Spectrum(pairs, principal_value=degree)
-    assert s.integral == tuple(sorted(counts.items(), reverse=True))
+    assert s.values == tuple(sorted(counts.items(), reverse=True))
     assert s.principal_eig.exact == degree
     k = data.draw(st.integers(0, s.n - 1))
     _assert_integral_route_matches(s, k, loops)
@@ -743,12 +780,17 @@ def test_integral_view_matches_the_generic_exact_path_on_unitary_spectra():
             _assert_integral_route_matches(s, profile.units, loops=False)
 
 
+def _value_types(s):
+    return [type(x) for x, _ in s.values]
+
+
 def test_integral_view_is_set_exactly_when_every_entry_is_an_integer():
-    assert spec([(Surd(3), 1), (Surd(-1), 3)]).integral == ((3, 1), (-1, 3))
-    assert spec([(3, 1), (Fraction(-1, 2), 2), (-2, 1)]).integral is None
-    assert spec([(2, 1), (Surd(0, 1, 2), 1), (Surd(0, -1, 2), 1)]).integral is None
+    assert spec([(Surd(3), 1), (Surd(-1), 3)]).values == ((3, 1), (-1, 3))
+    assert _value_types(spec([(3, 1), (Fraction(-1, 2), 2), (-2, 1)])) == [int, Surd, int]
+    assert _value_types(spec([(2, 1), (Surd(0, 1, 2), 1), (Surd(0, -1, 2), 1)])) == [
+        int, Surd, Surd]
     approx = Spectrum([(Eig.from_exact(2), 1), (Eig.from_approx(-2.0, 0.0), 1)])
-    assert approx.integral is None
+    assert _value_types(approx) == [int, Eig]
 
 
 _LAZY_READERS = {
@@ -760,20 +802,39 @@ _LAZY_READERS = {
 }
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.integers(-10 ** 18, 10 ** 18) | st.integers(-3, 3),
-                          st.integers(1, 5)), min_size=1, max_size=12), st.data())
-def test_lazy_integral_entries_equal_those_built_from_eigs(pairs, data):
-    i = data.draw(st.integers(0, len({x for x, _ in pairs}) - 1))
-    eigs = Spectrum([(Eig.from_exact(Surd(x)), m) for x, m in pairs], principal=i)
+def _assert_lazy_entries_match(pairs, i):
+    """``Spectrum(pairs)`` builds no Eig, and its lazily built entries equal
+    the eagerly merged and sorted ``(Eig, mult)`` entries of the former
+    constructor; so does every reader of them."""
+    eig_pairs = [(x if type(x) is Eig else Eig.from_exact(x), m) for x, m in pairs]
+    eigs = Spectrum(eig_pairs, principal=i)
     calls = []
     original = Eig.from_exact
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Eig, "from_exact", lambda x: calls.append(x) or original(x))
         built = Spectrum(pairs, principal=i)
-        assert built.is_exact and built.integral == eigs.integral and calls == []
+        assert built.values == eigs.values and calls == []
+        assert built.is_exact == all(type(x) is not Eig for x, _ in pairs)
         # each reader is the first to read the entries of a spectrum of its own
         for name, read in _LAZY_READERS.items():
             assert read(Spectrum(pairs, principal=i)) == read(eigs), name
         assert built == eigs and eigs == built
         assert built.entries is built.entries
+    assert _rows(built.entries) == _rows(_reference_entries(eig_pairs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-10 ** 18, 10 ** 18) | st.integers(-3, 3),
+                          st.integers(1, 5)), min_size=1, max_size=12), st.data())
+def test_lazy_integral_entries_equal_those_built_from_eigs(pairs, data):
+    i = data.draw(st.integers(0, len({x for x, _ in pairs}) - 1))
+    _assert_lazy_entries_match(pairs, i)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.integers(-3, 3), _exact_values, _approx_eigs),
+                          st.integers(1, 5)), min_size=1, max_size=12), st.data())
+def test_lazy_entries_of_irrational_and_interval_spectra_equal_the_former_eager_ones(
+        pairs, data):
+    i = data.draw(st.integers(0, len(Spectrum(pairs).values) - 1))
+    _assert_lazy_entries_match(pairs, i)

@@ -183,6 +183,43 @@ def test_eigen_data_matches_fraction_first_form(p):
             assert (x.a, x.b, x.d) == (y.a, y.b, y.d)
 
 
+@settings(max_examples=400, deadline=None)
+@given(srg_params_st())
+@example(SrgParams(4, 2, 1, 2))    # d = k and e = k - 1: alpha = 1
+@example(SrgParams(3, 1, 0, 1))
+def test_every_accepted_tuple_has_a_positive_discriminant(p):
+    # SrgParams forces d <= k and e <= k - 1, so alpha = 0 would need e = d = k
+    assert (p.e - p.d) ** 2 + 4 * (p.k - p.d) > 0
+
+
+@st.composite
+def _balanced_st(draw) -> tuple[int, int, int, int]:
+    """Every (n, k, e, d) with k >= 1 and t = 2k + (n - 1)(e - d) = 0: then
+    j = d - e >= 1 divides 2k and n = 2k / j + 1."""
+    k = draw(st.integers(1, 500))
+    j = draw(st.sampled_from([j for j in range(1, 2 * k + 1) if 2 * k % j == 0]))
+    e = draw(st.integers(0, k))
+    return 2 * k // j + 1, k, e, e + j
+
+
+@settings(max_examples=400, deadline=None)
+@given(_balanced_st())
+@example((5, 2, 0, 1))       # the pentagon
+@example((7, 3, 0, 1))       # balanced, but the counting identity fails
+@example((4, 3, 0, 2))       # j = 2: k = n - 1 is refused
+def test_balanced_multiplicities_force_an_odd_vertex_count(nked):
+    # t = 0 with 0 < k < n - 1 forces d - e = 1 and n - 1 = 2k, so the
+    # conference case never meets an even n - 1
+    try:
+        p = SrgParams(*nked)
+    except InfeasibleParams:
+        return
+    assert (p.d - p.e, p.n - 1) == (1, 2 * p.k)
+    data = _outcome(eigen_data, p)
+    if isinstance(data, SrgEigenData) and data.conference:
+        assert data.m_r == data.m_s == p.k
+
+
 def _surd_condition(p: SrgParams) -> bool:
     """The former equien_condition: both routes by Surd multiplication."""
     root = Surd(0, 1, _fraction_first_eigen_data(p).alpha)
@@ -628,14 +665,14 @@ def test_gp_spectrum_64():
     report = gp_spectrum(3, 64)
     assert report.equien and report.s == 3 and report.t == 1
     from equigraph.spectra import Spectrum
-    assert report.spectrum == Spectrum.from_values([(21, 1), (5, 21), (-3, 42)])
+    assert report.spectrum == Spectrum([(21, 1), (5, 21), (-3, 42)])
 
 
 def test_gp_spectrum_16():
     report = gp_spectrum(3, 16)
     assert not report.equien and report.s == 2
     from equigraph.spectra import Spectrum
-    assert report.spectrum == Spectrum.from_values([(5, 1), (1, 10), (-3, 5)])
+    assert report.spectrum == Spectrum([(5, 1), (1, 10), (-3, 5)])
 
 
 def test_gp_spectrum_matches_constructed_graphs():
