@@ -371,16 +371,13 @@ class ExactValue:
         return self._terms == other._terms
 
 
-_EMPTY_SUM = ExactValue()  # values are immutable, so every empty sum can share it
-
-
 def exact_sum(values: Iterable[tuple[Union[int, Surd], int]]) -> ExactValue:
     """Multiset sum of (int or surd, multiplicity) pairs, accumulated per radicand.
 
-    Numerators are summed as integers per (radicand, denominator), so a
-    ``Fraction`` is built only per denominator other than 1.  A ``Surd``'s
-    radicand is squarefree already, so the sum also skips the squarefree
-    pass of the generic ``ExactValue`` constructor.
+    Numerators are summed as integers per (radicand, denominator), so no
+    ``Fraction`` is built per entry.  A ``Surd``'s radicand is squarefree
+    already, so the sum also skips the squarefree pass of the generic
+    ``ExactValue`` constructor.
     """
     acc: dict[tuple[int, int], int] = {}
     for s, mult in values:
@@ -392,9 +389,7 @@ def exact_sum(values: Iterable[tuple[Union[int, Surd], int]]) -> ExactValue:
         if b:
             key = (s.d, b.denominator)
             acc[key] = acc.get(key, 0) + b.numerator * mult
-    if not acc:
-        return _EMPTY_SUM
-    coefficients: dict[int, RationalLike] = {}
+    coefficients: dict[int, Fraction] = {}
     for (d, den), num in acc.items():
-        coefficients[d] = coefficients.get(d, 0) + (num if den == 1 else Fraction(num, den))
+        coefficients[d] = coefficients.get(d, 0) + Fraction(num, den)
     return ExactValue._from_squarefree(coefficients)

@@ -225,10 +225,8 @@ def _assumed_value(e: Eig) -> Fraction:
 
 
 def _point(x: Union[Surd, Eig]) -> Surd:
-    """A Surd or exact Eig as a Surd, or the assume-exact reading of an interval."""
-    if type(x) is Eig:
-        return x.exact if x.exact is not None else Surd(_assumed_value(x))
-    return x
+    """A Surd as it is, or the assume-exact reading of an interval."""
+    return Surd(_assumed_value(x)) if type(x) is Eig else x
 
 
 _ONE = Surd(1)
@@ -239,9 +237,9 @@ def delta_branch(x: Union[Surd, Eig], assume_exact: bool = False) -> str:
     """The discrepancy term an eigenvalue x feeds: 'sigma+' (x >= 1),
     'sigma-' (x <= -1), 'm0' (x == 0), 'T' (0 < x < 1) or 'S' (-1 < x < 0).
 
-    ``x`` is a Surd or an Eig, exact or interval (``discrepancy`` decides
-    an int by its sign).  An exact x is decided by its exact sign and its
-    exact comparison with 1 or -1.  An interval of radius at most
+    ``x`` is a Surd or an interval Eig (``discrepancy`` decides an int by
+    its sign).  A Surd is decided by its exact sign and its exact
+    comparison with 1 or -1.  An interval of radius at most
     ``APPROX_RADIUS_CAP`` is decided when it lies in (-inf, -1] or
     [0, inf); one in [0, inf) that reaches 1 counts as 'sigma+' whatever
     its midpoint's last digits, so the sigma/T split does not depend on the
@@ -251,25 +249,23 @@ def delta_branch(x: Union[Surd, Eig], assume_exact: bool = False) -> str:
     """
     if type(x) is Eig:
         e = x
-        x = e.exact
-        if x is None:
-            if e.radius > APPROX_RADIUS_CAP and not assume_exact:
+        if e.radius > APPROX_RADIUS_CAP and not assume_exact:
+            raise UncertifiableBranch(
+                f"interval radius {e.radius!r} exceeds the decision cap {APPROX_RADIUS_CAP}"
+            )
+        if e.hi <= -1:
+            return "sigma-"
+        if not assume_exact:
+            if e.lo < 0:
                 raise UncertifiableBranch(
-                    f"interval radius {e.radius!r} exceeds the decision cap {APPROX_RADIUS_CAP}"
+                    f"interval [{e.lo!r}, {e.hi!r}] is not certifiably clear of (-1, 0)"
                 )
-            if e.hi <= -1:
-                return "sigma-"
-            if not assume_exact:
-                if e.lo < 0:
-                    raise UncertifiableBranch(
-                        f"interval [{e.lo!r}, {e.hi!r}] is not certifiably clear of (-1, 0)"
-                    )
-                if e.hi >= 1:
-                    return "sigma+"
-                return "m0" if e.value == 0 and e.radius == 0 else "T"
-            x = Surd(_assumed_value(e))
-            if e.hi >= 1 and x.sign() >= 0:
+            if e.hi >= 1:
                 return "sigma+"
+            return "m0" if e.value == 0 and e.radius == 0 else "T"
+        x = Surd(_assumed_value(e))
+        if e.hi >= 1 and x.sign() >= 0:
+            return "sigma+"
     sign = x.sign()
     if sign == 0:
         return "m0"
@@ -343,23 +339,25 @@ def energy(s: Spectrum) -> Union[ExactValue, Approximate]:
     and otherwise a float sum whose radius adds up the interval radii."""
     rational = 0
     surds = []
-    value = radius = 0.0
-    approximate = False
     for x, mult in s.values:
         if type(x) is int:
-            term = abs(x) * mult
-            rational += term
-            value += term
+            rational += abs(x) * mult
         elif type(x) is Surd:
             surds.append((abs(x), mult))
-            value += abs(float(x)) * mult
         else:
-            approximate = True
+            return _approximate_energy(s)
+    return exact_sum(surds) + rational
+
+
+def _approximate_energy(s: Spectrum) -> Approximate:
+    value = radius = 0.0
+    for x, mult in s.values:
+        if type(x) is Eig:
             value += abs(x.value) * mult
             radius += x.radius * mult
-    if approximate:
-        return Approximate(value=value, radius=radius)
-    return exact_sum(surds) + rational
+        else:
+            value += abs(float(x)) * mult
+    return Approximate(value=value, radius=radius)
 
 
 def complement_spectrum(s: Spectrum, k: int, loops: bool = False) -> Spectrum:

@@ -96,6 +96,8 @@ def multiplicative_order(f, x: int) -> int:
 
 def delta_of(x: Eig, assume_exact: bool = False) -> ExactValue:
     """The piecewise-linear term ``|1 + x| - |x|`` of one eigenvalue."""
+    if x.exact is not None:
+        x = x.exact
     branch = delta_branch(x, assume_exact)
     if branch == "S":
         return exact_sum([(_point(x) * 2 + 1, 1)])
@@ -119,13 +121,12 @@ def generic_exact_route(values: list[tuple[Surd, int]], principal: int, k: int,
     s_terms = []
     delta_terms = []
     for x, m in sp:
-        eig = Eig.from_exact(x)
-        branch = delta_branch(eig)
+        branch = delta_branch(x)
         if branch == "S":
             s_terms.append((x * 2 + 1, m))
         else:
             counts[branch] += m
-        delta_terms += [(d, c * m) for d, c in delta_of(eig).terms]
+        delta_terms += [(d, c * m) for d, c in delta_of(Eig.from_exact(x)).terms]
     delta = ExactValue(delta_terms)  # the generic constructor, not ExactValue.__add__
     degree = Surd(n - k if loops else n - k - 1)
     merged = {degree: 1}

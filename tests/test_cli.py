@@ -708,3 +708,19 @@ def test_check_file_refuses_an_irregular_graph(runner, tmp_path):
 def test_rings_search_refuses_an_even_factor_count(runner):
     result = runner.invoke(main, ["rings-search", "--s", "4", "--qmax", "10"])
     assert (result.exit_code, result.output) == (2, "Error: search applies to odd s >= 3\n")
+
+
+def test_ring_with_an_ideal_beyond_the_float_range_answers_exactly(runner):
+    m = 2 ** 1024
+    result = runner.invoke(main, ["check", "--ring", f"2:{m}"])
+    assert (result.exit_code, result.stdout) == (1, (
+        "command: check\n"
+        f"source: ring 2:{m}\n"
+        f"n: {2 * m}\n"
+        f"degree: {m}\n"
+        "equal: False\n"
+        f"delta: {2 * m - 3}\n"
+        f"energy: {2 * m}\n"
+        f"energy_complement: {4 * m - 4}\n"
+        "routes_agree: True\n"
+        "provenance: exact closed form\n"))

@@ -133,6 +133,15 @@ def test_energy_examples():
     assert energy(shrikhande) == ExactValue.from_rational(36)
 
 
+def test_energy_of_integers_beyond_the_float_range_stays_exact():
+    big = 2 ** 1100
+    s = spec([(big, 1), (1, 2), (-big, 1)])
+    assert energy(s) == ExactValue.from_rational(2 * big + 2)
+    report = check_equienergetic(s, k=big)
+    assert report.delta == ExactValue.from_rational(1)
+    assert report.energy_complement == ExactValue.from_rational(2 * big)
+
+
 def test_energy_interval_for_approx_entries():
     s = Spectrum([(Eig.from_approx(2.4494897, 1e-8), 2),
                   (Eig.from_exact(3), 1),
@@ -683,8 +692,8 @@ def test_delta_refuses_an_interval_wider_than_the_cap():
 
 
 @pytest.mark.parametrize("eig, branch", [
-    (Eig.from_exact(1), "sigma+"), (Eig.from_exact(-1), "sigma-"), (Eig.from_exact(0), "m0"),
-    (Eig.from_exact(Fraction(1, 2)), "T"), (Eig.from_exact(Fraction(-1, 2)), "S"),
+    (Surd(1), "sigma+"), (Surd(-1), "sigma-"), (Surd(0), "m0"),
+    (Surd(Fraction(1, 2)), "T"), (Surd(Fraction(-1, 2)), "S"),
     (Eig.from_approx(1 - 1e-12, 1e-8), "sigma+"), (Eig.from_approx(0.5, 1e-8), "T"),
     (Eig.from_approx(0.0, 0.0), "m0"), (Eig.from_approx(-1 - 1e-7, 1e-8), "sigma-"),
 ])
