@@ -28,7 +28,7 @@ from . import rings as R
 from . import srg as S
 from .exact import ExactValue, format_surd
 from .spectra import (
-    Approximate,
+    Eig,
     UncertifiableBranch,
     check_equienergetic,
     discrepancy,
@@ -44,7 +44,7 @@ CSV_FLAG = click.option("--csv", "fmt", flag_value="csv", help="emit CSV")
 def _render_value(v) -> object:
     if isinstance(v, ExactValue):
         return str(v)
-    if isinstance(v, Approximate):
+    if type(v) is Eig:
         return {"approx": v.value, "radius": v.radius}
     return v
 

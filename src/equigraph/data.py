@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from .exact import Surd
 from .spectra import Eig, Spectrum
@@ -45,11 +45,12 @@ __all__ = [
 
 
 def bisect_root(coeffs: list[int], lo: Fraction, hi: Fraction,
-                radius: float = 1e-10) -> Eig:
+                radius: float = 1e-10) -> Union[Surd, Eig]:
     """Isolate one root of an integer polynomial by bisection.
 
     ``coeffs`` are ascending; the interval must bracket a sign change.
-    Returns a certified approximate eigenvalue of the given radius.
+    Returns a rational root that an endpoint or a midpoint hits exactly as
+    a Surd, and otherwise a certified interval of the given radius.
     """
     def value(x: Fraction) -> Fraction:
         acc = Fraction(0)
@@ -59,16 +60,16 @@ def bisect_root(coeffs: list[int], lo: Fraction, hi: Fraction,
 
     flo, fhi = value(lo), value(hi)
     if flo == 0:
-        return Eig.from_exact(Surd(lo))
+        return Surd(lo)
     if fhi == 0:
-        return Eig.from_exact(Surd(hi))
+        return Surd(hi)
     if (flo > 0) == (fhi > 0):
         raise ValueError("interval does not bracket a root")
     while hi - lo > Fraction(radius).limit_denominator(10 ** 15):
         mid = (lo + hi) / 2
         fmid = value(mid)
         if fmid == 0:
-            return Eig.from_exact(Surd(mid))
+            return Surd(mid)
         if (fmid > 0) == (flo > 0):
             lo, flo = mid, fmid
         else:

@@ -344,6 +344,10 @@ def _cycle_spectrum(n: int) -> Optional[Spectrum]:
 
 
 def _gp_spectrum(k: int, q: int) -> Optional[Spectrum]:
+    """k = 1 gives K_q and k = 2 Paley(q), each in its own closed form; a
+    larger k has one only in the semiprimitive case."""
+    if k <= 2:
+        return FAMILIES["complete" if k == 1 else "paley"].spectrum(q)
     try:
         return gp_spectrum(k, q).spectrum
     except ValueError:  # not semiprimitive: no closed form
@@ -430,7 +434,7 @@ def numeric_spectrum(g: Graph) -> Spectrum:
                                 max(NUMERIC_RADIUS, bound + (grp[-1] - grp[0]) / 2)), len(grp))
                for grp in groups]
     entries.reverse()
-    return Spectrum(entries, n=g.n, principal=0)
+    return Spectrum(entries)
 
 
 # -- predicates -------------------------------------------------------------------------
@@ -447,14 +451,14 @@ def spectral_regularity(spec: Spectrum) -> Optional[int]:
     when the graph is irregular.
 
     The average degree is trace(A^2)/n, the sum of m x^2 over the entries
-    divided by n.  The principal eigenvalue is at least the average degree,
-    with equality exactly when the graph is regular (Brouwer-Haemers,
-    *Spectra of Graphs*, section 3.1).
+    divided by n.  The largest eigenvalue, the first value, is at least the
+    average degree, with equality exactly when the graph is regular
+    (Brouwer-Haemers, *Spectra of Graphs*, section 3.1).
     """
     trace = exact_sum([(x * x, m) for x, m in spec.values])
     average = trace.rational_part / spec.n
     if (trace.is_rational and average.denominator == 1
-            and spec.values[spec.principal][0] == average):
+            and spec.values[0][0] == average):
         return int(average)
     return None
 

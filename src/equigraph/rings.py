@@ -129,7 +129,7 @@ def unitary_spectrum(profile: RingProfile) -> Spectrum:
     zero_mult = profile.order - prod(qs)
     if zero_mult:
         eig_mult[0] = eig_mult.get(0, 0) + zero_mult
-    spec = Spectrum(eig_mult.items(), principal_value=units)
+    spec = Spectrum(eig_mult.items())
     assert spec.n == profile.order
     return spec
 

@@ -21,7 +21,6 @@ __all__ = [
     "UncertifiableBranch",
     "Eig",
     "Spectrum",
-    "Approximate",
     "DiscrepancyBreakdown",
     "EquienReport",
     "delta_branch",
@@ -59,10 +58,6 @@ class Eig:
         if radius < 0:
             raise ValueError("radius must be nonnegative")
         return cls(exact=None, value=float(value), radius=float(radius))
-
-    @property
-    def is_exact(self) -> bool:
-        return self.exact is not None
 
     @property
     def lo(self) -> float:
@@ -106,19 +101,20 @@ class Spectrum:
     below walk it once, switching on the value's type.  Equal exact values
     merge and sort in exact order; intervals never merge, sort by float
     value and then radius, and join the exact values by float value, exact
-    first on ties.  ``principal`` is the index of the principal (degree)
-    entry; ``principal_value`` locates it by its exact value instead.
-    A spectrum is not changed after it is built.
+    first on ties.  ``n`` is the sum of the multiplicities.  The first
+    value is read as the degree: the largest eigenvalue of a k-regular
+    graph is k (Brouwer-Haemers, *Spectra of Graphs*, section 3.1).  In a
+    numeric complement an interval a rounding error above the exact degree
+    can sort ahead of it; only the energy of such a spectrum is taken,
+    and that sums every value.  A spectrum is not changed after it is built.
 
     The constructor also takes exact ``Eig``s, Surds and Fractions, which
     it reduces to values, and an int is stored as it is given.
     """
 
-    __slots__ = ("values", "n", "principal", "_entries")
+    __slots__ = ("values", "n", "_entries")
 
-    def __init__(self, values: Iterable[tuple[object, int]], n: Optional[int] = None,
-                 principal: Optional[int] = None, *,
-                 principal_value: Union[Surd, int, Fraction, None] = None):
+    def __init__(self, values: Iterable[tuple[object, int]]):
         exact: dict[Value, int] = {}
         intervals = []
         for x, mult in values:
@@ -141,25 +137,8 @@ class Spectrum:
                     i += 1
                 ordered.append(entry)
             ordered.extend(exact_part[i:])
-        total = sum(m for _, m in ordered)
-        if n is None:
-            n = total
-        elif n != total:
-            raise ValueError(f"multiplicities sum to {total}, expected n={n}")
-        if principal_value is not None:
-            if principal is not None:
-                raise ValueError("give principal or principal_value, not both")
-            target = principal_value if type(principal_value) is int else _value(principal_value)
-            principal = next((i for i, (x, _) in enumerate(ordered) if x == target), None)
-            if principal is None:
-                raise ValueError(f"principal value {principal_value} is not an eigenvalue")
-        elif principal is None:
-            principal = 0
-        if ordered and not 0 <= principal < len(ordered):
-            raise ValueError("principal index out of range")
         self.values = tuple(ordered)
-        self.n = n
-        self.principal = principal
+        self.n = sum(m for _, m in ordered)
         self._entries = None
 
     @property
@@ -170,21 +149,13 @@ class Spectrum:
                                   for x, m in self.values)
         return self._entries
 
-    @property
-    def is_exact(self) -> bool:
-        return all(type(x) is not Eig for x, _ in self.values)
-
-    @property
-    def principal_eig(self) -> Eig:
-        return self.entries[self.principal][0]
-
     def __eq__(self, other):
         if not isinstance(other, Spectrum):
             return NotImplemented
-        return self.n == other.n and self.values == other.values
+        return self.values == other.values
 
     def __hash__(self):
-        return hash((self.n, self.values))
+        return hash(self.values)
 
     def __repr__(self):
         inner = ", ".join(f"[{x}]^{m}" for x, m in self.values)
@@ -197,18 +168,7 @@ class Spectrum:
         for x, mult in self.values:
             value = {"approx": x.value, "radius": x.radius} if type(x) is Eig else str(x)
             entries.append({"value": value, "mult": mult})
-        return {"n": self.n, "entries": entries, "principal": self.principal}
-
-
-@dataclass(frozen=True)
-class Approximate:
-    """An inexact scalar result carrying its accumulated radius."""
-
-    value: float
-    radius: float
-
-    def __float__(self):
-        return self.value
+        return {"n": self.n, "entries": entries, "principal": 0}
 
 
 # -- delta and the discrepancy ------------------------------------------------
@@ -294,16 +254,11 @@ class DiscrepancyBreakdown:
         return self.S + (self.sigma + self.T + self.m0)
 
 
-def _sp_prime(pairs, principal: int) -> list:
-    """Spectrum pairs with exactly one copy of the principal eigenvalue removed."""
-    out = []
-    for i, (x, mult) in enumerate(pairs):
-        if i == principal:
-            if mult > 1:
-                out.append((x, mult - 1))
-        else:
-            out.append((x, mult))
-    return out
+def _sp_prime(pairs: tuple) -> tuple:
+    """Spectrum pairs with exactly one copy of the first value, the degree, removed."""
+    if not pairs or pairs[0][1] == 1:
+        return pairs[1:]
+    return ((pairs[0][0], pairs[0][1] - 1),) + pairs[1:]
 
 
 def discrepancy(s: Spectrum, assume_exact: bool = False) -> DiscrepancyBreakdown:
@@ -315,7 +270,7 @@ def discrepancy(s: Spectrum, assume_exact: bool = False) -> DiscrepancyBreakdown
     """
     sigma = t_count = m0 = 0
     s_terms = []
-    for x, mult in _sp_prime(s.values, s.principal):
+    for x, mult in _sp_prime(s.values):
         if type(x) is int:
             if x:
                 sigma += mult if x > 0 else -mult
@@ -334,9 +289,9 @@ def discrepancy(s: Spectrum, assume_exact: bool = False) -> DiscrepancyBreakdown
     return DiscrepancyBreakdown(sigma=sigma, T=t_count, m0=m0, S=exact_sum(s_terms))
 
 
-def energy(s: Spectrum) -> Union[ExactValue, Approximate]:
+def energy(s: Spectrum) -> Union[ExactValue, Eig]:
     """Sum of |eigenvalue| * multiplicity; exact when every value is exact,
-    and otherwise a float sum whose radius adds up the interval radii."""
+    and otherwise an interval Eig whose radius adds up the interval radii."""
     rational = 0
     surds = []
     for x, mult in s.values:
@@ -349,7 +304,7 @@ def energy(s: Spectrum) -> Union[ExactValue, Approximate]:
     return exact_sum(surds) + rational
 
 
-def _approximate_energy(s: Spectrum) -> Approximate:
+def _approximate_energy(s: Spectrum) -> Eig:
     value = radius = 0.0
     for x, mult in s.values:
         if type(x) is Eig:
@@ -357,7 +312,7 @@ def _approximate_energy(s: Spectrum) -> Approximate:
             radius += x.radius * mult
         else:
             value += abs(float(x)) * mult
-    return Approximate(value=value, radius=radius)
+    return Eig.from_approx(value, radius)
 
 
 def complement_spectrum(s: Spectrum, k: int, loops: bool = False) -> Spectrum:
@@ -365,12 +320,12 @@ def complement_spectrum(s: Spectrum, k: int, loops: bool = False) -> Spectrum:
 
     The loopless complement J - I - A maps eig -> -1 - eig and has degree
     n - k - 1; with loops the complement is J - A, which maps eig -> -eig
-    and has degree n - k.  The degree replaces the principal entry.
+    and has degree n - k.  The degree replaces the first value.
     """
     n = s.n
     degree = n - k if loops else n - k - 1
     values = [(degree, 1)]
-    for x, mult in _sp_prime(s.values, s.principal):
+    for x, mult in _sp_prime(s.values):
         if type(x) is int:
             y = -x if loops else -1 - x
         elif type(x) is Surd:
@@ -378,23 +333,23 @@ def complement_spectrum(s: Spectrum, k: int, loops: bool = False) -> Spectrum:
         else:
             y = Eig.from_approx(-x.value if loops else -1.0 - x.value, x.radius)
         values.append((y, mult))
-    return Spectrum(values, n=n, principal_value=degree)
+    return Spectrum(values)
 
 
 @dataclass(frozen=True)
 class EquienReport:
     equal: bool
     delta: Optional[ExactValue]
-    energy: Union[ExactValue, Approximate]
-    energy_complement: Union[ExactValue, Approximate]
+    energy: Union[ExactValue, Eig]
+    energy_complement: Union[ExactValue, Eig]
     routes_agree: bool
 
 
 def _energies_consistent(equal: bool, e1, e2) -> bool:
     if isinstance(e1, ExactValue) and isinstance(e2, ExactValue):
         return (e1 == e2) == equal
-    v1, r1 = (e1.value, e1.radius) if isinstance(e1, Approximate) else (float(e1), 0.0)
-    v2, r2 = (e2.value, e2.radius) if isinstance(e2, Approximate) else (float(e2), 0.0)
+    v1, r1 = (e1.value, e1.radius) if type(e1) is Eig else (float(e1), 0.0)
+    v2, r2 = (e2.value, e2.radius) if type(e2) is Eig else (float(e2), 0.0)
     overlap = abs(v1 - v2) <= r1 + r2 + 1e-12
     if equal:
         return overlap
@@ -433,5 +388,4 @@ def spectra_match(numeric: Spectrum, exact: Spectrum, tol: float = 1e-7) -> bool
         got = sum(m for y, m in numeric.values if abs(_float(y) - target) <= tol)
         if got != mult:
             return False
-    total = sum(m for _, m in numeric.values)
-    return total == exact.n
+    return True

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -82,11 +82,14 @@ def read_spectrum_json(obj: dict) -> Spectrum:
     for item in obj["entries"]:
         value = item["value"]
         if isinstance(value, str):
-            eig = Eig.from_exact(parse_surd(value))
+            eig = parse_surd(value)
         else:
             eig = Eig.from_approx(value["approx"], value["radius"])
         entries.append((eig, int(item["mult"])))
-    return Spectrum(entries, n=int(obj["n"]), principal=int(obj["principal"]))
+    spec = Spectrum(entries)
+    if (spec.n, 0) != (obj["n"], obj["principal"]):
+        raise ValueError(f"n={obj['n']} and principal={obj['principal']} do not fit {spec!r}")
+    return spec
 
 
 def multiplicative_order(f, x: int) -> int:
@@ -94,9 +97,10 @@ def multiplicative_order(f, x: int) -> int:
     return next(e for e in range(1, f.q) if (f.q - 1) % e == 0 and f.pow(x, e) == 1)
 
 
-def delta_of(x: Eig, assume_exact: bool = False) -> ExactValue:
-    """The piecewise-linear term ``|1 + x| - |x|`` of one eigenvalue."""
-    if x.exact is not None:
+def delta_of(x: Union[Surd, Eig], assume_exact: bool = False) -> ExactValue:
+    """The piecewise-linear term ``|1 + x| - |x|`` of one eigenvalue: a
+    Surd, or an Eig (an exact one is read as its Surd)."""
+    if type(x) is Eig and x.exact is not None:
         x = x.exact
     branch = delta_branch(x, assume_exact)
     if branch == "S":
@@ -104,18 +108,17 @@ def delta_of(x: Eig, assume_exact: bool = False) -> ExactValue:
     return ExactValue.from_rational(-1 if branch == "sigma-" else 1)
 
 
-def generic_exact_route(values: list[tuple[Surd, int]], principal: int, k: int,
-                        loops: bool = False) -> dict:
+def generic_exact_route(values: list[tuple[Surd, int]], k: int, loops: bool = False) -> dict:
     """What ``discrepancy``, ``energy``, ``complement_spectrum`` and
     ``check_equienergetic`` give for an exact spectrum, through the surd
     path alone: one ``delta_branch`` and ``delta_of`` per entry of Sp' and
     ``exact_sum`` over ``Surd``s.
 
-    ``values`` are distinct (Surd, mult) pairs sorted descending, and
-    ``principal`` indexes the degree entry among them.
+    ``values`` are distinct (Surd, mult) pairs sorted descending; the
+    first is the degree.
     """
     n = sum(m for _, m in values)
-    sp = [(x, m - (i == principal)) for i, (x, m) in enumerate(values)]
+    sp = [(x, m - (i == 0)) for i, (x, m) in enumerate(values)]
     sp = [(x, m) for x, m in sp if m]
     counts = {"sigma+": 0, "sigma-": 0, "m0": 0, "T": 0}
     s_terms = []
@@ -126,7 +129,7 @@ def generic_exact_route(values: list[tuple[Surd, int]], principal: int, k: int,
             s_terms.append((x * 2 + 1, m))
         else:
             counts[branch] += m
-        delta_terms += [(d, c * m) for d, c in delta_of(Eig.from_exact(x)).terms]
+        delta_terms += [(d, c * m) for d, c in delta_of(x).terms]
     delta = ExactValue(delta_terms)  # the generic constructor, not ExactValue.__add__
     degree = Surd(n - k if loops else n - k - 1)
     merged = {degree: 1}
@@ -142,6 +145,5 @@ def generic_exact_route(values: list[tuple[Surd, int]], principal: int, k: int,
         "S": exact_sum(s_terms), "delta_total": delta,
         "energy": e_graph, "energy_complement": e_comp,
         "complement": complement,
-        "complement_principal": next(i for i, (y, _) in enumerate(complement) if y == degree),
         "equal": equal, "routes_agree": (e_graph == e_comp) == equal,
     }

@@ -63,3 +63,13 @@ def test_only_spectra_reads_the_entries_view():
                for node in ast.walk(_tree(path))
                if isinstance(node, ast.Attribute) and node.attr == "entries"]
     assert not readers, readers
+
+
+def test_only_spectra_builds_an_exact_eig():
+    # outside spectra.py an exact eigenvalue is an int or a Surd, which the
+    # Spectrum constructor takes as it is
+    calls = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "spectra.py"
+             for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Attribute) and node.attr == "from_exact"]
+    assert not calls, calls

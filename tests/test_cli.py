@@ -32,7 +32,7 @@ def test_spectrum_ring(runner):
     assert values == [("2", 1), ("0", 2), ("-2", 1)]
     # the embedded object is the canonical spectrum wire format
     spec = read_spectrum_json(payload["spectrum"])
-    assert spec.n == 4 and spec.principal == 0
+    assert spec.n == 4 and spec.values[0] == (2, 1)
 
 
 def test_spectrum_from_file(runner, tmp_path):
@@ -188,6 +188,64 @@ def test_check_family_with_a_closed_form_builds_no_graph(runner, monkeypatch):
     assert (tri.exit_code, tri.output) == (1, TRIANGULAR_80)
     rook = runner.invoke(main, ["check", "--family", "lattice", "--n", "120"])
     assert (rook.exit_code, rook.output) == (0, LATTICE_120)
+
+
+GP_1_7 = """command: check
+source: gp(q=7, k=1)
+n: 7
+degree: 6
+equal: False
+delta: -6
+energy: 12
+energy_complement: 0
+routes_agree: True
+provenance: exact closed form
+"""
+
+GP_2_13 = """command: check
+source: gp(q=13, k=2)
+n: 13
+degree: 6
+equal: True
+delta: 0
+energy: 6 + 6*sqrt(13)
+energy_complement: 6 + 6*sqrt(13)
+routes_agree: True
+provenance: exact closed form
+"""
+
+
+@pytest.mark.parametrize("gp_args, expected", [
+    (["--k", "1", "--q", "7"], (1, GP_1_7)),     # K_7
+    (["--k", "2", "--q", "13"], (0, GP_2_13)),   # Paley(13)
+])
+def test_gp_with_k_at_most_two_answers_from_its_closed_form(runner, monkeypatch, gp_args,
+                                                            expected):
+    from equigraph import graphs as G
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a graph was built")
+    monkeypatch.setattr(G, "gen_named", refuse)
+    monkeypatch.setattr(G.Graph, "__init__", refuse)
+    result = runner.invoke(main, ["check", "--family", "gp", *gp_args])
+    assert (result.exit_code, result.output) == expected
+
+
+@pytest.mark.parametrize("gp_args, closed_args", [
+    (["--k", "1", "--q", "2"], ["--family", "complete", "--n", "2"]),
+    (["--k", "1", "--q", "16"], ["--family", "complete", "--n", "16"]),
+    (["--k", "2", "--q", "9"], ["--family", "paley", "--q", "9"]),
+    (["--k", "2", "--q", "125"], ["--family", "paley", "--q", "125"]),
+])
+@pytest.mark.parametrize("command", [["check", "--json"], ["spectrum", "--json"]])
+def test_gp_with_k_at_most_two_reports_as_complete_or_paley(runner, command, gp_args,
+                                                            closed_args):
+    gp = runner.invoke(main, [*command, "--family", "gp", *gp_args])
+    closed = runner.invoke(main, [*command, *closed_args])
+    gp_report, closed_report = json.loads(gp.output), json.loads(closed.output)
+    assert gp_report.pop("source").startswith("gp(")
+    closed_report.pop("source")
+    assert (gp.exit_code, gp_report) == (closed.exit_code, closed_report)
 
 
 @pytest.mark.parametrize("family_args", [

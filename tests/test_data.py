@@ -13,9 +13,9 @@ from equigraph.data import (
     ds_nonconference_params,
     exact_spectrum_of_family,
 )
-from equigraph.exact import ExactValue
+from equigraph.exact import ExactValue, Surd
 from equigraph.graphs import gen_named, numeric_spectrum, regularity, spectral_regularity
-from equigraph.spectra import spectra_match
+from equigraph.spectra import Spectrum, spectra_match
 from equigraph.srg import eigen_data
 
 
@@ -34,7 +34,7 @@ def check_trace_identities(row):
 def test_integral_cubic_rows_consistent(row):
     assert row.spectrum.n == row.n
     check_trace_identities(row)
-    assert float(row.spectrum.principal_eig.exact) == row.k
+    assert row.spectrum.values[0][0] == row.k
 
 
 @pytest.mark.parametrize("row", TABLE_DISTANCE_TRANSITIVE_CUBIC, ids=lambda r: r.name)
@@ -103,6 +103,15 @@ def test_bisect_root_golden():
     assert eig.radius <= 1e-10
     with pytest.raises(ValueError):
         bisect_root([-1, -1, 1], Fraction(3), Fraction(4))
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 3), (-3, -1), (0, 2)])
+def test_bisect_root_returns_a_root_it_hits_as_a_surd(lo, hi):
+    # x^2 - 1 has its root at an endpoint of [1, 3] and [-3, -1], and at the
+    # first midpoint of [0, 2]
+    root = bisect_root([-1, 0, 1], Fraction(lo), Fraction(hi))
+    assert type(root) is Surd and root == Surd(1 if hi > 0 else -1)
+    assert Spectrum([(root, 2)]).values == ((1 if hi > 0 else -1, 2),)
 
 
 def test_biggs_smith_row_intervals():
@@ -196,7 +205,7 @@ def test_closed_forms_agree_with_the_built_graphs(family):
 def test_spectral_regularity_is_not_the_principal_eigenvalue():
     # K_{1,4} has the integer principal eigenvalue 2 but average degree 8/5
     star = exact_spectrum_of_family("complete_bipartite", a=1, b=4)
-    assert star.principal_eig.exact == 2
+    assert star.values[0] == (2, 1)
     assert spectral_regularity(star) is None
     assert spectral_regularity(exact_spectrum_of_family("complete_multipartite", a=1, m=3)) == 0
     assert spectral_regularity(exact_spectrum_of_family("lattice", n=120)) == 238

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equigraph.exact import ExactValue, Surd, exact_sum
+from equigraph.exact import ExactValue, exact_sum
 from equigraph.fields import is_prime_power
 from equigraph.graphs import numeric_spectrum, unitary_cayley_concrete
 from equigraph.rings import (
@@ -234,8 +234,7 @@ def test_unitary_spectrum_matches_masks(profile):
     assert {int(e.exact.a): m for e, m in spec.entries} == want
     values = [e.exact for e, _ in spec.entries]
     assert values == sorted(values, reverse=True)
-    assert spec.principal_eig.exact == Surd(profile.units)
-    assert spec.principal == values.index(Surd(profile.units))
+    assert spec.values[0][0] == profile.units
 
 
 @settings(max_examples=150, deadline=None)

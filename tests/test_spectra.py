@@ -12,7 +12,6 @@ from equigraph import graphs as G
 from equigraph.exact import ExactValue, Surd, exact_sum
 from equigraph.spectra import (
     APPROX_RADIUS_CAP,
-    Approximate,
     Eig,
     Spectrum,
     UncertifiableBranch,
@@ -26,10 +25,6 @@ from equigraph.spectra import (
 from equigraph.spectra import _sp_prime
 
 from oracles import delta_of, generic_exact_route, read_spectrum_json
-
-
-def spec(values, principal=0):
-    return Spectrum(values, principal=principal)
 
 
 # -- delta ---------------------------------------------------------------
@@ -79,7 +74,7 @@ def test_delta_assume_exact_midpoint():
 def test_assume_exact_snaps_within_the_entry_radius():
     # C4 {2, 0^2, -2} with its zero reported at -5e-9 +- 1e-8: the interval
     # holds 0, so the assume-exact verdict must match the exact one
-    exact = spec([(2, 1), (0, 2), (-2, 1)])
+    exact = Spectrum([(2, 1), (0, 2), (-2, 1)])
     approx = Spectrum([(Eig.from_exact(2), 1), (Eig.from_approx(-5e-9, 1e-8), 2),
                        (Eig.from_exact(-2), 1)])
     assert check_equienergetic(exact, k=2).equal
@@ -89,7 +84,7 @@ def test_assume_exact_snaps_within_the_entry_radius():
 # -- discrepancy ----------------------------------------------------------
 
 def test_discrepancy_crown3():
-    s = spec([(2, 1), (1, 2), (-1, 2), (-2, 1)])
+    s = Spectrum([(2, 1), (1, 2), (-1, 2), (-2, 1)])
     b = discrepancy(s)
     assert b.delta_total == ExactValue.from_rational(-1)
     assert (b.sigma, b.T, b.m0) == (-1, 0, 0)
@@ -98,7 +93,7 @@ def test_discrepancy_crown3():
 
 def test_discrepancy_complete_bipartite():
     t = 3
-    s = spec([(t, 1), (0, 2 * t - 2), (-t, 1)])
+    s = Spectrum([(t, 1), (0, 2 * t - 2), (-t, 1)])
     b = discrepancy(s)
     assert b.delta_total == ExactValue.from_rational(b.m0 - 1)
     assert b.delta_total == ExactValue.from_rational(3)
@@ -106,7 +101,7 @@ def test_discrepancy_complete_bipartite():
 
 def test_discrepancy_complete_multipartite():
     a, m = 3, 2
-    s = spec([((a - 1) * m, 1), (0, a * (m - 1)), (-m, a - 1)])
+    s = Spectrum([((a - 1) * m, 1), (0, a * (m - 1)), (-m, a - 1)])
     b = discrepancy(s)
     assert b.delta_total == ExactValue.from_rational(a * m - 2 * a + 1)
     assert b.delta_total == ExactValue.from_rational(1)
@@ -115,7 +110,7 @@ def test_discrepancy_complete_multipartite():
 
 def test_sp_prime_removes_single_copy_of_repeated_principal():
     # Cr(2) = 2K_2 has principal eigenvalue 1 with multiplicity 2
-    s = spec([(1, 2), (-1, 2)])
+    s = Spectrum([(1, 2), (-1, 2)])
     b = discrepancy(s)
     # Sp' = {1, -1, -1}: sigma = 1 - 2 = -1
     assert b.sigma == -1
@@ -125,17 +120,17 @@ def test_sp_prime_removes_single_copy_of_repeated_principal():
 # -- energy ----------------------------------------------------------------
 
 def test_energy_examples():
-    q3 = spec([(3, 1), (1, 3), (-1, 3), (-3, 1)])
+    q3 = Spectrum([(3, 1), (1, 3), (-1, 3), (-3, 1)])
     assert energy(q3) == ExactValue.from_rational(12)
-    prism = spec([(3, 1), (1, 1), (0, 2), (-2, 2)])
+    prism = Spectrum([(3, 1), (1, 1), (0, 2), (-2, 2)])
     assert energy(prism) == ExactValue.from_rational(8)
-    shrikhande = spec([(6, 1), (2, 6), (-2, 9)])
+    shrikhande = Spectrum([(6, 1), (2, 6), (-2, 9)])
     assert energy(shrikhande) == ExactValue.from_rational(36)
 
 
 def test_energy_of_integers_beyond_the_float_range_stays_exact():
     big = 2 ** 1100
-    s = spec([(big, 1), (1, 2), (-big, 1)])
+    s = Spectrum([(big, 1), (1, 2), (-big, 1)])
     assert energy(s) == ExactValue.from_rational(2 * big + 2)
     report = check_equienergetic(s, k=big)
     assert report.delta == ExactValue.from_rational(1)
@@ -147,7 +142,7 @@ def test_energy_interval_for_approx_entries():
                   (Eig.from_exact(3), 1),
                   (Eig.from_exact(-3), 1)])
     e = energy(s)
-    assert isinstance(e, Approximate)
+    assert type(e) is Eig
     assert e.radius == pytest.approx(2e-8)
     assert e.value == pytest.approx(6 + 2 * 2.4494897)
 
@@ -155,44 +150,44 @@ def test_energy_interval_for_approx_entries():
 # -- complement ---------------------------------------------------------------
 
 def test_complement_crown2_gives_c4():
-    cr2 = spec([(1, 2), (-1, 2)])
+    cr2 = Spectrum([(1, 2), (-1, 2)])
     c4 = complement_spectrum(cr2, k=1)
-    assert c4 == spec([(2, 1), (0, 2), (-2, 1)])
+    assert c4 == Spectrum([(2, 1), (0, 2), (-2, 1)])
 
 
 def test_complement_ktt_gives_2kt():
     t = 2
-    ktt = spec([(t, 1), (0, 2 * t - 2), (-t, 1)])
+    ktt = Spectrum([(t, 1), (0, 2 * t - 2), (-t, 1)])
     got = complement_spectrum(ktt, k=t)
-    assert got == spec([(t - 1, 2), (-1, 2 * t - 2)])
+    assert got == Spectrum([(t - 1, 2), (-1, 2 * t - 2)])
 
 
 def test_complement_is_involution():
     samples = [
-        spec([(3, 1), (1, 5), (-2, 4)]),
-        spec([(4, 1), (1, 2), (0, 3), (-2, 1), (-1, 3)]),
-        spec([(2, 1), (Surd(Fraction(-1, 2), Fraction(1, 2), 5), 2),
-              (Surd(Fraction(-1, 2), Fraction(-1, 2), 5), 2)]),
+        Spectrum([(3, 1), (1, 5), (-2, 4)]),
+        Spectrum([(4, 1), (1, 2), (0, 3), (-2, 1), (-1, 3)]),
+        Spectrum([(2, 1), (Surd(Fraction(-1, 2), Fraction(1, 2), 5), 2),
+                  (Surd(Fraction(-1, 2), Fraction(-1, 2), 5), 2)]),
     ]
     for s in samples:
-        k = int(s.principal_eig.exact.a)
+        k = s.values[0][0]
         back = complement_spectrum(complement_spectrum(s, k), s.n - k - 1)
         assert back == s
 
 
 def test_complement_with_loops_negates():
     # J - A of a 2-regular spectrum on 4 vertices: degree 4 - 2 = 2 joins
-    # the negated -2, so the principal entry carries multiplicity 2
-    s = spec([(2, 1), (0, 2), (-2, 1)])
+    # the negated -2, so the first value, the degree, has multiplicity 2
+    s = Spectrum([(2, 1), (0, 2), (-2, 1)])
     got = complement_spectrum(s, k=2, loops=True)
     assert [(eig.exact, m) for eig, m in got.entries] == [(Surd(2), 2), (Surd(0), 2)]
-    assert got.principal_eig.exact == Surd(2)
+    assert got.values == ((2, 2), (0, 2))
 
 
 # -- equienergy check -----------------------------------------------------------
 
 def test_check_q3_equal():
-    q3 = spec([(3, 1), (1, 3), (-1, 3), (-3, 1)])
+    q3 = Spectrum([(3, 1), (1, 3), (-1, 3), (-3, 1)])
     report = check_equienergetic(q3, k=3)
     assert report.equal
     assert report.energy == ExactValue.from_rational(12)
@@ -201,7 +196,7 @@ def test_check_q3_equal():
 
 
 def test_check_k4_not_equal():
-    k4 = spec([(3, 1), (-1, 3)])
+    k4 = Spectrum([(3, 1), (-1, 3)])
     report = check_equienergetic(k4, k=3)
     assert not report.equal
     assert report.delta == ExactValue.from_rational(-3)
@@ -209,7 +204,7 @@ def test_check_k4_not_equal():
 
 
 def test_check_petersen_not_equal():
-    pet = spec([(3, 1), (1, 5), (-2, 4)])
+    pet = Spectrum([(3, 1), (1, 5), (-2, 4)])
     report = check_equienergetic(pet, k=3)
     assert not report.equal
     assert report.routes_agree
@@ -217,13 +212,13 @@ def test_check_petersen_not_equal():
 
 def test_check_agrees_with_direct_energy_comparison():
     samples = [
-        (spec([(3, 1), (1, 3), (-1, 3), (-3, 1)]), 3),
-        (spec([(3, 1), (-1, 3)]), 3),
-        (spec([(3, 1), (1, 5), (-2, 4)]), 3),
-        (spec([(6, 1), (2, 6), (-2, 9)]), 6),
-        (spec([(4, 1), (0, 3), (-2, 2)], principal=0), 4),
-        (spec([(2, 1), (Surd(Fraction(-1, 2), Fraction(1, 2), 5), 2),
-               (Surd(Fraction(-1, 2), Fraction(-1, 2), 5), 2)]), 2),
+        (Spectrum([(3, 1), (1, 3), (-1, 3), (-3, 1)]), 3),
+        (Spectrum([(3, 1), (-1, 3)]), 3),
+        (Spectrum([(3, 1), (1, 5), (-2, 4)]), 3),
+        (Spectrum([(6, 1), (2, 6), (-2, 9)]), 6),
+        (Spectrum([(4, 1), (0, 3), (-2, 2)]), 4),
+        (Spectrum([(2, 1), (Surd(Fraction(-1, 2), Fraction(1, 2), 5), 2),
+                   (Surd(Fraction(-1, 2), Fraction(-1, 2), 5), 2)]), 2),
     ]
     for s, k in samples:
         report = check_equienergetic(s, k=k)
@@ -235,7 +230,7 @@ def test_check_agrees_with_direct_energy_comparison():
 def test_irrational_eigenvalue_in_unit_interval_blocks_equality():
     # witness multiset with 1 - sqrt(2) inside (-1, 0): the linear branch of
     # delta makes the total discrepancy irrational, so equality is impossible
-    witness = spec([(3, 1), (Surd(1, 1, 2), 6), (2, 8), (Surd(1, -1, 2), 6), (-1, 7)])
+    witness = Spectrum([(3, 1), (Surd(1, 1, 2), 6), (2, 8), (Surd(1, -1, 2), 6), (-1, 7)])
     report = check_equienergetic(witness, k=3)
     assert not report.equal
     assert not report.delta.is_rational
@@ -243,11 +238,11 @@ def test_irrational_eigenvalue_in_unit_interval_blocks_equality():
 
 def test_check_with_loops_uses_n_equals_2k():
     # E(A) = k + sum' |x| and E(J - A) = (n - k) + sum' |x|
-    s = spec([(2, 1), (0, 2), (-2, 1)])     # n=4, k=2
+    s = Spectrum([(2, 1), (0, 2), (-2, 1)])     # n=4, k=2
     report = check_equienergetic(s, k=2, loops=True)
     assert report.equal and report.routes_agree
     assert report.energy == report.energy_complement == ExactValue.from_rational(4)
-    s5 = spec([(2, 1), (1, 2), (-1, 1), (-2, 1)])  # n=5, k=2: 5 != 4
+    s5 = Spectrum([(2, 1), (1, 2), (-1, 1), (-2, 1)])  # n=5, k=2: 5 != 4
     report = check_equienergetic(s5, k=2, loops=True)
     assert not report.equal and report.routes_agree
     assert report.energy_complement == ExactValue.from_rational(8)
@@ -271,7 +266,7 @@ def test_spectrum_json_round_trip():
     ])
     back = read_spectrum_json(json.loads(json.dumps(s.to_json_dict())))
     assert back == s
-    assert back.principal == s.principal
+    assert s.to_json_dict()["principal"] == 0
 
 
 # -- the float-sorted, hash-merged constructor against the exact reference ---------
@@ -322,8 +317,8 @@ def _reference_cmp(p, q):
         return -x.exact.compare(y.exact)
     if x.value != y.value:
         return -1 if x.value > y.value else 1
-    if x.is_exact != y.is_exact:
-        return -1 if x.is_exact else 1
+    if (x.exact is None) != (y.exact is None):
+        return -1 if x.exact is not None else 1
     if x.radius != y.radius:
         return -1 if x.radius < y.radius else 1
     return 0
@@ -351,16 +346,6 @@ def _rows(entries):
 @given(_entry_lists)
 def test_spectrum_matches_reference_merge_and_sort(entries):
     assert _rows(Spectrum(entries).entries) == _rows(_reference_entries(entries))
-
-
-@settings(max_examples=200, deadline=None)
-@given(_exact_entry_lists, st.data())
-def test_spectrum_principal_value_matches_index(entries, data):
-    ref = _reference_entries(entries)
-    i = data.draw(st.integers(0, len(ref) - 1))
-    s = Spectrum(entries, principal_value=ref[i][0].exact)
-    assert s.principal == i
-    assert s == Spectrum(entries, principal=i)
 
 
 def test_spectrum_float_ties_use_the_exact_order():
@@ -402,51 +387,35 @@ def test_mixed_spectrum_keeps_exact_entries_in_exact_order_at_a_float_tie():
         assert s.values == ((10 ** 17 + 1, 1), (10 ** 17, 1), (near, 1))
 
 
-def test_spectrum_principal_value_errors():
-    entries = [(Eig.from_exact(2), 1), (Eig.from_exact(-2), 1)]
-    with pytest.raises(ValueError):
-        Spectrum(entries, principal_value=3)
-    with pytest.raises(ValueError):
-        Spectrum(entries, principal=1, principal_value=2)
-    assert Spectrum(entries, principal_value=-2).principal == 1
-
-
 def _reference_complement(s, k, loops):
-    """The former two-step build: construct, then look the degree up and rebuild."""
+    """The former two-step build: construct from Eigs, then merge and sort."""
     n = s.n
     degree = Surd(n - k if loops else n - k - 1)
     new_entries = [(Eig.from_exact(degree), 1)]
-    for eig, mult in _sp_prime(s.entries, s.principal):
+    for eig, mult in _sp_prime(s.entries):
         if eig.exact is not None:
             mapped = -eig.exact if loops else Surd(-1) + -eig.exact
             new_entries.append((Eig.from_exact(mapped), mult))
         else:
             v = -eig.value if loops else -1.0 - eig.value
             new_entries.append((Eig.from_approx(v, eig.radius), mult))
-    ref = _reference_entries(new_entries)
-    principal = next(i for i, (eig, _) in enumerate(ref)
-                     if eig.exact is not None and eig.exact == degree)
-    return ref, principal
+    return _reference_entries(new_entries)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_entry_lists, st.booleans(), st.data())
 def test_complement_single_build_matches_two_step(entries, loops, data):
-    ref = _reference_entries(entries)
-    principal = data.draw(st.integers(0, len(ref) - 1))
-    s = Spectrum(entries, principal=principal)
+    s = Spectrum(entries)
     k = data.draw(st.integers(0, max(0, s.n - 1)))
     got = complement_spectrum(s, k, loops=loops)
-    want, want_principal = _reference_complement(s, k, loops)
-    assert _rows(got.entries) == _rows(want)
-    assert got.principal == want_principal
+    assert _rows(got.entries) == _rows(_reference_complement(s, k, loops))
     assert got.n == s.n
 
 
 def _reference_discrepancy(s):
     sigma = t_count = m0 = 0
     s_terms = ExactValue()
-    for eig, mult in _sp_prime(s.entries, s.principal):
+    for eig, mult in _sp_prime(s.entries):
         v = eig.exact
         if v.compare(Surd(1)) >= 0:
             sigma += mult
@@ -553,7 +522,7 @@ def _reference_delta_of(x, assume_exact):
 def _reference_breakdown(s, assume_exact):
     sigma = t_count = m0 = 0
     s_terms = ExactValue()
-    for eig, mult in _sp_prime(s.entries, s.principal):
+    for eig, mult in _sp_prime(s.entries):
         if eig.exact is not None:
             branch = _reference_exact_branch(eig.exact)
             if branch == "sigma+":
@@ -634,8 +603,7 @@ def _verdict(s, k, loops, assume_exact):
 @settings(max_examples=400, deadline=None)
 @given(_branch_entry_lists, st.booleans(), st.booleans(), st.data())
 def test_discrepancy_and_verdict_match_the_former_rules(entries, assume_exact, loops, data):
-    principal = data.draw(st.integers(0, len(Spectrum(entries).entries) - 1))
-    s = Spectrum(entries, principal=principal)
+    s = Spectrum(entries)
     k = data.draw(st.integers(0, s.n))
     assert _outcome(_breakdown, s, assume_exact) == _outcome(_reference_breakdown, s,
                                                               assume_exact)
@@ -655,7 +623,7 @@ def _reference_energy(s):
         else:
             value += abs(eig.value) * mult
             radius += eig.radius * mult
-    return Approximate(value=value, radius=radius)
+    return Eig.from_approx(value, radius)
 
 
 # spectrum values as the constructor takes them: ints, surds over several
@@ -669,8 +637,7 @@ _mixed_values = st.one_of(st.integers(-4, 4), _mixed_surds, _rationals.map(Surd)
        st.booleans(), st.booleans(), st.data())
 def test_one_loop_consumers_match_the_references_on_mixed_values(values, assume_exact, loops,
                                                                   data):
-    principal = data.draw(st.integers(0, len(Spectrum(values).values) - 1))
-    s = Spectrum(values, principal=principal)
+    s = Spectrum(values)
     k = data.draw(st.integers(0, s.n))
     assert _outcome(_breakdown, s, assume_exact) == _outcome(_reference_breakdown, s,
                                                               assume_exact)
@@ -678,9 +645,8 @@ def test_one_loop_consumers_match_the_references_on_mixed_values(values, assume_
             == _outcome(_reference_verdict, s, k, loops, assume_exact))
     assert energy(s) == _reference_energy(s)
     got = complement_spectrum(s, k, loops=loops)
-    want, want_principal = _reference_complement(s, k, loops)
-    assert _rows(got.entries) == _rows(want)
-    assert (got.principal, got.n) == (want_principal, s.n)
+    assert _rows(got.entries) == _rows(_reference_complement(s, k, loops))
+    assert got.n == s.n
 
 
 def test_delta_refuses_an_interval_wider_than_the_cap():
@@ -745,7 +711,7 @@ def _assert_integral_route_matches(s, k, loops):
     """Every consumer of an all-int ``s.values`` against ``generic_exact_route``."""
     values = [(Surd(x), m) for x, m in s.values]
     assert [(e.exact, e.value, m) for e, m in s.entries] == [(x, float(x), m) for x, m in values]
-    want = generic_exact_route(values, s.principal, k, loops)
+    want = generic_exact_route(values, k, loops)
     b = discrepancy(s)
     assert (b.sigma, b.T, b.m0, b.S, b.delta_total) == tuple(
         want[f] for f in ("sigma", "T", "m0", "S", "delta_total"))
@@ -753,7 +719,7 @@ def _assert_integral_route_matches(s, k, loops):
     c = complement_spectrum(s, k, loops=loops)
     assert [(e.exact, m) for e, m in c.entries] == want["complement"]
     assert c.values == tuple((int(y.a), m) for y, m in want["complement"])
-    assert c.principal == want["complement_principal"] and c.n == s.n
+    assert c.n == s.n
     report = check_equienergetic(s, k, loops=loops)
     assert report.delta == (None if loops else want["delta_total"])
     assert (report.equal, report.energy, report.energy_complement, report.routes_agree) == (
@@ -764,19 +730,19 @@ def _assert_integral_route_matches(s, k, loops):
 @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 4)), max_size=10),
        st.lists(st.integers(1, 3), min_size=3, max_size=3), st.booleans(), st.data())
 def test_integral_view_matches_the_generic_exact_path(extra, unit_mults, loops, data):
-    # 0, -1 and 1 sit at the branch points; the principal may repeat
+    # 0, -1 and 1 sit at the branch points; the degree, the largest value, may repeat
     pairs = list(zip((0, -1, 1), unit_mults)) + extra
     counts: dict[int, int] = {}
     for x, m in pairs:
         counts[x] = counts.get(x, 0) + m
-    degree = data.draw(st.sampled_from(sorted(counts)))
+    degree = max(counts)
     repeat = data.draw(st.integers(0, 2))
     if repeat:
         pairs.append((degree, repeat))
         counts[degree] += repeat
-    s = Spectrum(pairs, principal_value=degree)
+    s = Spectrum(pairs)
     assert s.values == tuple(sorted(counts.items(), reverse=True))
-    assert s.principal_eig.exact == degree
+    assert s.values[0] == (degree, counts[degree])
     k = data.draw(st.integers(0, s.n - 1))
     _assert_integral_route_matches(s, k, loops)
 
@@ -794,9 +760,9 @@ def _value_types(s):
 
 
 def test_integral_view_is_set_exactly_when_every_entry_is_an_integer():
-    assert spec([(Surd(3), 1), (Surd(-1), 3)]).values == ((3, 1), (-1, 3))
-    assert _value_types(spec([(3, 1), (Fraction(-1, 2), 2), (-2, 1)])) == [int, Surd, int]
-    assert _value_types(spec([(2, 1), (Surd(0, 1, 2), 1), (Surd(0, -1, 2), 1)])) == [
+    assert Spectrum([(Surd(3), 1), (Surd(-1), 3)]).values == ((3, 1), (-1, 3))
+    assert _value_types(Spectrum([(3, 1), (Fraction(-1, 2), 2), (-2, 1)])) == [int, Surd, int]
+    assert _value_types(Spectrum([(2, 1), (Surd(0, 1, 2), 1), (Surd(0, -1, 2), 1)])) == [
         int, Surd, Surd]
     approx = Spectrum([(Eig.from_exact(2), 1), (Eig.from_approx(-2.0, 0.0), 1)])
     assert _value_types(approx) == [int, Eig]
@@ -804,29 +770,27 @@ def test_integral_view_is_set_exactly_when_every_entry_is_an_integer():
 
 _LAZY_READERS = {
     "entries": lambda s: s.entries,
-    "principal_eig": lambda s: s.principal_eig,
     "hash": hash,
     "to_json_dict": lambda s: s.to_json_dict(),
     "repr": repr,
 }
 
 
-def _assert_lazy_entries_match(pairs, i):
+def _assert_lazy_entries_match(pairs):
     """``Spectrum(pairs)`` builds no Eig, and its lazily built entries equal
     the eagerly merged and sorted ``(Eig, mult)`` entries of the former
     constructor; so does every reader of them."""
     eig_pairs = [(x if type(x) is Eig else Eig.from_exact(x), m) for x, m in pairs]
-    eigs = Spectrum(eig_pairs, principal=i)
+    eigs = Spectrum(eig_pairs)
     calls = []
     original = Eig.from_exact
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Eig, "from_exact", lambda x: calls.append(x) or original(x))
-        built = Spectrum(pairs, principal=i)
+        built = Spectrum(pairs)
         assert built.values == eigs.values and calls == []
-        assert built.is_exact == all(type(x) is not Eig for x, _ in pairs)
         # each reader is the first to read the entries of a spectrum of its own
         for name, read in _LAZY_READERS.items():
-            assert read(Spectrum(pairs, principal=i)) == read(eigs), name
+            assert read(Spectrum(pairs)) == read(eigs), name
         assert built == eigs and eigs == built
         assert built.entries is built.entries
     assert _rows(built.entries) == _rows(_reference_entries(eig_pairs))
@@ -834,16 +798,138 @@ def _assert_lazy_entries_match(pairs, i):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.integers(-10 ** 18, 10 ** 18) | st.integers(-3, 3),
-                          st.integers(1, 5)), min_size=1, max_size=12), st.data())
-def test_lazy_integral_entries_equal_those_built_from_eigs(pairs, data):
-    i = data.draw(st.integers(0, len({x for x, _ in pairs}) - 1))
-    _assert_lazy_entries_match(pairs, i)
+                          st.integers(1, 5)), min_size=1, max_size=12))
+def test_lazy_integral_entries_equal_those_built_from_eigs(pairs):
+    _assert_lazy_entries_match(pairs)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.one_of(st.integers(-3, 3), _exact_values, _approx_eigs),
-                          st.integers(1, 5)), min_size=1, max_size=12), st.data())
-def test_lazy_entries_of_irrational_and_interval_spectra_equal_the_former_eager_ones(
-        pairs, data):
-    i = data.draw(st.integers(0, len(Spectrum(pairs).values) - 1))
-    _assert_lazy_entries_match(pairs, i)
+                          st.integers(1, 5)), min_size=1, max_size=12))
+def test_lazy_entries_of_irrational_and_interval_spectra_equal_the_former_eager_ones(pairs):
+    _assert_lazy_entries_match(pairs)
+
+
+# -- the first value is the degree --------------------------------------------------
+
+
+def _guard_passes(family, *args):
+    try:
+        G.FAMILIES[family].guard(*args)
+    except ValueError:
+        return False
+    return True
+
+
+# every gp pair with q < 1100 that has a closed form: k = 1 (K_q), k = 2 (Paley(q))
+# and the semiprimitive pairs
+_GP_CLOSED = [(k, q) for q in range(2, 1100) for k in range(1, q)
+              if (q - 1) % k == 0 and _guard_passes("gp", k, q)
+              and G.FAMILIES["gp"].spectrum(k, q) is not None]
+
+# (family, parameter strategy, degree) for every family with a closed form
+_CLOSED_FORMS = [
+    ("crown", st.fixed_dictionaries({"t": st.integers(2, 300)}), lambda t: t - 1),
+    ("cycle", st.fixed_dictionaries({"n": st.integers(3, 6)}), lambda n: 2),
+    ("complete", st.fixed_dictionaries({"n": st.integers(1, 600)}), lambda n: n - 1),
+    ("complete_bipartite", st.integers(1, 300).map(lambda a: {"a": a, "b": a}),
+     lambda a, b: a),
+    ("complete_multipartite",
+     st.fixed_dictionaries({"a": st.integers(1, 40), "m": st.integers(1, 40)}),
+     lambda a, m: (a - 1) * m),
+    ("lattice", st.fixed_dictionaries({"n": st.integers(2, 300)}), lambda n: 2 * (n - 1)),
+    ("triangular", st.fixed_dictionaries({"n": st.integers(4, 300)}), lambda n: 2 * (n - 2)),
+    ("petersen", st.just({}), lambda: 3),
+    ("shrikhande", st.just({}), lambda: 6),
+    ("q3", st.just({}), lambda: 3),
+    ("k3_prism", st.just({}), lambda: 3),
+    ("paley", st.sampled_from([{"q": q} for k, q in _GP_CLOSED if k == 2]),
+     lambda q: (q - 1) // 2),
+    ("gp", st.sampled_from([{"k": k, "q": q} for k, q in _GP_CLOSED]),
+     lambda k, q: (q - 1) // k),
+]
+
+
+def _assert_degree_first(s, k):
+    """The first value of a k-regular spectrum is k, and that of its exact
+    complement is the complement's degree n - k - 1."""
+    assert s.values[0][0] == k
+    assert complement_spectrum(s, k).values[0][0] == s.n - k - 1
+
+
+def test_every_family_has_a_degree_strategy():
+    assert [f for f, _, _ in _CLOSED_FORMS] == list(G.FAMILIES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_every_closed_form_spectrum_starts_with_its_degree(data):
+    family, params, degree = data.draw(st.sampled_from(_CLOSED_FORMS))
+    drawn = data.draw(params)
+    fam, args = G.family_args(family, drawn)
+    s = fam.spectrum(*args)
+    _assert_degree_first(s, degree(*args))
+    assert G.spectral_regularity(s) == degree(*args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([(2, 1), (2, 2), (2, 4), (3, 1), (3, 3), (4, 1), (4, 4),
+                                 (5, 1), (7, 1), (8, 1), (9, 1), (9, 9), (13, 1), (16, 1)]),
+                min_size=1, max_size=6))
+def test_every_unitary_spectrum_starts_with_its_degree(factors):
+    from equigraph.rings import RingProfile, unitary_spectrum
+    profile = RingProfile.of(*factors)
+    _assert_degree_first(unitary_spectrum(profile), profile.units)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(5, 2500))
+def test_every_theorem_tuple_spectrum_starts_with_its_degree(n):
+    from equigraph.srg import spectrum_of, theorem_tuples
+    for p in theorem_tuples(n):
+        _assert_degree_first(spectrum_of(p), p.k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(2, 12).map(G.crown), st.integers(2, 5).map(G.lattice)),
+       st.integers(0, 2 ** 32 - 1))
+def test_every_relabelled_numeric_spectrum_starts_with_its_degree(g, seed):
+    perm = np.random.default_rng(seed).permutation(g.n)
+    s = G.numeric_spectrum(G.Graph(g.adj[np.ix_(perm, perm)]))
+    first = s.values[0][0]
+    assert abs(first.value - G.regularity(g)) <= first.radius
+
+
+def _breakdown_fields(b):
+    return b.sigma, b.T, b.m0, b.S, b.delta_total
+
+
+def test_numeric_complement_with_an_interval_ahead_of_its_degree_keeps_the_discrepancy():
+    # K_{3,3} as the eigensolver may report it, -3 a rounding error low: the
+    # complement 2K_3 gets one copy of its degree 2 as an interval above 2
+    numeric = Spectrum([(Eig.from_approx(3.0, 1e-8), 1), (Eig.from_approx(0.0, 1e-8), 4),
+                        (Eig.from_approx(-3.0 - 4.4e-16, 1e-8), 1)])
+    c = complement_spectrum(numeric, 3)
+    assert type(c.values[0][0]) is Eig and c.values[0][0].value > 2 and c.values[1] == (2, 1)
+    exact = complement_spectrum(Spectrum([(3, 1), (0, 4), (-3, 1)]), 3)
+    assert exact.values[0] == (2, 2)
+    assert _breakdown_fields(discrepancy(c, assume_exact=True)) == _breakdown_fields(
+        discrepancy(exact))
+    assert energy(c).value == pytest.approx(float(energy(exact)))
+
+
+def test_relabelled_numeric_complements_keep_the_exact_discrepancy():
+    from equigraph.data import exact_spectrum_of_family
+    interval_first = 0
+    for a, m in [(2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (6, 5)]:
+        g = G.complete_multipartite(a, m)
+        k = (a - 1) * m
+        exact = complement_spectrum(
+            exact_spectrum_of_family("complete_multipartite", a=a, m=m), k)
+        for seed in range(4):
+            perm = np.random.default_rng(seed).permutation(g.n)
+            c = complement_spectrum(G.numeric_spectrum(G.Graph(g.adj[np.ix_(perm, perm)])), k)
+            interval_first += type(c.values[0][0]) is Eig
+            assert _breakdown_fields(discrepancy(c, assume_exact=True)) == _breakdown_fields(
+                discrepancy(exact)), (a, m, seed)
+    assert interval_first > 0
