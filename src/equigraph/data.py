@@ -65,7 +65,8 @@ def bisect_root(coeffs: list[int], lo: Fraction, hi: Fraction,
         return Surd(hi)
     if (flo > 0) == (fhi > 0):
         raise ValueError("interval does not bracket a root")
-    while hi - lo > Fraction(radius).limit_denominator(10 ** 15):
+    width = Fraction(radius).limit_denominator(10 ** 15)
+    while hi - lo > width:
         mid = (lo + hi) / 2
         fmid = value(mid)
         if fmid == 0:

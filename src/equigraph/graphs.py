@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iter_product
 from math import isqrt
-from typing import Callable, Iterable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
 from .exact import Surd, exact_sum
 from .fields import GF, prime_power_decompose
@@ -21,6 +19,11 @@ from .jacobi import jacobi_eigenvalues
 from .spectra import Eig, Spectrum
 from .srg import (Conference, family_params, gp_spectrum, latin_square_params,
                   spectrum_of, steiner_params)
+
+# numpy is imported inside each function that builds, reads or solves a
+# graph, so that the commands decided in exact arithmetic never load it
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Graph",
@@ -72,6 +75,7 @@ class Graph:
     __slots__ = ("n", "adj", "loops_allowed")
 
     def __init__(self, adj: np.ndarray, loops_allowed: bool = False):
+        import numpy as np
         adj = np.array(adj, dtype=bool)  # a copy, so the caller's array stays writable
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency must be square")
@@ -89,6 +93,7 @@ class Graph:
                    loops_allowed: bool = False) -> "Graph":
         """The graph with the given (u, v) pairs, a sequence of pairs or an
         (m, 2) integer array, as edges."""
+        import numpy as np
         us, vs = np.asarray(edges, dtype=np.intp).reshape(len(edges), 2).T
         adj = np.zeros((n, n), dtype=bool)
         adj[us, vs] = True
@@ -96,6 +101,7 @@ class Graph:
         return cls(adj, loops_allowed=loops_allowed)
 
     def edges(self) -> list[tuple[int, int]]:
+        import numpy as np
         us, vs = np.nonzero(np.triu(self.adj))
         return list(zip(us.tolist(), vs.tolist()))
 
@@ -116,6 +122,7 @@ def cycle(n: int) -> Graph:
 
 
 def complete(n: int) -> Graph:
+    import numpy as np
     FAMILIES["complete"].guard(n)
     adj = np.ones((n, n), dtype=bool)
     np.fill_diagonal(adj, False)
@@ -123,6 +130,7 @@ def complete(n: int) -> Graph:
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
+    import numpy as np
     FAMILIES["complete_bipartite"].guard(a, b)
     adj = np.zeros((a + b, a + b), dtype=bool)
     adj[:a, a:] = True
@@ -132,6 +140,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
 
 def complete_multipartite(a: int, m: int) -> Graph:
     """K_{a x m}: a parts of size m, all cross edges."""
+    import numpy as np
     FAMILIES["complete_multipartite"].guard(a, m)
     n = a * m
     part = np.arange(n) // m
@@ -174,6 +183,7 @@ def shrikhande() -> Graph:
 
 
 def cube_q3() -> Graph:
+    import numpy as np
     adj = np.zeros((8, 8), dtype=bool)
     for x in range(8):
         for bit in range(3):
@@ -190,10 +200,12 @@ def prism_k3() -> Graph:
 
 
 def kronecker(g: Graph, h: Graph) -> Graph:
+    import numpy as np
     return Graph(np.kron(g.adj, h.adj), loops_allowed=g.loops_allowed or h.loops_allowed)
 
 
 def cartesian(g: Graph, h: Graph) -> Graph:
+    import numpy as np
     eg = np.eye(g.n, dtype=bool)
     eh = np.eye(h.n, dtype=bool)
     return Graph(np.kron(g.adj, eh) | np.kron(eg, h.adj))
@@ -202,6 +214,7 @@ def cartesian(g: Graph, h: Graph) -> Graph:
 def line_graph(g: Graph) -> Graph:
     """Edges of g in ``g.edges()`` order, adjacent when they share an endpoint:
     the incidence product B B^T with its diagonal cleared."""
+    import numpy as np
     us, vs = np.nonzero(np.triu(g.adj))
     incidence = np.zeros((len(us), g.n))
     rows = np.arange(len(us))
@@ -214,6 +227,7 @@ def line_graph(g: Graph) -> Graph:
 
 def complement(g: Graph, loops: bool = False) -> Graph:
     """J - A - I normally; J - A (diagonal flipped) when loops=True."""
+    import numpy as np
     adj = ~g.adj
     if not loops:
         np.fill_diagonal(adj, False)
@@ -443,7 +457,7 @@ def numeric_spectrum(g: Graph) -> Spectrum:
 def regularity(g: Graph) -> Optional[int]:
     degs = g.degrees()
     k = int(degs[0]) if g.n else 0
-    return k if np.all(degs == k) else None
+    return k if (degs == k).all() else None
 
 
 def spectral_regularity(spec: Spectrum) -> Optional[int]:
@@ -465,6 +479,7 @@ def spectral_regularity(spec: Spectrum) -> Optional[int]:
 
 def is_bipartite(g: Graph) -> bool:
     """Two-coloring by BFS; purely combinatorial."""
+    import numpy as np
     color = np.full(g.n, -1, dtype=np.int8)
     for start in range(g.n):
         if color[start] != -1:
@@ -508,6 +523,7 @@ def _read_edges(body: str, n: int, loops: bool) -> Optional[np.ndarray]:
     """The (m, 2) edge array of a body in the common shape whose vertices lie
     in [0, n) and which has no loop unless ``loops``; None for any other body,
     which the per-line reader parses or names the bad line of."""
+    import numpy as np
     raw = body.encode()
     if raw.translate(None, _BODY_CHARS):    # UTF-8 encodes non-ASCII as bytes >= 0x80
         return None

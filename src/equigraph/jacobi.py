@@ -65,9 +65,12 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+# numpy is imported inside the two functions that use it, so that
+# importing the package does not load it
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["JacobiConvergenceError", "JacobiResult", "jacobi_eigenvalues"]
 
@@ -95,6 +98,7 @@ def _tridiagonalize(a: np.ndarray, tol: float) -> tuple[list[float], list[float]
     of the column tails dropped and the reflections' rounding bound in
     units of eps (see the module docstring).
     """
+    import numpy as np
     n = a.shape[0]
     e = [0.0] * max(n - 1, 0)
     dropped = 0.0
@@ -193,6 +197,7 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> JacobiResult:
     bound holds for exactly symmetric matrices only, so any other input is
     refused, however small its asymmetry.
     """
+    import numpy as np
     a = np.array(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")

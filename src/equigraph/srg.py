@@ -18,10 +18,11 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional, Union
 
-import numpy as np
-
 from .exact import ExactValue, Surd
 from .spectra import Spectrum
+
+# numpy is imported inside the integer scan, which only the srg-families
+# verify suite runs, so that the exact commands never load it
 
 __all__ = [
     "InfeasibleParams",
@@ -403,6 +404,7 @@ def _primitive_feasible_scan(n: int):
     are generated.  Returns integer arrays (k, d, e) after the
     primitivity masks.
     """
+    import numpy as np
     if n < 5:
         return None
     ks = np.arange(1, n - 1, dtype=np.int64)
@@ -431,6 +433,7 @@ def _primitive_feasible_scan(n: int):
 
 def _equien_scan(n: int) -> list[SrgParams]:
     """Integer equienergy test of one n, independent of the theorem's closed forms."""
+    import numpy as np
     scan = _primitive_feasible_scan(n)
     if scan is None:
         return []

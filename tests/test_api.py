@@ -55,6 +55,35 @@ def test_src_imports_only_the_stdlib_numpy_and_click(path):
     assert not linalg, f"numpy.linalg used at lines {linalg}"
 
 
+def _import_roots(node: ast.Import | ast.ImportFrom) -> set[str]:
+    if isinstance(node, ast.Import):
+        return {a.name.split(".")[0] for a in node.names}
+    return {node.module.split(".")[0]} if node.level == 0 else set()
+
+
+def _imports_run_on_import(node: ast.AST):
+    """The import statements that run when the module is imported: none in
+    a function body, none under ``if TYPE_CHECKING:``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if (isinstance(child, ast.If) and isinstance(child.test, ast.Name)
+                and child.test.id == "TYPE_CHECKING"):
+            continue
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield child
+        yield from _imports_run_on_import(child)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_src_imports_numpy_only_inside_functions(path):
+    # the exact commands build no array, so importing the package must not
+    # load numpy; the functions that build, read or solve a graph import it
+    lines = [node.lineno for node in _imports_run_on_import(_tree(path))
+             if "numpy" in _import_roots(node)]
+    assert not lines, f"numpy imported on import at lines {lines}"
+
+
 def test_only_spectra_reads_the_entries_view():
     # a Spectrum stores one list, ``values``; the ``(Eig, mult)`` view is
     # built on demand for the benchmark references and the tests alone

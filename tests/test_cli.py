@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import equigraph
 from equigraph.cli import main
 from equigraph.exact import TRIAL_DIVISION_MAX
 from equigraph.graphs import petersen
@@ -782,3 +786,58 @@ def test_ring_with_an_ideal_beyond_the_float_range_answers_exactly(runner):
         f"energy_complement: {4 * m - 4}\n"
         "routes_agree: True\n"
         "provenance: exact closed form\n"))
+
+
+EXACT_COMMANDS = [
+    ["check", "--ring", "4:2,9:1", "--json"],
+    ["check", "--srg", "16,6,2,2"],
+    ["classify", "--srg", "25,12,5,6"],
+    ["enumerate", "--n-max", "100", "--csv"],
+    ["rings-search", "--s", "3", "--qmax", "8"],
+    ["check", "--family", "crown", "--t", "5"],
+    ["spectrum", "--family", "paley", "--q", "13"],
+]
+
+# runs each argv through the CLI in-process and prints, as JSON, the exit
+# codes and output sizes, whether numpy was loaded after the exact commands
+# and after the file command, and the package modules loaded
+_FRESH_INTERPRETER = """
+import contextlib, io, json, sys
+import equigraph.cli
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = equigraph.cli.main.main(args=argv, standalone_mode=False) or 0
+        except SystemExit as exc:
+            code = exc.code
+    return [code, len(out.getvalue())]
+
+exact, graph_file = json.loads(sys.argv[1])
+report = {"exact": [run(argv) for argv in exact], "numpy_exact": "numpy" in sys.modules}
+report["file"] = run(graph_file)
+report["numpy_file"] = "numpy" in sys.modules
+report["modules"] = sorted(m for m in sys.modules if m.startswith("equigraph."))
+print(json.dumps(report))
+"""
+
+
+def test_exact_commands_never_load_numpy(tmp_path):
+    path = tmp_path / "petersen.g"
+    path.write_text(write_graph(petersen()))
+    src = str(Path(equigraph.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = json.dumps([EXACT_COMMANDS, ["check", "--file", str(path)]])
+    proc = subprocess.run([sys.executable, "-c", _FRESH_INTERPRETER, argv], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    report = json.loads(proc.stdout)
+    assert [code for code, _ in report["exact"]] == [1, 0, 0, 0, 0, 0, 0]
+    assert all(size for _, size in report["exact"])
+    assert not report["numpy_exact"]
+    assert {f"equigraph.{m}" for m in ("cli", "srg", "exact", "spectra", "rings", "jacobi",
+                                        "graphs")} <= set(report["modules"])
+    # Petersen is not equienergetic with its complement: answered, exit 1
+    assert report["file"][0] == 1 and report["file"][1]
+    assert report["numpy_file"]
