@@ -22,7 +22,6 @@ from typing import Optional
 
 import click
 
-from . import data as D
 from . import graphs as G
 from . import rings as R
 from . import srg as S
@@ -39,6 +38,8 @@ from .verify import SUITES, run_suite
 # the two format flags share the destination ``fmt``; without either it is None
 JSON_FLAG = click.option("--json", "fmt", flag_value="json", help="emit JSON")
 CSV_FLAG = click.option("--csv", "fmt", flag_value="csv", help="emit CSV")
+ASSUME_EXACT_FLAG = click.option("--assume-exact", is_flag=True,
+                                 help="trust interval midpoints at delta branch points")
 
 
 def _render_value(v) -> object:
@@ -49,9 +50,20 @@ def _render_value(v) -> object:
     return v
 
 
+def _csv_text(header: list, rows) -> str:
+    """The header row, unless it is None, then the rows, as csv writes them
+    (each line ends in CRLF)."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    if header is not None:
+        writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
 def _emit(report: dict, fmt: Optional[str]):
     if fmt == "json":
-        click.echo(json.dumps(report, indent=2, sort_keys=False))
+        click.echo(json.dumps(report, indent=2))
         return
     for key, value in report.items():
         if key == "spectrum" and isinstance(value, dict):
@@ -143,17 +155,6 @@ def _parse_srg(text: str, derive):
         raise SourceError(f"bad srg tuple {text!r}: {exc}")
 
 
-def _build_within_cap(family: str, params: dict) -> G.Graph:
-    """A family without a closed form, built only once its vertex count is
-    within the eigensolver cap: a larger n x n array may not fit in memory."""
-    fam, args = G.family_args(family, params)
-    try:
-        G._check_eigen_cap(fam.order(*args))
-    except ValueError as exc:
-        raise SourceError(str(exc))
-    return fam.build(*args)
-
-
 def _load_source(family: Optional[str], file: Optional[str], ring: Optional[str],
                  srg: Optional[str], params: dict):
     """Resolve the graph source options to (label, spectrum, k, exact, loops).
@@ -168,10 +169,19 @@ def _load_source(family: Optional[str], file: Optional[str], ring: Optional[str]
         raise SourceError("provide exactly one of --family, --file, --ring, --srg")
     if family:
         try:
-            exact = D.exact_spectrum_of_family(family, **params)  # runs the family's guard
+            fam, args = G.family_args(family, params)
+            fam.guard(*args)
+            exact = fam.spectrum(*args)
         except ValueError as exc:  # InfeasibleParams included
             raise SourceError(f"family {family} with {params}: {exc}")
-        graph = _build_within_cap(family, params) if exact is None else None
+        if exact is None:
+            # built only within the eigensolver cap: a larger n x n array
+            # may not fit in memory
+            try:
+                G._check_eigen_cap(fam.order(*args))
+            except ValueError as exc:
+                raise SourceError(str(exc))
+            graph = fam.build(*args)
         k = G.regularity(graph) if exact is None else G.spectral_regularity(exact)
         if k is None:
             raise SourceError(f"family {family} with {params} is not regular")
@@ -217,8 +227,7 @@ def main():
 @main.command(context_settings=FAMILY_ARGS, epilog=FAMILY_EPILOG)
 @click.pass_context
 @_source_options
-@click.option("--assume-exact", is_flag=True,
-              help="trust interval midpoints at delta branch points")
+@ASSUME_EXACT_FLAG
 @JSON_FLAG
 @CSV_FLAG
 def spectrum(ctx, family, file, ring, srg, assume_exact, fmt):
@@ -251,14 +260,9 @@ def spectrum(ctx, family, file, ring, srg, assume_exact, fmt):
         except UncertifiableBranch as exc:
             report["discrepancy"] = f"uncertifiable: {exc}"
     if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(["value", "mult"])
-        for entry in report["spectrum"]["entries"]:
-            value = entry["value"]
-            writer.writerow([value if isinstance(value, str) else value["approx"],
-                             entry["mult"]])
-        click.echo(out.getvalue().rstrip("\n"))
+        rows = [[e["value"] if isinstance(e["value"], str) else e["value"]["approx"],
+                 e["mult"]] for e in report["spectrum"]["entries"]]
+        click.echo(_csv_text(["value", "mult"], rows), nl=False)
         return
     _emit(report, fmt)
 
@@ -266,8 +270,7 @@ def spectrum(ctx, family, file, ring, srg, assume_exact, fmt):
 @main.command(context_settings=FAMILY_ARGS, epilog=FAMILY_EPILOG)
 @click.pass_context
 @_source_options
-@click.option("--assume-exact", is_flag=True,
-              help="trust interval midpoints at delta branch points")
+@ASSUME_EXACT_FLAG
 @JSON_FLAG
 def check(ctx, family, file, ring, srg, assume_exact, fmt):
     """Equienergy verdict for a graph against its complement.
@@ -348,15 +351,6 @@ def _enumerate_rows(bounds: tuple[int, int]) -> list[dict]:
 ENUM_COLUMNS = ["n", "k", "e", "d", "class", "alpha", "r", "s", "m_r", "m_s", "energy", "oa"]
 
 
-def _csv_text(rows: list[dict], header: bool = False) -> str:
-    out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=ENUM_COLUMNS)
-    if header:
-        writer.writeheader()
-    writer.writerows(rows)
-    return out.getvalue()
-
-
 @main.command()
 @click.option("--n-max", type=click.IntRange(max=S.ENUMERATION_CAP), required=True,
               help="largest vertex count")
@@ -377,12 +371,12 @@ def enumerate(n_max, jobs, fmt):
             parts = map(_enumerate_rows, shards)
         if fmt == "json":
             rows = [row for part in parts for row in part]
-            click.echo(json.dumps({"command": "enumerate", "n_max": n_max, "rows": rows},
-                                  indent=2))
+            _emit({"command": "enumerate", "n_max": n_max, "rows": rows}, fmt)
             return
-        click.echo(_csv_text([], header=True), nl=False)
+        click.echo(_csv_text(ENUM_COLUMNS, []), nl=False)
         for part in parts:
-            click.echo(_csv_text(part), nl=False)
+            click.echo(_csv_text(None, ([row[c] for c in ENUM_COLUMNS] for row in part)),
+                       nl=False)
 
 
 @main.command("rings-search")
@@ -403,12 +397,7 @@ def rings_search(s_factors, qmax, fmt):
         "solutions": [list(t) for t in hits],
     }
     if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow([f"q{i + 1}" for i in range(s_factors)])
-        for t in hits:
-            writer.writerow(list(t))
-        click.echo(out.getvalue().rstrip("\n"))
+        click.echo(_csv_text([f"q{i + 1}" for i in range(s_factors)], hits), nl=False)
         return
     _emit(payload, fmt)
 
@@ -420,14 +409,9 @@ def verify(suite, fmt):
     """Run one verification suite; nonzero exit when any claim fails."""
     results = run_suite(suite)
     if fmt == "json":
-        click.echo(json.dumps({
-            "command": "verify",
-            "suite": suite,
-            "results": [
-                {"claim": r.claim, "passed": r.passed, "details": r.details}
-                for r in results
-            ],
-        }, indent=2))
+        _emit({"command": "verify", "suite": suite, "results": [
+            {"claim": r.claim, "passed": r.passed, "details": r.details} for r in results]},
+            fmt)
     else:
         for r in results:
             mark = "PASS" if r.passed else "FAIL"

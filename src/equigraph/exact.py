@@ -18,6 +18,7 @@ arbitrary precision.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Union
 
 RationalLike = Union[int, Fraction]
@@ -44,14 +45,24 @@ def _surd_sign(a: Fraction, b: Fraction, d: int) -> int:
     return sa * _sign((a * a - b * b * d).numerator)
 
 
-# trial division up to sqrt(n) takes about a second at this bound
+# trial division up to sqrt(n) takes about 0.3 s at this bound
 TRIAL_DIVISION_MAX = 10 ** 14
 
 
-def check_trial_division(n: int) -> None:
-    """Refuse an argument that trial division could not factor in time."""
+def smallest_prime_factor(n: int, start: int = 2) -> int:
+    """The least prime factor of ``n >= 2``, by trial division from ``start``;
+    ``n`` has no factor below ``start``.  Returns ``n`` when it is prime.
+
+    Raises ValueError above the trial-division bound.
+    """
     if n > TRIAL_DIVISION_MAX:
         raise ValueError(f"{n} is above the trial-division bound {TRIAL_DIVISION_MAX}")
+    if start <= 2 and n % 2 == 0:
+        return 2
+    for p in range(max(start, 3) | 1, isqrt(n) + 1, 2):
+        if n % p == 0:
+            return p
+    return n
 
 
 def squarefree_decompose(d: int) -> tuple[int, int]:
@@ -61,17 +72,19 @@ def squarefree_decompose(d: int) -> tuple[int, int]:
     """
     if d < 0:
         raise ValueError("radicand must be nonnegative")
-    check_trial_division(d)
-    if d in (0, 1):
-        return 1, d
-    f = 1
-    s = d
+    if d == 0:
+        return 1, 0
+    f = s = 1
     p = 2
-    while p * p <= s:
-        while s % (p * p) == 0:
-            s //= p * p
-            f *= p
-        p += 1 if p == 2 else 2
+    while d > 1:
+        p = smallest_prime_factor(d, p)
+        e = 0
+        while d % p == 0:
+            d //= p
+            e += 1
+        f *= p ** (e // 2)
+        if e % 2:
+            s *= p
     return f, s
 
 
@@ -136,11 +149,14 @@ class Surd:
         return f"Surd({self})"
 
     def __str__(self) -> str:
-        return format_surd(self)
+        return _format_terms(((1, self.a), (self.d, self.b)))
 
     def __hash__(self):
-        # canonical form: equal surds have equal numerators and denominators
+        # canonical form: equal surds have equal numerators and denominators;
+        # a rational surd equals its Fraction, so it hashes as one
         a, b = self.a, self.b
+        if not b:
+            return hash(a)
         return hash((a.numerator, a.denominator, b.numerator, b.denominator, self.d))
 
     def __float__(self) -> float:
@@ -242,20 +258,26 @@ class Surd:
 
 # -- text rendering --------------------------------------------------------
 
-def _format_fraction(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def _format_terms(terms: Iterable[tuple[int, Fraction]]) -> str:
+    """``c1*sqrt(d1) + c2*sqrt(d2) ...`` over (d, c) pairs in their order,
+    with d == 1 for the rational part; zero terms are left out."""
+    parts = []
+    for d, c in terms:
+        # int arithmetic on the parts: Fraction's own abs and comparisons
+        # cost more than the rest of the rendering
+        num, den = c.numerator, c.denominator
+        if not num:
+            continue
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        piece = mag if d == 1 else f"sqrt({d})" if mag == "1" else f"{mag}*sqrt({d})"
+        if parts:
+            parts.append(("- " if num < 0 else "+ ") + piece)
+        else:
+            parts.append("-" + piece if num < 0 else piece)
+    return " ".join(parts) or "0"
 
 
-def format_surd(s: Surd) -> str:
-    if s.b == 0:
-        return _format_fraction(s.a)
-    root = f"sqrt({s.d})"
-    babs = abs(s.b)
-    bpart = root if babs == 1 else f"{_format_fraction(babs)}*{root}"
-    if s.a == 0:
-        return bpart if s.b > 0 else f"-{bpart}"
-    op = "+" if s.b > 0 else "-"
-    return f"{_format_fraction(s.a)} {op} {bpart}"
+format_surd = Surd.__str__
 
 
 # -- multi-radicand sums ----------------------------------------------------
@@ -313,27 +335,11 @@ class ExactValue:
         return f"ExactValue({self})"
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        # each term as format_surd renders it; the radicands are already
-        # squarefree, so no Surd is built
-        parts = []
-        for d, c in self._terms:
-            mag = abs(c)
-            if d == 1:
-                piece = _format_fraction(mag)
-            elif mag == 1:
-                piece = f"sqrt({d})"
-            else:
-                piece = f"{_format_fraction(mag)}*sqrt({d})"
-            if parts:
-                parts.append(("+ " if c > 0 else "- ") + piece)
-            else:
-                parts.append(piece if c > 0 else "-" + piece)
-        return " ".join(parts)
+        return _format_terms(self._terms)
 
     def __hash__(self):
-        return hash(self._terms)
+        # a rational value equals its Fraction, so it hashes as one
+        return hash(self.rational_part) if self.is_rational else hash(self._terms)
 
     def __float__(self) -> float:
         return sum((float(c) * (d ** 0.5) for d, c in self._terms), 0.0)

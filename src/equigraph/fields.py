@@ -9,26 +9,13 @@ used, so element labels are identical across runs either way.
 
 from __future__ import annotations
 
-from math import isqrt
-
-from .exact import check_trial_division
+from .exact import smallest_prime_factor
 
 __all__ = ["GF", "is_prime", "prime_power_decompose", "is_prime_power"]
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and smallest_prime_factor(n) == n
 
 
 def prime_power_decompose(q: int):
@@ -38,16 +25,12 @@ def prime_power_decompose(q: int):
     """
     if q < 2:
         return None
-    check_trial_division(q)
-    for p in range(2, isqrt(q) + 1):
-        if q % p == 0:
-            m = 0
-            t = q
-            while t % p == 0:
-                t //= p
-                m += 1
-            return (p, m) if t == 1 else None
-    return (q, 1)
+    p = smallest_prime_factor(q)
+    m = 0
+    while q % p == 0:
+        q //= p
+        m += 1
+    return (p, m) if q == 1 else None
 
 
 def is_prime_power(q: int) -> bool:

@@ -177,10 +177,29 @@ def _ds_nonconference_failures() -> list[str]:
     return fails
 
 
+def _primitive(make, *args) -> S.SrgParams | None:
+    """``make(*args)`` when it is a feasible primitive tuple, else None."""
+    try:
+        p = make(*args)
+        if p is None or not S.is_primitive(p):
+            return None
+        S.eigen_data(p)  # raises for an infeasible tuple
+    except S.InfeasibleParams:
+        return None
+    return p
+
+
+def _misses(cases) -> list:
+    """The labels, in case order, of the (label, tuple, expected) cases whose
+    tuple's equienergy condition is not the expected verdict; a None tuple
+    is skipped."""
+    return [label for label, p, expected in cases
+            if p is not None and S.equien_condition(p) != expected]
+
+
 def _lattice_failures() -> list[int]:
     """n in [3,50] whose lattice tuple L2(n) fails the equienergy condition."""
-    return [n for n in range(3, 51)
-            if not S.equien_condition(S.latin_square_params(2, n))]
+    return _misses((n, S.latin_square_params(2, n), True) for n in range(3, 51))
 
 
 def _multipartite_failures(m_max: int) -> list[str]:
@@ -196,8 +215,7 @@ def _multipartite_failures(m_max: int) -> list[str]:
 
 def _triangular_failures() -> list[int]:
     """n in [5,50] whose triangular tuple T(n) passes the equienergy condition."""
-    return [n for n in range(5, 51)
-            if S.equien_condition(S.steiner_params(2, n - 2))]
+    return _misses((n, S.steiner_params(2, n - 2), False) for n in range(5, 51))
 
 
 def _oracle_direct_energy(n_max: int) -> set[S.SrgParams]:
@@ -288,47 +306,21 @@ def verify_family_sweeps() -> list[CheckResult]:
     results.append(_all("triangular tuples fail for n in [5,50]",
                         [f"n={n}" for n in _triangular_failures()]))
 
-    steiner_fail = []
-    for m in range(2, 9):
-        for n in range(1, 31):
-            try:
-                p = S.steiner_params(m, n)
-                S.eigen_data(p)
-            except S.InfeasibleParams:
-                continue
-            if not S.is_primitive(p):
-                continue
-            if S.equien_condition(p):
-                steiner_fail.append(f"(m={m},n={n})")
+    steiner_fail = _misses((f"(m={m},n={n})", _primitive(S.steiner_params, m, n), False)
+                           for m in range(2, 9) for n in range(1, 31))
     results.append(_all("Steiner block-graph tuples fail (m in [2,8], feasible n <= 30)",
                         steiner_fail))
 
-    ls_fail = []
-    for m in range(2, 11):
-        for n in range(m + 2, 41):
-            try:
-                p = S.latin_square_params(m, n)
-            except S.InfeasibleParams:
-                continue
-            if not S.is_primitive(p):
-                continue
-            if not S.equien_condition(p):
-                ls_fail.append(f"(m={m},n={n})")
+    ls_fail = _misses((f"(m={m},n={n})", _primitive(S.latin_square_params, m, n), True)
+                      for m in range(2, 11) for n in range(m + 2, 41))
     results.append(_all("Latin-square tuples pass whenever primitive "
                         "(m in [2,10], n in [m+2,40])", ls_fail))
 
-    moore_fail = []
-    for p, name in D.MOORE_TUPLES:
-        verdict = S.equien_condition(p)
-        if name == "pentagon":
-            if not verdict:
-                moore_fail.append(name)
-        elif verdict:
-            moore_fail.append(name)
+    moore_fail = _misses((name, p, name == "pentagon") for p, name in D.MOORE_TUPLES)
     results.append(_all("Moore tuples fail (pentagon alone is self-complementary)",
                         moore_fail))
 
-    tf_fail = [name for p, name in D.TRIANGLE_FREE_SPORADIC if S.equien_condition(p)]
+    tf_fail = _misses((name, p, False) for p, name in D.TRIANGLE_FREE_SPORADIC)
     results.append(_all("triangle-free sporadic tuples fail", tf_fail))
 
     results.append(_all("all 14 spectrally-determined sporadic tuples fail with "
@@ -378,14 +370,8 @@ def verify_cameron() -> list[CheckResult]:
         nl_fail, f"{len(nl_hits)} diagonal tuples",
     ))
 
-    smith_hits = []
-    for r in range(1, 21):
-        for s in range(-20, -1):
-            p = S.smith_params(r, s)
-            if p is None or not S.is_primitive(p):
-                continue
-            if S.equien_condition(p):
-                smith_hits.append(str(p))
+    smith_hits = _misses((str(p), p, False) for r in range(1, 21) for s in range(-20, -1)
+                         for p in [_primitive(S.smith_params, r, s)])
     results.append(_all("integral Smith tuples never pass the equienergy condition "
                         "(r in [1,20], s in [-20,-2])", smith_hits))
 

@@ -3,9 +3,9 @@
 Each one is written without the package's algebra where it can be: srg
 parameters from common-neighbour counts, isospectrality from LAPACK,
 surds parsed back from their canonical text, multiplicative orders by
-trying every divisor of q - 1.  The exception is the generic exact
-route, which is the surd path itself, kept as the reference for the
-int values that bypass it.
+trying every divisor of q - 1, factorizations from a sieve.  The
+exception is the generic exact route, which is the surd path itself,
+kept as the reference for the int values that bypass it.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cmp_to_key
+from math import isqrt
 from typing import Optional, Union
 
 import numpy as np
@@ -95,6 +96,47 @@ def read_spectrum_json(obj: dict) -> Spectrum:
 def multiplicative_order(f, x: int) -> int:
     """The order of x != 0 in the multiplicative group of the field f."""
     return next(e for e in range(1, f.q) if (f.q - 1) % e == 0 and f.pow(x, e) == 1)
+
+
+def _smallest_prime_factors(m: int) -> np.ndarray:
+    """A sieve: entry i is the least prime factor of 2 <= i < m."""
+    spf = np.zeros(m, dtype=np.int64)
+    for p in range(2, isqrt(m - 1) + 1):
+        if not spf[p]:
+            multiples = spf[p * p::p]
+            multiples[multiples == 0] = p
+    primes = np.flatnonzero(spf == 0)
+    spf[primes] = primes
+    return spf
+
+
+_SPF = _smallest_prime_factors(10 ** 5)
+_PRIMES = np.flatnonzero(_SPF == np.arange(_SPF.size))[2:]  # 0 and 1 are not primes
+
+
+def factorize(n: int) -> dict[int, int]:
+    """The prime factorization {p: e} of 1 <= n < 10**10, in increasing p.
+
+    Below 10**5 it walks the sieve.  Above, every prime below 10**5 that
+    divides n is found at once; what is left after dividing them out has no
+    factor up to its square root, so it is 1 or a prime.
+    """
+    if not 1 <= n < 10 ** 10:
+        raise ValueError(f"{n} is outside [1, 10**10)")
+    factors: dict[int, int] = {}
+    if n < _SPF.size:
+        while n > 1:
+            p = int(_SPF[n])
+            n //= p
+            factors[p] = factors.get(p, 0) + 1
+        return factors
+    for p in _PRIMES[n % _PRIMES == 0].tolist():
+        while n % p == 0:
+            n //= p
+            factors[p] = factors.get(p, 0) + 1
+    if n > 1:
+        factors[n] = 1
+    return factors
 
 
 def delta_of(x: Union[Surd, Eig], assume_exact: bool = False) -> ExactValue:

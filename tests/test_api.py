@@ -102,3 +102,14 @@ def test_only_spectra_builds_an_exact_eig():
              for node in ast.walk(_tree(path))
              if isinstance(node, ast.Attribute) and node.attr == "from_exact"]
     assert not calls, calls
+
+
+def test_cli_writes_json_and_csv_in_one_place_each():
+    # every command's JSON goes through one json.dumps and its CSV through
+    # one csv.writer, so the formats cannot drift apart between commands
+    calls = [ast.unparse(node.func) for node in ast.walk(_tree(SRC / "cli.py"))
+             if isinstance(node, ast.Call)]
+    dict_writers = [node.lineno for node in ast.walk(_tree(SRC / "cli.py"))
+                    if isinstance(node, ast.Attribute) and node.attr == "DictWriter"]
+    assert (calls.count("json.dumps"), calls.count("csv.writer")) == (1, 1)
+    assert not dict_writers, dict_writers

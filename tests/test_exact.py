@@ -1,6 +1,7 @@
 import random
+import time
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equigraph import exact as exact_module
-from equigraph.exact import ExactValue, Surd, exact_sum, format_surd
+from equigraph.exact import ExactValue, Surd, exact_sum, format_surd, squarefree_decompose
+from equigraph.fields import is_prime, prime_power_decompose
 
-from oracles import parse_surd
+from oracles import factorize, parse_surd
 
 RADICANDS = [1, 2, 3, 5, 6, 7, 13, 17]
 
@@ -297,3 +299,48 @@ def test_cross_radicand_compare_builds_no_surd_and_factors_nothing(pair):
         got = x.compare(y), y.compare(x)
     assert calls == []
     assert got == (_reference_compare(x, y), _reference_compare(y, x))
+
+
+# -- hashing agrees with equality --------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(-10 ** 12, 10 ** 12),
+                 st.fractions(max_denominator=10 ** 6)))
+def test_a_rational_value_hashes_as_the_number_it_equals(q):
+    values = [Surd(q), Surd(0, q, 4) * Fraction(1, 2), ExactValue.from_rational(q),
+              ExactValue([(9, Fraction(q, 3))])]
+    for value in values:
+        assert value == q and hash(value) == hash(q)
+        assert len({value, q}) == 1 and len({q, value}) == 1
+
+
+# -- factoring against a sieve ------------------------------------------------------
+
+
+def _reference_factoring(n: int):
+    factors = factorize(n)
+    square = prod(p ** (e // 2) for p, e in factors.items())
+    free = prod(p for p, e in factors.items() if e % 2)
+    power = next(iter(factors.items())) if len(factors) == 1 else None
+    return (square, free), power, power is not None and power[1] == 1
+
+
+def test_factoring_matches_the_sieve_reference():
+    rng = random.Random(20)
+    ns = [*range(1, 30_000), *(rng.randrange(30_000, 10 ** 10) for _ in range(3_000))]
+    wrong = [n for n in ns if (squarefree_decompose(n), prime_power_decompose(n),
+                               is_prime(n)) != _reference_factoring(n)]
+    assert not wrong
+
+
+@pytest.mark.parametrize("n", [
+    2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37,
+    5 * 13 * 17 * 29 * 37 * 41 * 53 * 61 * 73,
+])
+def test_a_smooth_squarefree_radicand_factors_at_once(n):
+    # each prime found is divided out, so the search stops at the square
+    # root of what is left, not of n
+    start = time.perf_counter()
+    assert squarefree_decompose(n) == (1, n)
+    assert time.perf_counter() - start < 0.1
