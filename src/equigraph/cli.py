@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -85,57 +86,33 @@ def _emit(report: dict, fmt: Optional[str]):
 
 _FAMILY_PARAM_NAMES = tuple(dict.fromkeys(p for fam in G.FAMILIES.values() for p in fam.params))
 
-# The family parameters are not Click options: Click's cost per call grows
-# with each registered option, and a source command takes only the few
-# that its family names.  Click leaves them in ctx.args for _family_params.
+# The family parameters are not options of the registered commands: Click's
+# cost per call grows with each registered option, and a source command takes
+# only the few that its family names.  Click leaves them in ctx.args, and
+# _family_params parses those with a copy of the command that registers them.
 FAMILY_ARGS = {"ignore_unknown_options": True, "allow_extra_args": True}
 FAMILY_EPILOG = "\b\nFamily parameters (integers) and the families that take them:\n" + "\n".join(
     f"  --{name} N  {', '.join(f for f, fam in G.FAMILIES.items() if name in fam.params)}"
     for name in _FAMILY_PARAM_NAMES)
 
 
-def _family_params(ctx: click.Context) -> dict:
-    """The family parameters among the arguments Click left in ``ctx.args``.
+@functools.cache
+def _with_family_options(command: click.Command) -> click.Command:
+    return click.Command(command.name, params=[*command.params, *(
+        click.Option([f"--{name}"], type=int) for name in _FAMILY_PARAM_NAMES)])
 
-    Takes ``--t 5`` and ``--t=5``; the last copy of a repeated option wins.
-    The dict is in ``_FAMILY_PARAM_NAMES`` order.  Errors are the Click
-    exceptions, with Click's text, that the parameters raised when they
-    were Click options: an unknown option, a missing value, a value that
-    is not an integer (checked in order of first appearance, once every
-    option is read), then a stray positional argument.
-    """
-    raw: dict[str, str] = {}
-    extra = []
-    args = iter(ctx.args)
-    for arg in args:
-        if arg[:1] != "-" or len(arg) == 1:
-            extra.append(arg)
-            continue
-        opt, eq, value = arg.partition("=")
-        if opt[:2] != "--":
-            raise click.NoSuchOption(arg[:2], ctx=ctx)
-        name = opt[2:]
-        if name not in _FAMILY_PARAM_NAMES:
-            known = [o for p in ctx.command.get_params(ctx)
-                     for o in (*p.opts, *p.secondary_opts) if o[:2] == "--"]
-            raise click.NoSuchOption(opt, ctx=ctx, possibilities=known + [
-                f"--{n}" for n in _FAMILY_PARAM_NAMES])
-        if not eq:
-            value = next(args, None)
-            if value is None:  # Click printed this one without usage lines
-                raise SourceError(f"Option {opt!r} requires an argument.")
-        raw[name] = value
-    params = {}
-    for name, value in raw.items():
-        try:
-            params[name] = int(value)
-        except ValueError:
-            raise click.BadParameter(f"{value!r} is not a valid integer.", ctx,
-                                     param_hint=f"'--{name}'")
-    if extra:
-        s = "" if len(extra) == 1 else "s"
-        ctx.fail(f"Got unexpected extra argument{s} ({' '.join(extra)})")
-    return {name: params[name] for name in _FAMILY_PARAM_NAMES if name in params}
+
+def _family_params(ctx: click.Context) -> dict:
+    """The family parameters among the arguments Click left in ``ctx.args``,
+    in ``_FAMILY_PARAM_NAMES`` order; Click's errors and texts otherwise."""
+    if not ctx.args:
+        return {}
+    command = _with_family_options(ctx.command)
+    try:
+        parsed = command.make_context(ctx.info_name, list(ctx.args), parent=ctx.parent).params
+    except click.BadOptionUsage as exc:  # a missing value: Click prints no usage lines
+        raise SourceError(exc.message)
+    return {name: parsed[name] for name in _FAMILY_PARAM_NAMES if parsed[name] is not None}
 
 
 class SourceError(click.ClickException):

@@ -9,6 +9,8 @@ used, so element labels are identical across runs either way.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .exact import smallest_prime_factor
 
 __all__ = ["GF", "is_prime", "prime_power_decompose", "is_prime_power"]
@@ -77,12 +79,9 @@ def _poly_mul_mod(a: tuple, b: tuple, modulus: tuple, p: int) -> tuple:
     return tuple(out)
 
 
-def _poly_pow_x(exponent: int, modulus: tuple, p: int) -> tuple:
-    """x**exponent mod (modulus, p), by square and multiply."""
-    m = len(modulus) - 1
-    result = tuple([1] + [0] * (m - 1))
-    base = tuple(([0, 1] + [0] * (m - 2))[:m]) if m >= 2 else (0,)
-    e = exponent
+def _poly_pow(base: tuple, e: int, modulus: tuple, p: int) -> tuple:
+    """base**e mod (modulus, p), by square and multiply."""
+    result = (1,) + (0,) * (len(modulus) - 2)
     while e:
         if e & 1:
             result = _poly_mul_mod(result, base, modulus, p)
@@ -118,13 +117,12 @@ def _poly_gcd(a: list, b: list, p: int) -> list:
 def _is_irreducible(modulus: tuple, p: int) -> bool:
     """Rabin test: x^{p^m} == x mod f, and gcd(x^{p^{m/l}} - x, f) = 1."""
     m = len(modulus) - 1
-    xq = _poly_pow_x(p ** m, modulus, p)
-    x = tuple(([0, 1] + [0] * (m - 2))[:m]) if m >= 2 else (0,)
-    if xq != x:
+    x = (0, 1) + (0,) * (m - 2)
+    if _poly_pow(x, p ** m, modulus, p) != x:
         return False
     ls = {l for l in range(2, m + 1) if m % l == 0 and is_prime(l)}
     for l in ls:
-        xe = _poly_pow_x(p ** (m // l), modulus, p)
+        xe = _poly_pow(x, p ** (m // l), modulus, p)
         diff = [(xe[i] - x[i]) % p for i in range(m)]
         g = _poly_gcd(diff, list(modulus), p)
         if len(g) != 1:
@@ -134,13 +132,9 @@ def _is_irreducible(modulus: tuple, p: int) -> bool:
 
 def _smallest_irreducible(p: int, m: int) -> tuple:
     """Lexicographically smallest monic irreducible of degree m over GF(p)."""
-    for code in range(p ** m):
-        coeffs = []
-        t = code
-        for _ in range(m):
-            coeffs.append(t % p)
-            t //= p
-        modulus = tuple(coeffs) + (1,)
+    # the last digit of a product tuple runs fastest: it is the constant term
+    for digits in product(range(p), repeat=m):
+        modulus = digits[::-1] + (1,)
         if modulus[0] == 0:
             continue
         if _is_irreducible(modulus, p):
@@ -193,14 +187,9 @@ class GF:
         return self.encode(prod)
 
     def pow(self, x: int, e: int) -> int:
-        result = 1
-        base = x
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        if self.m == 1:
+            return pow(x, e, self.p)
+        return self.encode(_poly_pow(self.digits(x), e, self.modulus, self.p))
 
     # -- multiplicative structure ------------------------------------------------
 

@@ -8,6 +8,7 @@ that bound.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from itertools import product as iter_product
 from math import isqrt
@@ -447,7 +448,6 @@ def numeric_spectrum(g: Graph) -> Spectrum:
     entries = [(Eig.from_approx((grp[0] + grp[-1]) / 2,
                                 max(NUMERIC_RADIUS, bound + (grp[-1] - grp[0]) / 2)), len(grp))
                for grp in groups]
-    entries.reverse()
     return Spectrum(entries)
 
 
@@ -512,11 +512,12 @@ def _read_header(parts: list[str], line_no: int, line: str) -> tuple[int, bool]:
     return int(count), flag == "1"
 
 
-# the common body shape: ASCII decimal tokens of at most 18 digits (so
-# np.fromstring cannot saturate at 2^63 - 1), two per line, spaces or tabs
-# between them, blank lines allowed, '\n' line ends
+# the common body shape: ASCII decimal tokens, two per line, spaces or tabs
+# between them, blank lines allowed, '\n' line ends.  np.loadtxt splits a
+# line's tokens at '\x0b', '\x0c', '\x1c', '\x85' and '\u2028', where
+# str.splitlines ends the line, so a body with any other character goes to
+# the per-line reader
 _BODY_CHARS = b"0123456789 \t\n"
-_MAX_TOKEN_DIGITS = 18
 
 
 def _read_edges(body: str, n: int, loops: bool) -> Optional[np.ndarray]:
@@ -524,26 +525,16 @@ def _read_edges(body: str, n: int, loops: bool) -> Optional[np.ndarray]:
     in [0, n) and which has no loop unless ``loops``; None for any other body,
     which the per-line reader parses or names the bad line of."""
     import numpy as np
-    raw = body.encode()
-    if raw.translate(None, _BODY_CHARS):    # UTF-8 encodes non-ASCII as bytes >= 0x80
+    if body.encode().translate(None, _BODY_CHARS):  # UTF-8 encodes non-ASCII as bytes >= 0x80
         return None
-    chars = np.frombuffer(raw, dtype=np.uint8)
-    digit = np.zeros(len(chars) + 2, dtype=bool)
-    np.less(chars - ord("0"), 10, out=digit[1:-1])     # uint8 wraps below "0"
-    runs = np.flatnonzero(digit[1:] != digit[:-1])     # token starts and ends, alternating
-    starts = runs[0::2]
-    if len(starts) == 0:    # np.fromstring reads a blank string as [0]
+    if body.isspace() or not body:  # np.loadtxt warns on a body without data
         return np.empty((0, 2), dtype=np.int64)
-    if len(starts) % 2 or (runs[1::2] - starts).max() > _MAX_TOKEN_DIGITS:
+    try:
+        edges = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
+    except (ValueError, OverflowError):
         return None
-    # the line of each token: a pair shares one, the next pair is on a later one
-    step = np.diff(np.cumsum(chars == ord("\n"), dtype=np.int32)[starts])
-    if step[0::2].any() or not step[1::2].all():
+    if edges.shape[1] != 2 or edges.max() >= n:
         return None
-    tokens = np.fromstring(body, dtype=np.int64, sep=" ")
-    if tokens.max() >= n:
-        return None
-    edges = tokens.reshape(-1, 2)
     if not loops and (edges[:, 0] == edges[:, 1]).any():
         return None
     return edges

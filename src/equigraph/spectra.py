@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import merge
 from typing import Iterable, Optional, Union
 
 from .exact import ExactValue, Surd, exact_sum, format_surd
@@ -130,13 +131,8 @@ class Spectrum:
         ordered = sorted(exact.items(), reverse=True)
         if intervals:
             intervals.sort(key=lambda entry: (-entry[0].value, entry[0].radius))
-            exact_part, ordered, i = ordered, [], 0
-            for entry in intervals:
-                while i < len(exact_part) and float(exact_part[i][0]) >= entry[0].value:
-                    ordered.append(exact_part[i])
-                    i += 1
-                ordered.append(entry)
-            ordered.extend(exact_part[i:])
+            # merge is stable: an exact value goes first on a float tie
+            ordered = list(merge(ordered, intervals, key=lambda entry: -_float(entry[0])))
         self.values = tuple(ordered)
         self.n = sum(m for _, m in ordered)
         self._entries = None

@@ -52,7 +52,7 @@ def has_exact_irrational_in_unit_neg(spectrum: Spectrum) -> bool:
 
 
 def verify_crowns(t_max: int = 50) -> list[CheckResult]:
-    energy_fail, iso_fail, bip_fail, numeric_fail = [], [], [], []
+    energy_fail, iso_fail, bip_fail = [], [], []
     for t in range(2, t_max + 1):
         spec = D.exact_spectrum_of_family("crown", t=t)
         expected = ExactValue.from_rational(4 * (t - 1))
@@ -254,7 +254,7 @@ def verify_srg_enumeration(n_max: int = 2500, oracle_n_max: int = 400) -> list[C
     fast = {p for p in enumerated if p.n <= oracle_n_max}
     slow = _oracle_direct_energy(oracle_n_max)
     mismatch = sorted(str(p) for p in fast.symmetric_difference(slow))
-    scan = [p for n in range(2, n_max + 1) for p in S._equien_scan(n) if S.is_primitive(p)]
+    scan = [p for n in range(2, n_max + 1) for p in S._equien_scan(n)]
     scan_fail = sorted(map(str, set(scan) ^ set(enumerated))) or (
         [] if scan == enumerated else ["same tuple set, listed differently"])
     return [

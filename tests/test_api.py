@@ -113,3 +113,14 @@ def test_cli_writes_json_and_csv_in_one_place_each():
                     if isinstance(node, ast.Attribute) and node.attr == "DictWriter"]
     assert (calls.count("json.dumps"), calls.count("csv.writer")) == (1, 1)
     assert not dict_writers, dict_writers
+
+
+def test_click_parses_the_family_parameters_and_numpy_the_edge_lines():
+    # family parameters go through a Click command and edge lines through
+    # np.loadtxt; a hand-written parser would copy their errors or their parsing
+    def calls(name, *banned):
+        return [f"{name}:{node.lineno}" for node in ast.walk(_tree(SRC / name))
+                if isinstance(node, ast.Call) and ast.unparse(node.func) in banned]
+
+    assert not calls("cli.py", "click.NoSuchOption", "click.BadParameter", "ctx.fail")
+    assert not calls("graphs.py", "np.fromstring")

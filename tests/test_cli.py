@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -644,6 +645,29 @@ def test_spectrum_reads_family_parameters_as_check_does(runner):
     stray = runner.invoke(main, ["spectrum", "--ring", "2:2", "x"])
     assert stray.exit_code == 2
     assert stray.output.endswith("Error: Got unexpected extra argument (x)\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--ring", "2:2", "--json"], 0),
+    (["--srg", "16,6,2,2"], 0),
+    (["--file", "{path}"], 1),
+])
+def test_a_source_without_family_parameters_builds_no_third_context(runner, monkeypatch,
+                                                                     tmp_path, argv, code):
+    # the group's context and the command's: family parameters are parsed in
+    # a third one only when Click left arguments over
+    path = tmp_path / "petersen.g"
+    path.write_text(write_graph(petersen()))
+    init, contexts = click.Context.__init__, []
+
+    def counting_init(self, command, *args, **kwargs):
+        contexts.append(command.name)
+        init(self, command, *args, **kwargs)
+
+    monkeypatch.setattr(click.Context, "__init__", counting_init)
+    result = runner.invoke(main, ["check", *(a.format(path=path) for a in argv)])
+    assert result.exit_code == code
+    assert contexts == ["main", "check"]
 
 
 @pytest.mark.parametrize("command", ["check", "spectrum"])

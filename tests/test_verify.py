@@ -126,3 +126,16 @@ def test_verify_cameron_json_prints_the_rows():
     results = [{"claim": c, "passed": p, "details": d} for c, p, d in CAMERON]
     assert result.output == json.dumps(
         {"command": "verify", "suite": "cameron", "results": results}, indent=2) + "\n"
+
+
+def test_the_scan_row_names_an_imprimitive_tuple_the_scan_admits(monkeypatch):
+    # srg(9,6,3,6) is K_{3,3,3}, whose complement 3K_3 is disconnected
+    scan = S._equien_scan
+
+    def loose_scan(n):
+        return scan(n) + [S.SrgParams(9, 6, 3, 6)] if n == 9 else scan(n)
+
+    monkeypatch.setattr(S, "_equien_scan", loose_scan)
+    row = V.verify_srg_enumeration(n_max=60, oracle_n_max=20)[-1]
+    assert row.claim == "the primitive scan hits equal enumerate_equien for n <= 60"
+    assert (row.passed, row.details) == (False, "srg(9,6,3,6)")
