@@ -1,81 +1,69 @@
-"""Exact equienergy analysis of regular graphs and their complements."""
+"""Exact equienergy analysis of regular graphs and their complements.
+
+The public names are re-exported from the modules that define them.  A
+module runs the first time one of its names is read (PEP 562), so
+``import equigraph.cli`` runs only the modules the CLI itself imports.
+"""
 
 __version__ = "0.1.0"
 
-from .exact import (
-    ExactValue,
-    Surd,
-    exact_sum,
-)
-from .spectra import (
-    DiscrepancyBreakdown,
-    Eig,
-    EquienReport,
-    Spectrum,
-    UncertifiableBranch,
-    check_equienergetic,
-    complement_spectrum,
-    discrepancy,
-    energy,
-    spectra_match,
-)
-from .srg import (
-    CaseB,
-    CaseC,
-    Conference,
-    InfeasibleParams,
-    NotEquien,
-    SrgParams,
-    classify,
-    complement_params,
-    eigen_data,
-    energy_closed,
-    enumerate_equien,
-    equien_condition,
-    family_params,
-    gp_spectrum,
-    oa_params,
-)
-from .rings import (
-    RingProfile,
-    equien_check,
-    search_field_products,
-    subset_sums,
-    unitary_spectrum,
-)
+# the re-exported names of each module
+_EXPORTS = {
+    "exact": (
+        "ExactValue",
+        "Surd",
+        "exact_sum",
+    ),
+    "spectra": (
+        "DiscrepancyBreakdown",
+        "Eig",
+        "EquienReport",
+        "Spectrum",
+        "UncertifiableBranch",
+        "check_equienergetic",
+        "complement_spectrum",
+        "discrepancy",
+        "energy",
+        "spectra_match",
+    ),
+    "srg": (
+        "CaseB",
+        "CaseC",
+        "Conference",
+        "InfeasibleParams",
+        "NotEquien",
+        "SrgParams",
+        "classify",
+        "complement_params",
+        "eigen_data",
+        "energy_closed",
+        "enumerate_equien",
+        "equien_condition",
+        "family_params",
+        "gp_spectrum",
+        "oa_params",
+    ),
+    "rings": (
+        "RingProfile",
+        "equien_check",
+        "search_field_products",
+        "subset_sums",
+        "unitary_spectrum",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "CaseB",
-    "CaseC",
-    "Conference",
-    "DiscrepancyBreakdown",
-    "Eig",
-    "EquienReport",
-    "ExactValue",
-    "InfeasibleParams",
-    "NotEquien",
-    "RingProfile",
-    "Spectrum",
-    "SrgParams",
-    "Surd",
-    "UncertifiableBranch",
-    "check_equienergetic",
-    "classify",
-    "complement_params",
-    "complement_spectrum",
-    "discrepancy",
-    "eigen_data",
-    "energy",
-    "energy_closed",
-    "enumerate_equien",
-    "equien_check",
-    "equien_condition",
-    "exact_sum",
-    "family_params",
-    "gp_spectrum",
-    "oa_params",
-    "search_field_products",
-    "spectra_match",
-    "subset_sums",
-    "unitary_spectrum",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -8,6 +8,13 @@ Exit codes for `check`: 0 equal, 1 not equal, 2 error.  Its provenance
 line reads "exact closed form", "numeric (certified intervals)", or, when
 --assume-exact had to read an interval as a point to decide a branch,
 "numeric (intervals read as exact)".
+
+Importing this module runs only Click and the exact layers: exact,
+spectra and srg.  The ring layer (rings, fields) runs at the first ring
+source or search, the graph layer (graphs, jacobi) at the first family
+or file source, and verify, with the data it checks, only under
+``verify``.  So an exact command never runs a layer it does not use, nor
+compiles one when no bytecode is cached.
 """
 
 from __future__ import annotations
@@ -15,16 +22,16 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import importlib.util
 import io
 import json
 import os
 import sys
+from types import ModuleType
 from typing import Optional
 
 import click
 
-from . import graphs as G
-from . import rings as R
 from . import srg as S
 from .exact import ExactValue, format_surd
 from .spectra import (
@@ -34,7 +41,27 @@ from .spectra import (
     discrepancy,
     energy,
 )
-from .verify import SUITES, run_suite
+
+
+def _lazy_module(name: str) -> ModuleType:
+    """The package's module ``name``, entered in ``sys.modules`` and bound on
+    the package as ``import`` does, whose body runs on the first read of an
+    attribute; the module already there, if it was imported before."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# only the commands that read a graph or a ring profile run these modules
+G = _lazy_module("graphs")
+R = _lazy_module("rings")
 
 # the two format flags share the destination ``fmt``; without either it is None
 JSON_FLAG = click.option("--json", "fmt", flag_value="json", help="emit JSON")
@@ -84,27 +111,39 @@ def _emit(report: dict, fmt: Optional[str]):
 # -- graph sources --------------------------------------------------------------------
 
 
-_FAMILY_PARAM_NAMES = tuple(dict.fromkeys(p for fam in G.FAMILIES.values() for p in fam.params))
+@functools.cache
+def _family_param_names() -> tuple[str, ...]:
+    return tuple(dict.fromkeys(p for fam in G.FAMILIES.values() for p in fam.params))
+
 
 # The family parameters are not options of the registered commands: Click's
 # cost per call grows with each registered option, and a source command takes
 # only the few that its family names.  Click leaves them in ctx.args, and
 # _family_params parses those with a copy of the command that registers them.
 FAMILY_ARGS = {"ignore_unknown_options": True, "allow_extra_args": True}
-FAMILY_EPILOG = "\b\nFamily parameters (integers) and the families that take them:\n" + "\n".join(
-    f"  --{name} N  {', '.join(f for f, fam in G.FAMILIES.items() if name in fam.params)}"
-    for name in _FAMILY_PARAM_NAMES)
+
+
+class _SourceCommand(click.Command):
+    """A command that reads a graph source; its help ends with the family
+    parameters, written from the family table only when help is shown."""
+
+    def format_epilog(self, ctx: click.Context, formatter: click.HelpFormatter) -> None:
+        self.epilog = "\b\nFamily parameters (integers) and the families that take them:\n" + (
+            "\n".join(f"  --{name} N  "
+                      f"{', '.join(f for f, fam in G.FAMILIES.items() if name in fam.params)}"
+                      for name in _family_param_names()))
+        super().format_epilog(ctx, formatter)
 
 
 @functools.cache
 def _with_family_options(command: click.Command) -> click.Command:
     return click.Command(command.name, params=[*command.params, *(
-        click.Option([f"--{name}"], type=int) for name in _FAMILY_PARAM_NAMES)])
+        click.Option([f"--{name}"], type=int) for name in _family_param_names())])
 
 
 def _family_params(ctx: click.Context) -> dict:
     """The family parameters among the arguments Click left in ``ctx.args``,
-    in ``_FAMILY_PARAM_NAMES`` order; Click's errors and texts otherwise."""
+    in ``_family_param_names()`` order; Click's errors and texts otherwise."""
     if not ctx.args:
         return {}
     command = _with_family_options(ctx.command)
@@ -112,7 +151,7 @@ def _family_params(ctx: click.Context) -> dict:
         parsed = command.make_context(ctx.info_name, list(ctx.args), parent=ctx.parent).params
     except click.BadOptionUsage as exc:  # a missing value: Click prints no usage lines
         raise SourceError(exc.message)
-    return {name: parsed[name] for name in _FAMILY_PARAM_NAMES if parsed[name] is not None}
+    return {name: parsed[name] for name in _family_param_names() if parsed[name] is not None}
 
 
 class SourceError(click.ClickException):
@@ -196,12 +235,26 @@ def _source_options(fn):
     return fn
 
 
-@click.group()
+class _Group(click.Group):
+    """The command group.  ``verify``, whose suite choice reads the verify
+    module, joins it at the first lookup of a name not registered yet, so
+    that an unknown name is still matched against every command."""
+
+    def get_command(self, ctx: click.Context, cmd_name: str) -> Optional[click.Command]:
+        if cmd_name not in self.commands and "verify" not in self.commands:
+            self.add_command(_verify_command())
+        return super().get_command(ctx, cmd_name)
+
+    def list_commands(self, ctx: click.Context) -> list[str]:
+        return sorted({*self.commands, "verify"})
+
+
+@click.group(cls=_Group)
 def main():
     """Exact equienergy analysis of regular graphs and their complements."""
 
 
-@main.command(context_settings=FAMILY_ARGS, epilog=FAMILY_EPILOG)
+@main.command(cls=_SourceCommand, context_settings=FAMILY_ARGS)
 @click.pass_context
 @_source_options
 @ASSUME_EXACT_FLAG
@@ -244,7 +297,7 @@ def spectrum(ctx, family, file, ring, srg, assume_exact, fmt):
     _emit(report, fmt)
 
 
-@main.command(context_settings=FAMILY_ARGS, epilog=FAMILY_EPILOG)
+@main.command(cls=_SourceCommand, context_settings=FAMILY_ARGS)
 @click.pass_context
 @_source_options
 @ASSUME_EXACT_FLAG
@@ -379,25 +432,32 @@ def rings_search(s_factors, qmax, fmt):
     _emit(payload, fmt)
 
 
-@main.command()
-@click.argument("suite", type=click.Choice(sorted(SUITES)))
-@JSON_FLAG
-def verify(suite, fmt):
-    """Run one verification suite; nonzero exit when any claim fails."""
-    results = run_suite(suite)
-    if fmt == "json":
-        _emit({"command": "verify", "suite": suite, "results": [
-            {"claim": r.claim, "passed": r.passed, "details": r.details} for r in results]},
-            fmt)
-    else:
-        for r in results:
-            mark = "PASS" if r.passed else "FAIL"
-            line = f"[{mark}] {r.claim}"
-            if r.details:
-                line += f"  ({r.details})"
-            click.echo(line)
-    if not all(r.passed for r in results):
-        sys.exit(1)
+def _verify_command() -> click.Command:
+    """The verify command; it imports the verify module, which builds the
+    suites' data, so only ``verify`` runs them."""
+    from . import verify as V
+
+    @click.command()
+    @click.argument("suite", type=click.Choice(sorted(V.SUITES)))
+    @JSON_FLAG
+    def verify(suite, fmt):
+        """Run one verification suite; nonzero exit when any claim fails."""
+        results = V.run_suite(suite)
+        if fmt == "json":
+            _emit({"command": "verify", "suite": suite, "results": [
+                {"claim": r.claim, "passed": r.passed, "details": r.details} for r in results]},
+                fmt)
+        else:
+            for r in results:
+                mark = "PASS" if r.passed else "FAIL"
+                line = f"[{mark}] {r.claim}"
+                if r.details:
+                    line += f"  ({r.details})"
+                click.echo(line)
+        if not all(r.passed for r in results):
+            sys.exit(1)
+
+    return verify
 
 
 if __name__ == "__main__":

@@ -27,13 +27,16 @@ def test_every_name_in_all_is_bound(name):
 
 
 def test_init_reexports_only_names_in_their_modules_all():
-    stray = []
-    for node in ast.walk(_tree(SRC / "__init__.py")):
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            module = importlib.import_module(f"equigraph.{node.module}")
-            stray += [f"{node.module}.{a.name}" for a in node.names
-                      if a.name not in getattr(module, "__all__", ())]
+    # the package resolves its names on first access from one table, so the
+    # table is what it re-exports
+    stray = [f"{module}.{name}" for module, names in equigraph._EXPORTS.items()
+             for name in names
+             if name not in importlib.import_module(f"equigraph.{module}").__all__]
     assert not stray
+    exported = [name for names in equigraph._EXPORTS.values() for name in names]
+    assert sorted(exported) == equigraph.__all__
+    assert all(getattr(equigraph, name) is getattr(importlib.import_module(
+        f"equigraph.{equigraph._MODULE_OF[name]}"), name) for name in exported)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -82,6 +85,26 @@ def test_src_imports_numpy_only_inside_functions(path):
     lines = [node.lineno for node in _imports_run_on_import(_tree(path))
              if "numpy" in _import_roots(node)]
     assert not lines, f"numpy imported on import at lines {lines}"
+
+
+def _package_modules(node: ast.Import | ast.ImportFrom) -> set[str]:
+    """The ``equigraph`` modules an import statement imports or imports from."""
+    if isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    else:
+        prefix = ("equigraph." if node.level else "") + (f"{node.module}." if node.module else "")
+        names = [prefix + a.name for a in node.names]
+    return {n.split(".")[1] for n in names if n.startswith("equigraph.")}
+
+
+@pytest.mark.parametrize("name", ["__init__.py", "cli.py"])
+def test_package_and_cli_import_no_layer_on_import(name):
+    # ``import equigraph.cli`` runs exact, spectra and srg alone; the graph,
+    # ring and verify layers run when a command first uses them
+    deferred = {"graphs", "jacobi", "rings", "fields", "verify", "data"}
+    lines = [node.lineno for node in _imports_run_on_import(_tree(SRC / name))
+             if _package_modules(node) & deferred]
+    assert not lines, f"{name} imports a deferred layer on import at lines {lines}"
 
 
 def test_only_spectra_reads_the_entries_view():

@@ -504,6 +504,42 @@ def test_verify_unknown_suite(runner):
     assert result.exit_code == 2
 
 
+@pytest.fixture
+def unbuilt_verify(monkeypatch):
+    """``main`` as a fresh import leaves it: ``verify`` not built yet."""
+    monkeypatch.delitem(main.commands, "verify", raising=False)
+
+
+def test_help_lists_the_lazily_added_verify_in_its_place(runner, unbuilt_verify):
+    output = runner.invoke(main, ["--help"]).output
+    listed = [line.split()[0] for line in output.split("Commands:\n")[1].splitlines()]
+    assert listed == ["check", "classify", "enumerate", "rings-search", "spectrum", "verify"]
+
+
+def test_an_unknown_command_is_matched_against_verify_too(runner, unbuilt_verify):
+    result = runner.invoke(main, ["verif"])
+    assert (result.exit_code, result.output.splitlines()[-1]) == (
+        2, "Error: No such command 'verif'. Did you mean 'verify'?")
+
+
+def test_verify_offers_exactly_the_suites(runner, unbuilt_verify):
+    from equigraph.verify import SUITES
+    choice = "{" + "|".join(sorted(SUITES)) + "}"
+    usage = runner.invoke(main, ["verify", "--help"]).output.split("\n\n")[0]
+    assert "".join(line.strip() for line in usage.splitlines()).endswith(f" {choice}")
+    error = runner.invoke(main, ["verify", "nosuch"])
+    assert (error.exit_code, error.output.splitlines()[-1]) == (
+        2, f"Error: Invalid value for '{choice}': 'nosuch' is not one of "
+           f"{', '.join(repr(name) for name in sorted(SUITES))}.")
+
+
+def test_verify_is_built_once(unbuilt_verify):
+    ctx = click.Context(main)
+    first = main.get_command(ctx, "verify")
+    assert first is not None and main.get_command(ctx, "verify") is first
+    assert main.get_command(ctx, "nosuch") is None and main.commands["verify"] is first
+
+
 ENUMERATE_2500 = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "enumerate_2500.csv"
 
 
@@ -603,7 +639,7 @@ def test_family_parameter_spellings_match_the_plain_form(runner, argv, same_as):
 @pytest.mark.parametrize("argv, output", [
     (["--family", "cycle", "--n", "-3"],
      "Error: family cycle with {'n': -3}: cycle needs n >= 3\n"),
-    # the parameters reach the family in _FAMILY_PARAM_NAMES order, whatever the argv order
+    # the parameters reach the family in _family_param_names() order, whatever the argv order
     (["--family", "lattice", "--n", "5", "--t", "3"],
      "Error: family lattice with {'t': 3, 'n': 5}: family 'lattice' takes parameters ('n',)\n"),
     (["--family", "crown", "--t", "abc"],
@@ -822,11 +858,13 @@ EXACT_COMMANDS = [
     ["spectrum", "--family", "paley", "--q", "13"],
 ]
 
-# runs each argv through the CLI in-process and prints, as JSON, the exit
-# codes and output sizes, whether numpy was loaded after the exact commands
-# and after the file command, and the package modules loaded
+# runs each stage of argvs through the CLI in-process and prints, as JSON,
+# the package modules (and numpy) that have executed after a bare import of
+# the CLI and after each stage, with each stage's exit codes and output sizes.
+# A lazily loaded module waits in sys.modules as a ModuleType subclass until
+# its body runs, so only a plain ModuleType counts as executed.
 _FRESH_INTERPRETER = """
-import contextlib, io, json, sys
+import contextlib, io, json, sys, types
 import equigraph.cli
 
 def run(argv):
@@ -838,30 +876,75 @@ def run(argv):
             code = exc.code
     return [code, len(out.getvalue())]
 
-exact, graph_file = json.loads(sys.argv[1])
-report = {"exact": [run(argv) for argv in exact], "numpy_exact": "numpy" in sys.modules}
-report["file"] = run(graph_file)
-report["numpy_file"] = "numpy" in sys.modules
-report["modules"] = sorted(m for m in sys.modules if m.startswith("equigraph."))
+def executed():
+    names = [n.split(".", 1)[1] for n, m in sys.modules.items()
+             if n.startswith("equigraph.") and type(m) is types.ModuleType]
+    return sorted(names) + ["numpy"] * ("numpy" in sys.modules)
+
+report = [{"runs": [], "executed": executed()}]
+for stage in json.loads(sys.argv[1]):
+    report.append({"runs": [run(argv) for argv in stage], "executed": executed()})
 print(json.dumps(report))
 """
+
+
+def _fresh_python(*args: str) -> str:
+    """The stdout of a new interpreter that imports this package's source."""
+    src = str(Path(equigraph.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60, check=True).stdout
+
+
+def _run_fresh(stages: list[list[list[str]]]) -> list[dict]:
+    return json.loads(_fresh_python("-c", _FRESH_INTERPRETER, json.dumps(stages)))
+
+
+@pytest.mark.parametrize("imports", [
+    "import equigraph.graphs as G, equigraph.rings as R\nimport equigraph.cli as cli",
+    "import equigraph.cli as cli\nimport equigraph.graphs as G, equigraph.rings as R",
+], ids=["layers-first", "cli-first"])
+def test_a_lazy_layer_is_the_one_module_of_its_name(imports):
+    # imported before or after the CLI, each layer is one module object,
+    # entered in sys.modules and bound on the package, so there is one Graph
+    # class and the benchmark's tracer finds every layer by name
+    assert _fresh_python("-c", imports + """
+import sys, equigraph
+print(cli.G is G is sys.modules["equigraph.graphs"] is equigraph.graphs,
+      cli.R is R is sys.modules["equigraph.rings"] is equigraph.rings,
+      cli.G.Graph is G.Graph, cli.R.RingProfile is R.RingProfile)
+""") == "True True True True\n"
 
 
 def test_exact_commands_never_load_numpy(tmp_path):
     path = tmp_path / "petersen.g"
     path.write_text(write_graph(petersen()))
-    src = str(Path(equigraph.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = json.dumps([EXACT_COMMANDS, ["check", "--file", str(path)]])
-    proc = subprocess.run([sys.executable, "-c", _FRESH_INTERPRETER, argv], env=env,
-                          capture_output=True, text=True, timeout=60, check=True)
-    report = json.loads(proc.stdout)
-    assert [code for code, _ in report["exact"]] == [1, 0, 0, 0, 0, 0, 0]
-    assert all(size for _, size in report["exact"])
-    assert not report["numpy_exact"]
-    assert {f"equigraph.{m}" for m in ("cli", "srg", "exact", "spectra", "rings", "jacobi",
-                                        "graphs")} <= set(report["modules"])
+    _, exact, graph_file = _run_fresh([EXACT_COMMANDS, [["check", "--file", str(path)]]])
+    assert [code for code, _ in exact["runs"]] == [1, 0, 0, 0, 0, 0, 0]
+    assert all(size for _, size in exact["runs"])
+    assert "numpy" not in exact["executed"]
+    assert {"cli", "srg", "exact", "spectra", "rings", "jacobi",
+            "graphs"} <= set(graph_file["executed"])
     # Petersen is not equienergetic with its complement: answered, exit 1
-    assert report["file"][0] == 1 and report["file"][1]
-    assert report["numpy_file"]
+    assert graph_file["runs"][0][0] == 1 and graph_file["runs"][0][1]
+    assert "numpy" in graph_file["executed"]
+
+
+def test_each_command_executes_only_the_layers_it_uses(tmp_path):
+    path = tmp_path / "petersen.g"
+    path.write_text(write_graph(petersen()))
+    stages = [
+        [["check", "--ring", "4:2,9:1", "--json"]],
+        [["check", "--srg", "16,6,2,2"], ["classify", "--srg", "25,12,5,6"],
+         ["enumerate", "--n-max", "100", "--csv"]],
+        [["check", "--file", str(path)]],
+        [["verify", "table3"]],
+    ]
+    report = _run_fresh(stages)
+    assert [[code for code, _ in stage["runs"]] for stage in report[1:]] == [[1], [0, 0, 0],
+                                                                             [1], [0]]
+    assert report[0]["executed"] == ["cli", "exact", "spectra", "srg"]
+    added = [sorted(set(after["executed"]) - set(before["executed"]))
+             for before, after in zip(report, report[1:])]
+    assert added == [["fields", "rings"], [], ["graphs", "jacobi", "numpy"], ["data", "verify"]]
