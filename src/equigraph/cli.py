@@ -33,7 +33,7 @@ from typing import Optional
 import click
 
 from . import srg as S
-from .exact import ExactValue, format_surd
+from .exact import ExactValue
 from .spectra import (
     Eig,
     UncertifiableBranch,
@@ -344,19 +344,15 @@ def _class_name(cls) -> str:
     return f"not-equienergetic({cls.reason})" if cls.reason else "not-equienergetic"
 
 
-def _srg_fields(p: S.SrgParams, cls_name: str, data: S.SrgEigenData) -> dict:
-    """The class ... oa fields that classify and enumerate print for a tuple."""
+SRG_COLUMNS = ["class", "alpha", "r", "s", "m_r", "m_s", "energy", "oa"]
+ENUM_COLUMNS = ["n", "k", "e", "d", *SRG_COLUMNS]
+
+
+def _srg_values(p: S.SrgParams, cls_name: str, data: S.SrgEigenData) -> list:
+    """The ``SRG_COLUMNS`` values that classify and enumerate print for a tuple."""
     oa = S.oa_params(p)
-    return {
-        "class": cls_name,
-        "alpha": data.alpha,
-        "r": format_surd(data.r),
-        "s": format_surd(data.s),
-        "m_r": data.m_r,
-        "m_s": data.m_s,
-        "energy": str(S.energy_closed(p, data)),
-        "oa": f"OA({oa[0]},{oa[1]})" if oa else "",
-    }
+    return [cls_name, data.alpha, str(data.r), str(data.s), data.m_r, data.m_s,
+            str(S.energy_closed(p, data)), f"OA({oa[0]},{oa[1]})" if oa else ""]
 
 
 @main.command()
@@ -366,19 +362,16 @@ def classify(srg, fmt):
     """Classify an srg tuple under the complementary-equienergy trichotomy."""
     p, data = _parse_srg(srg, S.eigen_data)
     cls_name = _class_name(S.classify(p, data)) if S.is_primitive(p) else "imprimitive"
-    payload = {"command": "classify", "params": str(p), **_srg_fields(p, cls_name, data)}
+    payload = {"command": "classify", "params": str(p),
+               **dict(zip(SRG_COLUMNS, _srg_values(p, cls_name, data)))}
     _emit(payload, fmt)
 
 
-def _enumerate_rows(bounds: tuple[int, int]) -> list[dict]:
-    """The enumerate rows of one shard n_min <= n <= n_max."""
+def _enumerate_rows(bounds: tuple[int, int]) -> list[list]:
+    """The enumerate rows of one shard n_min <= n <= n_max, in ``ENUM_COLUMNS`` order."""
     lo, hi = bounds
-    return [{"n": p.n, "k": p.k, "e": p.e, "d": p.d,
-             **_srg_fields(p, _class_name(cls), data)}
+    return [[p.n, p.k, p.e, p.d, *_srg_values(p, _class_name(cls), data)]
             for p, data, cls in S.enumerate_equien(hi, n_min=lo)]
-
-
-ENUM_COLUMNS = ["n", "k", "e", "d", "class", "alpha", "r", "s", "m_r", "m_s", "energy", "oa"]
 
 
 @main.command()
@@ -400,13 +393,12 @@ def enumerate(n_max, jobs, fmt):
         else:
             parts = map(_enumerate_rows, shards)
         if fmt == "json":
-            rows = [row for part in parts for row in part]
+            rows = [dict(zip(ENUM_COLUMNS, row)) for part in parts for row in part]
             _emit({"command": "enumerate", "n_max": n_max, "rows": rows}, fmt)
             return
         click.echo(_csv_text(ENUM_COLUMNS, []), nl=False)
         for part in parts:
-            click.echo(_csv_text(None, ([row[c] for c in ENUM_COLUMNS] for row in part)),
-                       nl=False)
+            click.echo(_csv_text(None, part), nl=False)
 
 
 @main.command("rings-search")

@@ -149,7 +149,10 @@ class Surd:
         return f"Surd({self})"
 
     def __str__(self) -> str:
-        return _format_terms(((1, self.a), (self.d, self.b)))
+        a = self.a
+        if not self.b and a.denominator == 1:  # an integer, printed as the int
+            return str(a.numerator)
+        return _format_terms(((1, a), (self.d, self.b)))
 
     def __hash__(self):
         # canonical form: equal surds have equal numerators and denominators;

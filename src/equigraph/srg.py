@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
+from . import exact
 from .exact import ExactValue, Surd
 from .spectra import Spectrum
 
@@ -139,9 +140,11 @@ def eigen_data(p: SrgParams) -> SrgEigenData:
         raise InfeasibleParams(
             "irrational eigenvalues with unbalanced multiplicities for {}", p
         )
-    # r factors alpha once; its conjugate s reuses the squarefree radicand
-    r = Surd(Fraction(ed, 2), Fraction(1, 2), alpha)
-    s = Surd._canonical(r.a, -r.b, r.d)
+    # alpha = f^2 D is factored once, and r and s share the radicand D
+    f, radicand = exact.squarefree_decompose(alpha)
+    half_ed = Fraction(ed, 2)
+    r = Surd._canonical(half_ed, Fraction(f, 2), radicand)
+    s = Surd._canonical(half_ed, Fraction(-f, 2), radicand)
     return SrgEigenData(alpha=alpha, r=r, s=s, m_r=n1 // 2, m_s=n1 // 2, conference=True)
 
 
@@ -320,21 +323,21 @@ def family_params(cls: EquienClass) -> SrgParams:
     raise InfeasibleParams("NotEquien has no parameter tuple")
 
 
-def energy_closed(p: SrgParams, data: Optional[SrgEigenData] = None) -> ExactValue:
+def energy_closed(p: SrgParams, data: Optional[SrgEigenData] = None) -> int | ExactValue:
     """E = k + m_r * r + m_s * |s|, exactly; ``data`` is ``eigen_data(p)``,
     derived here when not given.
 
     s <= 0 <= r, as sqrt(alpha) >= |e - d| (k >= d).  In the conference
     case m_r = m_s and r - s = sqrt(alpha) = 2b sqrt(D) for r = a + b sqrt(D),
     whose radicand D ``eigen_data`` has already reduced, so
-    E = k + 2 m_r b sqrt(D); otherwise r and s are integers and so is E.
+    E = k + 2 m_r b sqrt(D); otherwise r and s are integers and E is an int.
     """
     if data is None:
         data = eigen_data(p)
     if data.conference:
         r = data.r
         return ExactValue._from_squarefree({1: p.k, r.d: 2 * data.m_r * r.b})
-    return ExactValue.from_rational(p.k + data.m_r * int(data.r.a) - data.m_s * int(data.s.a))
+    return p.k + data.m_r * int(data.r.a) - data.m_s * int(data.s.a)
 
 
 # -- families from the wider catalog ---------------------------------------------------
@@ -461,30 +464,42 @@ def _equien_scan(n: int) -> list[SrgParams]:
     return out
 
 
+def _theorem_range(n_max: int, n_min: int = 2) -> Iterator[SrgParams]:
+    """The theorem's primitive tuples with n_min <= n <= n_max in (n, k, d)
+    order: the conference tuple when n = 4d + 1 >= 5 is not a square, and
+    OA(r, m) for 2 <= m < r when n = r^2.  For odd r the conference tuple
+    on r^2 vertices is OA(r, (r+1)/2), so it is listed once, in its place
+    among the OA tuples; an even square is never 1 mod 4.  No tuple has
+    fewer than 5 vertices."""
+    lo = max(n_min, 5)
+    if n_max < lo:
+        return
+    conference_ns = range(lo + (1 - lo) % 4, n_max + 1, 4)
+    square_ns = (r * r for r in range(isqrt(lo - 1) + 1, isqrt(n_max) + 1))
+    for n in sorted({*conference_ns, *square_ns}):
+        r = isqrt(n)
+        if r * r == n:
+            yield from (latin_square_params(m, r) for m in range(2, r))
+        else:
+            yield family_params(Conference(d=n // 4))
+
+
 def theorem_tuples(n: int) -> list[SrgParams]:
-    """The theorem's primitive tuples on n vertices in (k, d) order: the
-    conference tuple when n = 4d + 1 >= 5, and OA(r, m) for 2 <= m < r
-    when n = r^2 (for odd r, OA(r, (r+1)/2) is the conference tuple, listed once)."""
-    found = set()
-    if n % 4 == 1 and n >= 5:
-        found.add(family_params(Conference(d=(n - 1) // 4)))
-    r = isqrt(n)
-    if r * r == n:
-        found.update(latin_square_params(m, r) for m in range(2, r))
-    return sorted(found, key=lambda p: (p.k, p.d))
+    """The theorem's primitive tuples on n vertices in (k, d) order:
+    ``_theorem_range`` over the one vertex count n."""
+    return list(_theorem_range(n, n))
 
 
 SrgRow = tuple[SrgParams, SrgEigenData, EquienClass]
 
 
 def _theorem_rows(n_max: int, n_min: int = 2) -> list[SrgRow]:
-    """``theorem_tuples`` for n_min <= n <= n_max, each with its eigen data,
-    derived once, and its ``classify`` outcome."""
+    """The theorem's tuples with n_min <= n <= n_max, each with its eigen
+    data, derived once, and its ``classify`` outcome."""
     rows = []
-    for n in range(n_min, n_max + 1):
-        for p in theorem_tuples(n):
-            data = eigen_data(p)
-            rows.append((p, data, classify(p, data)))
+    for p in _theorem_range(n_max, n_min):
+        data = eigen_data(p)
+        rows.append((p, data, classify(p, data)))
     return rows
 
 

@@ -282,9 +282,9 @@ def verify_closed_energies() -> list[CheckResult]:
                 except S.InfeasibleParams:
                     continue
                 val = S.energy_closed(p)
-                if val != ExactValue.from_rational(formula(h, l)):
+                if type(val) is not int or val != formula(h, l):
                     case_fail.append(f"{maker.__name__}({h},{l})")
-                elif int(val.rational_part) % 4 != 0:
+                elif val % 4 != 0:
                     div_fail.append(f"{maker.__name__}({h},{l})")
     for d in range(1, 101):
         got = S.energy_closed(S.SrgParams(4 * d + 1, 2 * d, d - 1, d))

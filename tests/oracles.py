@@ -4,8 +4,10 @@ Each one is written without the package's algebra where it can be: srg
 parameters from common-neighbour counts, isospectrality from LAPACK,
 surds parsed back from their canonical text, multiplicative orders by
 trying every divisor of q - 1, factorizations from a sieve.  The
-exception is the generic exact route, which is the surd path itself,
-kept as the reference for the int values that bypass it.
+exceptions are the generic exact route, which is the surd path itself,
+kept as the reference for the int values that bypass it, and the
+theorem's tuples listed one vertex count at a time, kept as the
+reference for the generator that lists a range.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 from equigraph.exact import ExactValue, Surd, exact_sum
 from equigraph.graphs import Graph, regularity
 from equigraph.spectra import Eig, Spectrum, _point, delta_branch
+from equigraph.srg import Conference, SrgParams, family_params, latin_square_params
 
 
 def srg_counts(g: Graph) -> Optional[tuple[int, int, int, int]]:
@@ -91,6 +94,20 @@ def read_spectrum_json(obj: dict) -> Spectrum:
     if (spec.n, 0) != (obj["n"], obj["principal"]):
         raise ValueError(f"n={obj['n']} and principal={obj['principal']} do not fit {spec!r}")
     return spec
+
+
+def per_n_theorem_tuples(n: int) -> list[SrgParams]:
+    """The theorem's primitive tuples on one vertex count n >= 0, as a set
+    sorted by (k, d): the conference tuple when n = 4d + 1 >= 5, and OA(r, m)
+    for 2 <= m < r when n = r^2.  This is how ``srg.theorem_tuples`` was
+    written before the tuples of a range came from one generator."""
+    found = set()
+    if n % 4 == 1 and n >= 5:
+        found.add(family_params(Conference(d=(n - 1) // 4)))
+    r = isqrt(n)
+    if r * r == n:
+        found.update(latin_square_params(m, r) for m in range(2, r))
+    return sorted(found, key=lambda p: (p.k, p.d))
 
 
 def multiplicative_order(f, x: int) -> int:

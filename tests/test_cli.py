@@ -568,9 +568,10 @@ def test_rings_search_fingerprint(runner):
 def test_verify_reports_a_faulty_generator_as_a_fail_row(runner, monkeypatch):
     from equigraph import srg as S
     from equigraph import verify as V
-    real = S.theorem_tuples
+    real = S._theorem_range
     extra = S.SrgParams(4, 2, 0, 2)  # OA(2, 2): classify rejects it
-    monkeypatch.setattr(S, "theorem_tuples", lambda n: real(n) + ([extra] if n == 4 else []))
+    monkeypatch.setattr(S, "_theorem_range", lambda n_max, n_min=2: [
+        *([extra] if n_min <= 4 <= n_max else []), *real(n_max, n_min)])
     monkeypatch.setitem(V.SUITES, "srg-families", lambda: V.verify_srg_enumeration(30, 30))
     result = runner.invoke(main, ["verify", "srg-families"])
     assert result.exit_code == 1

@@ -5,7 +5,7 @@ from math import isqrt, prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equigraph import exact as exact_module
@@ -234,6 +234,16 @@ wide_surds_st = st.one_of(
     st.integers(-2 ** 60, 2 ** 60).map(Surd),
     st.sampled_from(_pell_cancellations()),
 )
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_surds_st)
+@example(Surd(0))
+@example(Surd(-7))
+@example(Surd(Fraction(-1, 2)))
+def test_surd_str_matches_the_generic_renderer(s):
+    # an integer takes a shortcut past _format_terms
+    assert str(s) == exact_module._format_terms(((1, s.a), (s.d, s.b)))
 
 
 @settings(max_examples=300, deadline=None)

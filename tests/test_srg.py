@@ -42,7 +42,7 @@ from equigraph.srg import (
 )
 from equigraph.verify import _oracle_direct_energy, verify_srg_enumeration
 
-from oracles import srg_counts
+from oracles import per_n_theorem_tuples, srg_counts
 
 
 # -- eigen data ----------------------------------------------------------------
@@ -542,21 +542,73 @@ def test_theorem_tuples_equal_primitive_scan_hits(lo, width):
         assert theorem_tuples(n) == scan, n
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-5, 3000), st.integers(-5, 3000))
+@example(-5, -1)     # no vertex count at all
+@example(-5, 30)     # a lower bound below any tuple
+@example(9, 9)       # OA(3, 2) is the conference tuple on 9 vertices
+@example(2401, 2401) # 49^2 = 4 * 600 + 1
+@example(2500, 2500) # 50^2: OA tuples only
+@example(6, 8)       # between the first conference count and the first odd square
+def test_theorem_range_equals_the_per_n_tuples(a, b):
+    n_min, n_max = min(a, b), max(a, b)
+    # the per-n reference refuses n < 0, where no tuple exists
+    want = [p for n in range(max(n_min, 0), n_max + 1) for p in per_n_theorem_tuples(n)]
+    assert list(srg_module._theorem_range(n_max, n_min)) == want
+    if n_min == n_max:
+        assert theorem_tuples(n_min) == want
+
+
+@pytest.mark.parametrize("n_min", [-3, -1, 0, 1, 4])
+def test_a_lower_bound_below_five_lists_the_default_rows(n_min):
+    assert enumerate_equien(30, n_min=n_min) == enumerate_equien(30)
+    assert theorem_tuples(n_min) == []
+
+
+def test_only_irrational_conference_rows_factor_or_build_an_exact_value(monkeypatch):
+    """Over enumerate_equien(2500) and each row's energy, only the conference
+    rows with a non-square n factor (once each) or build an ExactValue (the
+    energy); an integral energy is an int, and each row builds two Surds,
+    r and s."""
+    from equigraph import exact
+    built, factored = [], []
+    # every Surd and ExactValue is built by __init__ or by a canonical factory
+    for cls, name in ((Surd, "__init__"), (Surd, "_canonical"),
+                      (ExactValue, "__init__"), (ExactValue, "_from_squarefree")):
+        def counted(*args, _cls=cls, _real=getattr(cls, name)):
+            built.append(_cls)
+            return _real(*args)
+        monkeypatch.setattr(cls, name, counted if name == "__init__" else staticmethod(counted))
+    decompose = exact.squarefree_decompose
+    monkeypatch.setattr(exact, "squarefree_decompose",
+                        lambda d: factored.append(d) or decompose(d))
+    rows = enumerate_equien(2500)
+    energies = [energy_closed(p, data) for p, data, _ in rows]
+    monkeypatch.undo()
+    irrational = [p.n for p, _, cls in rows
+                  if isinstance(cls, Conference) and isqrt(p.n) ** 2 != p.n]
+    assert (len(rows), len(irrational)) == (1776, 600)
+    assert factored == irrational
+    assert built.count(Surd) == 2 * len(rows)
+    assert built.count(ExactValue) == len(irrational)
+    assert sum(type(x) is int for x in energies) == len(rows) - len(irrational)
+
+
 def test_scan_row_passes_and_fails_when_an_oa_tuple_is_dropped(monkeypatch):
     assert verify_srg_enumeration(n_max=120, oracle_n_max=5)[-1].passed
-    real = srg_module.theorem_tuples
-    monkeypatch.setattr(srg_module, "theorem_tuples",
-                        lambda n: [p for p in real(n) if p != SrgParams(64, 21, 8, 6)])
+    real = srg_module._theorem_range
+    monkeypatch.setattr(srg_module, "_theorem_range", lambda n_max, n_min=2: [
+        p for p in real(n_max, n_min) if p != SrgParams(64, 21, 8, 6)])
     row = verify_srg_enumeration(n_max=120, oracle_n_max=5)[-1]
     assert row.claim == "the primitive scan hits equal enumerate_equien for n <= 120"
     assert not row.passed and row.details == "srg(64,21,8,6)"
 
 
 def test_faulty_generator_fails_verify_rows_and_still_trips_the_guards(monkeypatch):
-    real = srg_module.theorem_tuples
+    real = srg_module._theorem_range
     extra = SrgParams(4, 2, 0, 2)  # OA(2, 2): classify rejects it
-    monkeypatch.setattr(srg_module, "theorem_tuples",
-                        lambda n: real(n) + ([extra] if n == 4 else []))
+    monkeypatch.setattr(srg_module, "_theorem_range", lambda n_max, n_min=2: [
+        *([extra] if n_min <= 4 <= n_max else []), *real(n_max, n_min)])
     with pytest.raises(AssertionError, match=r"srg\(4,2,0,2\)"):
         enumerate_equien(30)
     rows = verify_srg_enumeration(n_max=30, oracle_n_max=30)
@@ -622,8 +674,7 @@ def test_enumeration_energies_divisible_by_four():
         if isinstance(cls, Conference):
             continue
         energy = energy_closed(p)
-        assert energy.is_rational and energy.rational_part.denominator == 1
-        assert int(energy.rational_part) % 4 == 0
+        assert type(energy) is int and energy % 4 == 0
 
 
 def test_oa_tuples_pass_whenever_primitive_feasible():
