@@ -71,7 +71,9 @@ ASSUME_EXACT_FLAG = click.option("--assume-exact", is_flag=True,
 
 
 def _render_value(v) -> object:
-    if isinstance(v, ExactValue):
+    """An exact value (an int or an ExactValue) as its text, so that JSON
+    carries it as a string; an interval as its midpoint and radius."""
+    if type(v) is int or isinstance(v, ExactValue):
         return str(v)
     if type(v) is Eig:
         return {"approx": v.value, "radius": v.radius}
@@ -90,22 +92,26 @@ def _csv_text(header: list, rows) -> str:
 
 
 def _emit(report: dict, fmt: Optional[str]):
+    """Write the report in one echo: as JSON, or as ``key: value`` lines,
+    a nested object on one line and a spectrum one entry a line."""
     if fmt == "json":
         click.echo(json.dumps(report, indent=2))
         return
+    lines = []
     for key, value in report.items():
         if key == "spectrum" and isinstance(value, dict):
-            click.echo("spectrum:")
+            lines.append("spectrum:")
             for entry in value["entries"]:
                 rendered = entry["value"]
                 if isinstance(rendered, dict):
                     rendered = f"{rendered['approx']!r}(+-{rendered['radius']:g})"
-                click.echo(f"  [{rendered}]^{entry['mult']}")
+                lines.append(f"  [{rendered}]^{entry['mult']}")
         elif isinstance(value, dict):
             inner = " ".join(f"{k2}={v2}" for k2, v2 in value.items())
-            click.echo(f"{key}: {inner}")
+            lines.append(f"{key}: {inner}")
         else:
-            click.echo(f"{key}: {value}")
+            lines.append(f"{key}: {value}")
+    click.echo("\n".join(lines))
 
 
 # -- graph sources --------------------------------------------------------------------
@@ -348,9 +354,10 @@ SRG_COLUMNS = ["class", "alpha", "r", "s", "m_r", "m_s", "energy", "oa"]
 ENUM_COLUMNS = ["n", "k", "e", "d", *SRG_COLUMNS]
 
 
-def _srg_values(p: S.SrgParams, cls_name: str, data: S.SrgEigenData) -> list:
-    """The ``SRG_COLUMNS`` values that classify and enumerate print for a tuple."""
-    oa = S.oa_params(p)
+def _srg_values(p: S.SrgParams, cls_name: str, data: S.SrgEigenData,
+                oa: Optional[tuple[int, int]]) -> list:
+    """The ``SRG_COLUMNS`` values that classify and enumerate print for a
+    tuple, given its ``oa_params``."""
     return [cls_name, data.alpha, str(data.r), str(data.s), data.m_r, data.m_s,
             str(S.energy_closed(p, data)), f"OA({oa[0]},{oa[1]})" if oa else ""]
 
@@ -363,15 +370,15 @@ def classify(srg, fmt):
     p, data = _parse_srg(srg, S.eigen_data)
     cls_name = _class_name(S.classify(p, data)) if S.is_primitive(p) else "imprimitive"
     payload = {"command": "classify", "params": str(p),
-               **dict(zip(SRG_COLUMNS, _srg_values(p, cls_name, data)))}
+               **dict(zip(SRG_COLUMNS, _srg_values(p, cls_name, data, S.oa_params(p))))}
     _emit(payload, fmt)
 
 
 def _enumerate_rows(bounds: tuple[int, int]) -> list[list]:
     """The enumerate rows of one shard n_min <= n <= n_max, in ``ENUM_COLUMNS`` order."""
     lo, hi = bounds
-    return [[p.n, p.k, p.e, p.d, *_srg_values(p, _class_name(cls), data)]
-            for p, data, cls in S.enumerate_equien(hi, n_min=lo)]
+    return [[p.n, p.k, p.e, p.d, *_srg_values(p, _class_name(cls), data, oa)]
+            for p, data, cls, oa in S.enumerate_equien(hi, n_min=lo)]
 
 
 @main.command()

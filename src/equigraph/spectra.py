@@ -237,16 +237,18 @@ class DiscrepancyBreakdown:
     sigma -- sum of eigenvalue signs where |eig| >= 1;
     T     -- count of eigenvalues in (0, 1);
     m0    -- multiplicity of eigenvalue 0;
-    S     -- sum of 2*eig + 1 over eigenvalues in (-1, 0).
+    S     -- sum of 2*eig + 1 over eigenvalues in (-1, 0); the int 0 when
+             no eigenvalue lies there, an ExactValue otherwise.
     """
 
     sigma: int
     T: int
     m0: int
-    S: ExactValue
+    S: Union[int, ExactValue]
 
     @property
-    def delta_total(self) -> ExactValue:
+    def delta_total(self) -> Union[int, ExactValue]:
+        """An int when S is, as it is for every all-int spectrum."""
         return self.S + (self.sigma + self.T + self.m0)
 
 
@@ -262,7 +264,8 @@ def discrepancy(s: Spectrum, assume_exact: bool = False) -> DiscrepancyBreakdown
 
     Each value adds its multiplicity to the count of its ``delta_branch``,
     except that an S-branch value x adds (2x + 1)·mult to S.  An int's
-    branch is its sign, as no integer lies in (0, 1) or (-1, 0).
+    branch is its sign, as no integer lies in (0, 1) or (-1, 0).  With no
+    S-branch value, as in every all-int spectrum, S is the int 0.
     """
     sigma = t_count = m0 = 0
     s_terms = []
@@ -282,11 +285,13 @@ def discrepancy(s: Spectrum, assume_exact: bool = False) -> DiscrepancyBreakdown
             m0 += mult
         else:
             sigma += mult if branch == "sigma+" else -mult
-    return DiscrepancyBreakdown(sigma=sigma, T=t_count, m0=m0, S=exact_sum(s_terms))
+    return DiscrepancyBreakdown(sigma=sigma, T=t_count, m0=m0,
+                                S=exact_sum(s_terms) if s_terms else 0)
 
 
-def energy(s: Spectrum) -> Union[ExactValue, Eig]:
-    """Sum of |eigenvalue| * multiplicity; exact when every value is exact,
+def energy(s: Spectrum) -> Union[int, ExactValue, Eig]:
+    """Sum of |eigenvalue| * multiplicity: an int when every value is an
+    int, an ExactValue when every value is exact and some value is a Surd,
     and otherwise an interval Eig whose radius adds up the interval radii."""
     rational = 0
     surds = []
@@ -297,7 +302,7 @@ def energy(s: Spectrum) -> Union[ExactValue, Eig]:
             surds.append((abs(x), mult))
         else:
             return _approximate_energy(s)
-    return exact_sum(surds) + rational
+    return exact_sum(surds) + rational if surds else rational
 
 
 def _approximate_energy(s: Spectrum) -> Eig:
@@ -334,15 +339,26 @@ def complement_spectrum(s: Spectrum, k: int, loops: bool = False) -> Spectrum:
 
 @dataclass(frozen=True)
 class EquienReport:
+    """The verdict of ``check_equienergetic`` with what both routes computed.
+
+    delta             -- Delta of the criterion route, None with loops;
+    energy            -- E(graph), from ``energy``;
+    energy_complement -- E(complement), from ``energy`` of ``complement_spectrum``;
+    routes_agree      -- whether the energies bear the criterion's verdict out.
+
+    An integral value is an int, another exact one an ExactValue, and an
+    energy over interval eigenvalues an interval Eig.
+    """
+
     equal: bool
-    delta: Optional[ExactValue]
-    energy: Union[ExactValue, Eig]
-    energy_complement: Union[ExactValue, Eig]
+    delta: Optional[Union[int, ExactValue]]
+    energy: Union[int, ExactValue, Eig]
+    energy_complement: Union[int, ExactValue, Eig]
     routes_agree: bool
 
 
 def _energies_consistent(equal: bool, e1, e2) -> bool:
-    if isinstance(e1, ExactValue) and isinstance(e2, ExactValue):
+    if type(e1) is not Eig and type(e2) is not Eig:  # exact: an int or an ExactValue
         return (e1 == e2) == equal
     v1, r1 = (e1.value, e1.radius) if type(e1) is Eig else (float(e1), 0.0)
     v2, r2 = (e2.value, e2.radius) if type(e2) is Eig else (float(e2), 0.0)
@@ -359,7 +375,9 @@ def check_equienergetic(s: Spectrum, k: int, loops: bool = False,
     Criterion route: n == 2k + 1 - Delta (loopless), or n == 2k with
     loops, where both energies share the sum of |eig| over Sp' and add
     the degrees k and n - k.  The energy route recomputes both energies
-    through complement_spectrum as an independent cross-check.
+    through complement_spectrum as an independent cross-check.  For an
+    all-int spectrum both routes compare ints: delta with 2k + 1 - n, and
+    the two energies with each other.
     """
     n = s.n
     if loops:

@@ -490,31 +490,31 @@ def theorem_tuples(n: int) -> list[SrgParams]:
     return list(_theorem_range(n, n))
 
 
-SrgRow = tuple[SrgParams, SrgEigenData, EquienClass]
+SrgRow = tuple[SrgParams, SrgEigenData, EquienClass, Optional[tuple[int, int]]]
 
 
 def _theorem_rows(n_max: int, n_min: int = 2) -> list[SrgRow]:
     """The theorem's tuples with n_min <= n <= n_max, each with its eigen
-    data, derived once, and its ``classify`` outcome."""
+    data, its ``classify`` outcome and its ``oa_params``, each derived once."""
     rows = []
     for p in _theorem_range(n_max, n_min):
         data = eigen_data(p)
-        rows.append((p, data, classify(p, data)))
+        rows.append((p, data, classify(p, data), oa_params(p)))
     return rows
 
 
 def enumerate_equien(n_max: int, n_min: int = 2) -> list[SrgRow]:
     """All primitive feasible tuples with n_min <= n <= n_max equienergetic
-    with their complements, as (params, eigen data, class) rows in
-    (n, k, d) order; asserts that ``classify`` accepts each and every
-    non-conference entry is OA."""
+    with their complements, as (params, eigen data, class, OA parameters)
+    rows in (n, k, d) order; asserts that ``classify`` accepts each and
+    every non-conference entry is OA."""
     if n_max > ENUMERATION_CAP:
         raise ValueError(f"n_max above the {ENUMERATION_CAP} cap")
     results = _theorem_rows(n_max, n_min)
-    for p, _, cls in results:
+    for p, _, cls, oa in results:
         if isinstance(cls, NotEquien):
             raise AssertionError(f"theorem produced unclassifiable tuple {p}: {cls.reason}")
-        if not isinstance(cls, Conference) and oa_params(p) is None:
+        if not isinstance(cls, Conference) and oa is None:
             raise AssertionError(f"non-conference entry without OA parameters: {p}")
     return results
 

@@ -247,10 +247,10 @@ def verify_srg_enumeration(n_max: int = 2500, oracle_n_max: int = 400) -> list[C
     # enumerate_equien's rows before its guards, so a faulty generator fails
     # a row with its tuple as the witness instead of raising
     rows = S._theorem_rows(n_max)
-    bad_class = [str(p) for p, _, cls in rows if isinstance(cls, S.NotEquien)]
-    bad_oa = [str(p) for p, _, cls in rows
-              if not isinstance(cls, S.Conference) and S.oa_params(p) is None]
-    enumerated = [p for p, _, _ in rows]
+    bad_class = [str(p) for p, _, cls, _ in rows if isinstance(cls, S.NotEquien)]
+    bad_oa = [str(p) for p, _, cls, oa in rows
+              if not isinstance(cls, S.Conference) and oa is None]
+    enumerated = [p for p, _, _, _ in rows]
     fast = {p for p in enumerated if p.n <= oracle_n_max}
     slow = _oracle_direct_energy(oracle_n_max)
     mismatch = sorted(str(p) for p in fast.symmetric_difference(slow))

@@ -444,6 +444,17 @@ def test_enumerate_rejects_n_max_above_the_cap(runner):
     assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
+def test_enumerate_finds_the_oa_parameters_of_each_row_once(runner, monkeypatch):
+    from equigraph import srg
+    calls = []
+    real = srg.oa_params
+    monkeypatch.setattr(srg, "oa_params", lambda p: calls.append(p) or real(p))
+    result = runner.invoke(main, ["enumerate", "--n-max", "300", "--csv"])
+    rows = [line.split(",") for line in result.stdout.splitlines()[1:]]
+    assert len(rows) > 100 and any(row[-1] for row in rows)
+    assert calls == [srg.SrgParams(*map(int, row[:4])) for row in rows]
+
+
 def test_rings_search_cli(runner):
     result = runner.invoke(main, ["rings-search", "--s", "3", "--qmax", "16", "--json"])
     assert result.exit_code == 0
@@ -727,6 +738,55 @@ def test_integral_check_builds_no_eig(runner, monkeypatch):
     assert result.exit_code == 1
     assert json.loads(result.stdout)["delta"] == "49"
     assert calls == []
+
+
+@pytest.mark.parametrize("command", ["check", "spectrum"])
+def test_integral_ring_report_builds_no_exact_value(runner, monkeypatch, command):
+    from equigraph.exact import ExactValue
+    calls = []
+    for name in ("__init__", "_from_squarefree", "from_rational"):
+        def counted(*args, _real=getattr(ExactValue, name)):
+            calls.append(name)
+            return _real(*args)
+        monkeypatch.setattr(ExactValue, name, counted if name == "__init__" else staticmethod(counted))
+    result = runner.invoke(main, [command, "--ring", "4:2,9:1", "--json"])
+    assert result.exit_code == (1 if command == "check" else 0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--ring", "4:2,9:1", "--json"],
+    ["spectrum", "--ring", "4:2,9:1", "--json"],
+    ["check", "--srg", "16,6,2,2", "--json"],
+    ["spectrum", "--srg", "16,6,2,2", "--json"],
+])
+def test_exact_values_print_as_json_strings(runner, argv):
+    payload = json.loads(runner.invoke(main, argv).stdout)
+    if argv[0] == "check":
+        values = [payload["delta"], payload["energy"], payload["energy_complement"]]
+    else:
+        values = [payload["energy"], payload["discrepancy"]["S"], payload["discrepancy"]["total"]]
+    assert all(type(v) is str and v.lstrip("-").isdigit() for v in values), values
+
+
+def test_a_text_check_report_is_written_at_once(runner, monkeypatch):
+    calls = []
+    echo = click.echo
+    monkeypatch.setattr(click, "echo", lambda *args, **kwargs: calls.append(args) or echo(
+        *args, **kwargs))
+    result = runner.invoke(main, ["check", "--srg", "16,6,2,2"])
+    assert result.exit_code == 0 and len(calls) == 1
+    assert result.stdout == (
+        "command: check\n"
+        "source: srg(16,6,2,2)\n"
+        "n: 16\n"
+        "degree: 6\n"
+        "equal: True\n"
+        "delta: -3\n"
+        "energy: 36\n"
+        "energy_complement: 36\n"
+        "routes_agree: True\n"
+        "provenance: exact closed form\n")
 
 
 def test_srg_check_factors_its_radicand_once(runner, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -766,6 +767,86 @@ def test_integral_view_is_set_exactly_when_every_entry_is_an_integer():
         int, Surd, Surd]
     approx = Spectrum([(Eig.from_exact(2), 1), (Eig.from_approx(-2.0, 0.0), 1)])
     assert _value_types(approx) == [int, Eig]
+
+
+# -- int results of an all-int spectrum ----------------------------------------------
+
+
+def _delta_reference(sp, branches=("sigma+", "sigma-", "m0", "T", "S")):
+    """Sum of ``delta_of`` times multiplicity over the values of Sp' whose
+    branch is one of ``branches``, through the generic constructor."""
+    return ExactValue([(d, c * m) for x, m in sp if delta_branch(x) in branches
+                       for d, c in delta_of(x).terms])
+
+
+def _surd(x):
+    return x if type(x) is Surd else Surd(x)
+
+
+_degree_and_rest = st.integers(0, 12).flatmap(lambda degree: st.tuples(
+    st.just(degree),
+    st.lists(st.tuples(st.integers(-12, degree), st.integers(1, 5)), max_size=10),
+    st.integers(1, 3)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_degree_and_rest)
+def test_all_int_spectra_give_int_energies_s_and_delta(drawn):
+    degree, rest, degree_mult = drawn
+    s = Spectrum([(degree, degree_mult), *rest])
+    sp = [(Surd(x), m) for x, m in _sp_prime(s.values)]
+    e = energy(s)
+    assert type(e) is int and e == exact_sum([(abs(x), m) for x, m in s.values])
+    b = discrepancy(s)
+    assert type(b.S) is int and b.S == _delta_reference(sp, ("S",)) == 0
+    assert type(b.delta_total) is int and b.delta_total == _delta_reference(sp)
+    report = check_equienergetic(s, k=degree)
+    complement = [(Surd(s.n - degree - 1), 1)] + [(Surd(-1 - x.a), m) for x, m in sp]
+    assert type(report.delta) is int and report.delta == _delta_reference(sp)
+    assert type(report.energy) is int and report.energy == e
+    assert type(report.energy_complement) is int
+    assert report.energy_complement == exact_sum([(abs(y), m) for y, m in complement])
+    assert report.equal == (report.delta == 2 * degree + 1 - s.n)
+
+
+# non-integer surds; the last strategy draws only values in (-1, 0), which feed S
+_non_integer_surds = st.one_of(
+    _mixed_surds,
+    _rationals.filter(lambda q: q.denominator > 1).map(Surd),
+    st.builds(lambda a, b: Surd(a, b, 2), st.sampled_from([Fraction(1, 2), 1, Fraction(3, 2)]),
+              st.sampled_from([-1, Fraction(-1, 2), Fraction(-3, 4)])
+              ).filter(lambda x: -1 < float(x) < 0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_degree_and_rest, st.lists(st.tuples(_non_integer_surds, st.integers(1, 4)),
+                                  min_size=1, max_size=4))
+def test_a_non_integer_surd_keeps_exact_values(drawn, surds):
+    degree, rest, degree_mult = drawn
+    # a degree above every surd, so that the surds stay in Sp' and the complement
+    degree = max(degree, *(math.floor(float(x)) + 1 for x, _ in surds))
+    s = Spectrum([(degree, degree_mult), *rest, *surds])
+    e = energy(s)
+    assert type(e) is ExactValue
+    assert e == exact_sum([(abs(_surd(x)), m) for x, m in s.values])
+    sp = [(_surd(x), m) for x, m in _sp_prime(s.values)]
+    b = discrepancy(s)
+    on_s_branch = any(delta_branch(x) == "S" for x, _ in sp)
+    assert type(b.S) is (ExactValue if on_s_branch else int)
+    assert b.S == _delta_reference(sp, ("S",))
+    assert b.delta_total == _delta_reference(sp)
+    report = check_equienergetic(s, k=degree)
+    assert type(report.energy) is ExactValue and type(report.energy_complement) is ExactValue
+
+
+@settings(max_examples=200, deadline=None)
+@given(_degree_and_rest, st.floats(-20, -1.5), st.integers(1, 4))
+def test_an_interval_keeps_an_interval_energy(drawn, value, mult):
+    degree, rest, degree_mult = drawn
+    s = Spectrum([(degree, degree_mult), *rest, (Eig.from_approx(value, 1e-9), mult)])
+    assert type(energy(s)) is Eig
+    report = check_equienergetic(s, k=degree)
+    assert type(report.energy) is Eig and type(report.energy_complement) is Eig
 
 
 _LAZY_READERS = {

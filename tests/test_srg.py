@@ -496,7 +496,7 @@ def brute_force_equien(n_max):
 
 
 def test_enumeration_small_window():
-    got = {p for p, _, _ in enumerate_equien(16)}
+    got = {p for p, _, _, _ in enumerate_equien(16)}
     assert SrgParams(16, 6, 2, 2) in got
     assert SrgParams(16, 9, 4, 6) in got
     assert SrgParams(4, 2, 0, 2) not in got     # imprimitive
@@ -504,7 +504,7 @@ def test_enumeration_small_window():
 
 
 def test_enumeration_matches_brute_force_oracle():
-    fast = {p for p, _, _ in enumerate_equien(120)}
+    fast = {p for p, _, _, _ in enumerate_equien(120)}
     slow = set(brute_force_equien(120))
     assert fast == slow
 
@@ -583,9 +583,9 @@ def test_only_irrational_conference_rows_factor_or_build_an_exact_value(monkeypa
     monkeypatch.setattr(exact, "squarefree_decompose",
                         lambda d: factored.append(d) or decompose(d))
     rows = enumerate_equien(2500)
-    energies = [energy_closed(p, data) for p, data, _ in rows]
+    energies = [energy_closed(p, data) for p, data, _, _ in rows]
     monkeypatch.undo()
-    irrational = [p.n for p, _, cls in rows
+    irrational = [p.n for p, _, cls, _ in rows
                   if isinstance(cls, Conference) and isqrt(p.n) ** 2 != p.n]
     assert (len(rows), len(irrational)) == (1776, 600)
     assert factored == irrational
@@ -664,13 +664,13 @@ def test_infeasible_messages_are_formatted_when_read():
 
 
 def test_enumeration_closed_under_complement():
-    for p, _, _ in enumerate_equien(200):
+    for p, _, _, _ in enumerate_equien(200):
         comp = complement_params(p)
         assert equien_condition(comp)
 
 
 def test_enumeration_energies_divisible_by_four():
-    for p, _, cls in enumerate_equien(300):
+    for p, _, cls, _ in enumerate_equien(300):
         if isinstance(cls, Conference):
             continue
         energy = energy_closed(p)
