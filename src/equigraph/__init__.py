@@ -3,7 +3,13 @@
 The public names are re-exported from the modules that define them.  A
 module runs the first time one of its names is read (PEP 562), so
 ``import equigraph.cli`` runs only the modules the CLI itself imports.
+A module that uses a layer in only some of its functions binds it
+through ``_lazy_module``, so the layer runs at the first read of a name.
 """
+
+import importlib.util
+import sys
+from types import ModuleType
 
 __version__ = "0.1.0"
 
@@ -54,6 +60,22 @@ _EXPORTS = {
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_MODULE_OF)
+
+
+def _lazy_module(name: str) -> ModuleType:
+    """The package's module ``name``, entered in ``sys.modules`` and bound on
+    the package as ``import`` does, whose body runs on the first read of an
+    attribute; the module already there, if it was imported before."""
+    fullname = f"{__name__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    globals()[name] = module
+    return module
 
 
 def __getattr__(name: str):

@@ -9,30 +9,27 @@ line reads "exact closed form", "numeric (certified intervals)", or, when
 --assume-exact had to read an interval as a point to decide a branch,
 "numeric (intervals read as exact)".
 
-Importing this module runs only Click and the exact layers: exact,
-spectra and srg.  The ring layer (rings, fields) runs at the first ring
-source or search, the graph layer (graphs, jacobi) at the first family
-or file source, and verify, with the data it checks, only under
-``verify``.  So an exact command never runs a layer it does not use, nor
+Importing this module runs only Click and the exact core: exact and
+spectra.  The srg layer runs at the first srg source, ``classify``,
+``enumerate`` or srg-shaped family, the ring layer (rings, fields) at the
+first ring source or search, the graph layer (graphs, jacobi) at the
+first family or file source, and verify, with the data it checks, only
+under ``verify``.  So a command never runs a layer it does not use, nor
 compiles one when no bytecode is cached.
 """
 
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
-import importlib.util
 import io
-import json
 import os
 import sys
-from types import ModuleType
 from typing import Optional
 
 import click
 
-from . import srg as S
+from . import _lazy_module
 from .exact import ExactValue
 from .spectra import (
     Eig,
@@ -43,25 +40,10 @@ from .spectra import (
 )
 
 
-def _lazy_module(name: str) -> ModuleType:
-    """The package's module ``name``, entered in ``sys.modules`` and bound on
-    the package as ``import`` does, whose body runs on the first read of an
-    attribute; the module already there, if it was imported before."""
-    fullname = f"{__package__}.{name}"
-    if fullname in sys.modules:
-        return sys.modules[fullname]
-    spec = importlib.util.find_spec(fullname)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[fullname] = module
-    spec.loader.exec_module(module)
-    setattr(sys.modules[__package__], name, module)
-    return module
-
-
-# only the commands that read a graph or a ring profile run these modules
+# only the commands that read a graph, a ring profile or an srg tuple run these modules
 G = _lazy_module("graphs")
 R = _lazy_module("rings")
+S = _lazy_module("srg")
 
 # the two format flags share the destination ``fmt``; without either it is None
 JSON_FLAG = click.option("--json", "fmt", flag_value="json", help="emit JSON")
@@ -83,6 +65,8 @@ def _render_value(v) -> object:
 def _csv_text(header: list, rows) -> str:
     """The header row, unless it is None, then the rows, as csv writes them
     (each line ends in CRLF)."""
+    import csv
+
     out = io.StringIO()
     writer = csv.writer(out)
     if header is not None:
@@ -95,6 +79,8 @@ def _emit(report: dict, fmt: Optional[str]):
     """Write the report in one echo: as JSON, or as ``key: value`` lines,
     a nested object on one line and a spectrum one entry a line."""
     if fmt == "json":
+        import json
+
         click.echo(json.dumps(report, indent=2))
         return
     lines = []
@@ -242,17 +228,20 @@ def _source_options(fn):
 
 
 class _Group(click.Group):
-    """The command group.  ``verify``, whose suite choice reads the verify
-    module, joins it at the first lookup of a name not registered yet, so
-    that an unknown name is still matched against every command."""
+    """The command group.  A command in ``_LAZY_COMMANDS``, whose options
+    read a deferred layer, is built at the first lookup of its name; the
+    lookup of any other name not registered builds them all, so that an
+    unknown name is still matched against every command."""
 
     def get_command(self, ctx: click.Context, cmd_name: str) -> Optional[click.Command]:
-        if cmd_name not in self.commands and "verify" not in self.commands:
-            self.add_command(_verify_command())
+        if cmd_name not in self.commands:
+            for name in [cmd_name] if cmd_name in _LAZY_COMMANDS else _LAZY_COMMANDS:
+                if name not in self.commands:
+                    self.add_command(_LAZY_COMMANDS[name]())
         return super().get_command(ctx, cmd_name)
 
     def list_commands(self, ctx: click.Context) -> list[str]:
-        return sorted({*self.commands, "verify"})
+        return sorted({*self.commands, *_LAZY_COMMANDS})
 
 
 @click.group(cls=_Group)
@@ -381,31 +370,37 @@ def _enumerate_rows(bounds: tuple[int, int]) -> list[list]:
             for p, data, cls, oa in S.enumerate_equien(hi, n_min=lo)]
 
 
-@main.command()
-@click.option("--n-max", type=click.IntRange(max=S.ENUMERATION_CAP), required=True,
-              help="largest vertex count")
-@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
-              help="worker processes")
-@JSON_FLAG
-@CSV_FLAG
-def enumerate(n_max, jobs, fmt):
-    """Stream every equienergetic parameter tuple with n <= N as CSV/JSON."""
-    step = max(64, n_max // (4 * jobs))
-    shards = [(lo, min(lo + step - 1, n_max)) for lo in range(2, n_max + 1, step)]
-    workers = min(jobs, len(shards), os.cpu_count() or 1)
-    with contextlib.ExitStack() as stack:
-        if workers > 1:
-            from multiprocessing import Pool
-            parts = stack.enter_context(Pool(workers)).imap(_enumerate_rows, shards)
-        else:
-            parts = map(_enumerate_rows, shards)
-        if fmt == "json":
-            rows = [dict(zip(ENUM_COLUMNS, row)) for part in parts for row in part]
-            _emit({"command": "enumerate", "n_max": n_max, "rows": rows}, fmt)
-            return
-        click.echo(_csv_text(ENUM_COLUMNS, []), nl=False)
-        for part in parts:
-            click.echo(_csv_text(None, part), nl=False)
+def _enumerate_command() -> click.Command:
+    """The enumerate command; its --n-max range reads the srg layer's cap,
+    so it is built at the first lookup of ``enumerate``, not on import."""
+
+    @click.command()
+    @click.option("--n-max", type=click.IntRange(max=S.ENUMERATION_CAP), required=True,
+                  help="largest vertex count")
+    @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+                  help="worker processes")
+    @JSON_FLAG
+    @CSV_FLAG
+    def enumerate(n_max, jobs, fmt):
+        """Stream every equienergetic parameter tuple with n <= N as CSV/JSON."""
+        step = max(64, n_max // (4 * jobs))
+        shards = [(lo, min(lo + step - 1, n_max)) for lo in range(2, n_max + 1, step)]
+        workers = min(jobs, len(shards), os.cpu_count() or 1)
+        with contextlib.ExitStack() as stack:
+            if workers > 1:
+                from multiprocessing import Pool
+                parts = stack.enter_context(Pool(workers)).imap(_enumerate_rows, shards)
+            else:
+                parts = map(_enumerate_rows, shards)
+            if fmt == "json":
+                rows = [dict(zip(ENUM_COLUMNS, row)) for part in parts for row in part]
+                _emit({"command": "enumerate", "n_max": n_max, "rows": rows}, fmt)
+                return
+            click.echo(_csv_text(ENUM_COLUMNS, []), nl=False)
+            for part in parts:
+                click.echo(_csv_text(None, part), nl=False)
+
+    return enumerate
 
 
 @main.command("rings-search")
@@ -458,6 +453,9 @@ def _verify_command() -> click.Command:
 
     return verify
 
+
+# the commands built at their first lookup, by name
+_LAZY_COMMANDS = {"enumerate": _enumerate_command, "verify": _verify_command}
 
 if __name__ == "__main__":
     main()

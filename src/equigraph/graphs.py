@@ -14,12 +14,15 @@ from itertools import product as iter_product
 from math import isqrt
 from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
+from . import _lazy_module
 from .exact import Surd, exact_sum
 from .fields import GF, prime_power_decompose
 from .jacobi import jacobi_eigenvalues
 from .spectra import Eig, Spectrum
-from .srg import (Conference, family_params, gp_spectrum, latin_square_params,
-                  spectrum_of, steiner_params)
+
+# the srg layer runs only when an srg-shaped family's closed form is read,
+# so a graph file or any other family never runs it
+S = _lazy_module("srg")
 
 # numpy is imported inside each function that builds, reads or solves a
 # graph, so that the commands decided in exact arithmetic never load it
@@ -364,7 +367,7 @@ def _gp_spectrum(k: int, q: int) -> Optional[Spectrum]:
     if k <= 2:
         return FAMILIES["complete" if k == 1 else "paley"].spectrum(q)
     try:
-        return gp_spectrum(k, q).spectrum
+        return S.gp_spectrum(k, q).spectrum
     except ValueError:  # not semiprimitive: no closed form
         return None
 
@@ -385,9 +388,9 @@ FAMILIES: dict[str, Family] = {
         complete_multipartite,
         lambda a, m: _spec([((a - 1) * m, 1), (0, a * (m - 1)), (-m, a - 1)])),
     "lattice": Family(("n",), lambda n: _need(n >= 2, "lattice needs n >= 2"), lattice,
-                      lambda n: spectrum_of(latin_square_params(2, n))),
+                      lambda n: S.spectrum_of(S.latin_square_params(2, n))),
     "triangular": Family(("n",), lambda n: _need(n >= 4, "triangular graph needs n >= 4"),
-                         triangular, lambda n: spectrum_of(steiner_params(2, n - 2))),
+                         triangular, lambda n: S.spectrum_of(S.steiner_params(2, n - 2))),
     "petersen": Family((), _no_params, petersen,
                        lambda: _spec([(3, 1), (1, 5), (-2, 4)])),
     "shrikhande": Family((), _no_params, shrikhande,
@@ -397,7 +400,7 @@ FAMILIES: dict[str, Family] = {
     "k3_prism": Family((), _no_params, prism_k3,
                        lambda: _spec([(3, 1), (1, 1), (0, 2), (-2, 2)])),
     "paley": Family(("q",), lambda q: _power_residue_guard(2, q), paley,
-                    lambda q: spectrum_of(family_params(Conference((q - 1) // 4)))),
+                    lambda q: S.spectrum_of(S.family_params(S.Conference((q - 1) // 4)))),
     "gp": Family(("k", "q"), _power_residue_guard, gp_graph, _gp_spectrum,
                  order=lambda k, q: q),
 }

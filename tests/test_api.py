@@ -97,11 +97,16 @@ def _package_modules(node: ast.Import | ast.ImportFrom) -> set[str]:
     return {n.split(".")[1] for n in names if n.startswith("equigraph.")}
 
 
-@pytest.mark.parametrize("name", ["__init__.py", "cli.py"])
-def test_package_and_cli_import_no_layer_on_import(name):
-    # ``import equigraph.cli`` runs exact, spectra and srg alone; the graph,
-    # ring and verify layers run when a command first uses them
-    deferred = {"graphs", "jacobi", "rings", "fields", "verify", "data"}
+_DEFERRED = {"graphs", "jacobi", "rings", "fields", "srg", "verify", "data"}
+
+
+@pytest.mark.parametrize("name, deferred", [
+    ("__init__.py", _DEFERRED), ("cli.py", _DEFERRED), ("graphs.py", {"srg"}),
+], ids=["__init__.py", "cli.py", "graphs.py"])
+def test_package_and_cli_import_no_layer_on_import(name, deferred):
+    # ``import equigraph.cli`` runs exact and spectra alone; the graph, ring,
+    # srg and verify layers run when a command first uses them, and the
+    # graph layer runs srg only for a family whose closed form is an srg
     lines = [node.lineno for node in _imports_run_on_import(_tree(SRC / name))
              if _package_modules(node) & deferred]
     assert not lines, f"{name} imports a deferred layer on import at lines {lines}"

@@ -517,8 +517,10 @@ def test_verify_unknown_suite(runner):
 
 @pytest.fixture
 def unbuilt_verify(monkeypatch):
-    """``main`` as a fresh import leaves it: ``verify`` not built yet."""
-    monkeypatch.delitem(main.commands, "verify", raising=False)
+    """``main`` as a fresh import leaves it: ``enumerate`` and ``verify``
+    not built yet."""
+    for name in ("enumerate", "verify"):
+        monkeypatch.delitem(main.commands, name, raising=False)
 
 
 def test_help_lists_the_lazily_added_verify_in_its_place(runner, unbuilt_verify):
@@ -920,12 +922,13 @@ EXACT_COMMANDS = [
 ]
 
 # runs each stage of argvs through the CLI in-process and prints, as JSON,
-# the package modules (and numpy) that have executed after a bare import of
-# the CLI and after each stage, with each stage's exit codes and output sizes.
+# the package modules (and numpy) that have executed, and which of the
+# output modules csv and json are loaded, after a bare import of the CLI and
+# after each stage, with each stage's exit codes and output sizes.
 # A lazily loaded module waits in sys.modules as a ModuleType subclass until
 # its body runs, so only a plain ModuleType counts as executed.
 _FRESH_INTERPRETER = """
-import contextlib, io, json, sys, types
+import ast, contextlib, io, sys, types
 import equigraph.cli
 
 def run(argv):
@@ -942,40 +945,61 @@ def executed():
              if n.startswith("equigraph.") and type(m) is types.ModuleType]
     return sorted(names) + ["numpy"] * ("numpy" in sys.modules)
 
-report = [{"runs": [], "executed": executed()}]
-for stage in json.loads(sys.argv[1]):
-    report.append({"runs": [run(argv) for argv in stage], "executed": executed()})
+def formats():
+    return [m for m in ("csv", "json") if m in sys.modules]
+
+report = [{"runs": [], "executed": executed(), "formats": formats()}]
+for stage in ast.literal_eval(sys.argv[1]):
+    report.append({"runs": [run(argv) for argv in stage], "executed": executed(),
+                   "formats": formats()})
+
+import json  # only now, so that formats() sees what the CLI loaded
 print(json.dumps(report))
 """
 
 
-def _fresh_python(*args: str) -> str:
-    """The stdout of a new interpreter that imports this package's source."""
+def _fresh_run(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """A new interpreter that imports this package's source, run to its end
+    with ``env`` added to the environment."""
     src = str(Path(equigraph.__file__).resolve().parents[1])
-    env = dict(os.environ,
+    env = dict(os.environ, **env,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
-                          timeout=60, check=True).stdout
+                          timeout=60)
+
+
+def _fresh_python(*args: str) -> str:
+    """The stdout of a new interpreter that imports this package's source;
+    it must exit 0."""
+    result = _fresh_run(*args)
+    result.check_returncode()
+    return result.stdout
 
 
 def _run_fresh(stages: list[list[list[str]]]) -> list[dict]:
     return json.loads(_fresh_python("-c", _FRESH_INTERPRETER, json.dumps(stages)))
 
 
+_LAYERS = "import equigraph.graphs as G, equigraph.rings as R, equigraph.srg as S"
+
+
 @pytest.mark.parametrize("imports", [
-    "import equigraph.graphs as G, equigraph.rings as R\nimport equigraph.cli as cli",
-    "import equigraph.cli as cli\nimport equigraph.graphs as G, equigraph.rings as R",
+    f"{_LAYERS}\nimport equigraph.cli as cli",
+    f"import equigraph.cli as cli\n{_LAYERS}",
 ], ids=["layers-first", "cli-first"])
 def test_a_lazy_layer_is_the_one_module_of_its_name(imports):
     # imported before or after the CLI, each layer is one module object,
     # entered in sys.modules and bound on the package, so there is one Graph
-    # class and the benchmark's tracer finds every layer by name
+    # class and the benchmark's tracer finds every layer by name; cli and
+    # graphs share the one srg module
     assert _fresh_python("-c", imports + """
 import sys, equigraph
 print(cli.G is G is sys.modules["equigraph.graphs"] is equigraph.graphs,
       cli.R is R is sys.modules["equigraph.rings"] is equigraph.rings,
-      cli.G.Graph is G.Graph, cli.R.RingProfile is R.RingProfile)
-""") == "True True True True\n"
+      cli.S is G.S is S is sys.modules["equigraph.srg"] is equigraph.srg,
+      cli.G.Graph is G.Graph, cli.R.RingProfile is R.RingProfile,
+      cli.S.SrgParams is G.S.SrgParams is S.SrgParams)
+""") == "True True True True True True\n"
 
 
 def test_exact_commands_never_load_numpy(tmp_path):
@@ -995,17 +1019,87 @@ def test_exact_commands_never_load_numpy(tmp_path):
 def test_each_command_executes_only_the_layers_it_uses(tmp_path):
     path = tmp_path / "petersen.g"
     path.write_text(write_graph(petersen()))
+    # a graph file and a family without an srg closed form come before any
+    # srg command, so they show that neither runs the srg layer
     stages = [
         [["check", "--ring", "4:2,9:1", "--json"]],
-        [["check", "--srg", "16,6,2,2"], ["classify", "--srg", "25,12,5,6"],
-         ["enumerate", "--n-max", "100", "--csv"]],
-        [["check", "--file", str(path)]],
+        [["check", "--file", str(path)], ["check", "--family", "crown", "--t", "5"]],
+        [["check", "--srg", "16,6,2,2"], ["classify", "--srg", "25,12,5,6"]],
+        [["enumerate", "--n-max", "100", "--csv"]],
         [["verify", "table3"]],
     ]
     report = _run_fresh(stages)
-    assert [[code for code, _ in stage["runs"]] for stage in report[1:]] == [[1], [0, 0, 0],
-                                                                             [1], [0]]
-    assert report[0]["executed"] == ["cli", "exact", "spectra", "srg"]
+    assert [[code for code, _ in stage["runs"]] for stage in report[1:]] == [[1], [1, 0],
+                                                                             [0, 0], [0], [0]]
+    assert report[0]["executed"] == ["cli", "exact", "spectra"]
     added = [sorted(set(after["executed"]) - set(before["executed"]))
              for before, after in zip(report, report[1:])]
-    assert added == [["fields", "rings"], [], ["graphs", "jacobi", "numpy"], ["data", "verify"]]
+    assert added == [["fields", "rings"], ["graphs", "jacobi", "numpy"], ["srg"], [],
+                     ["data", "verify"]]
+
+
+def test_csv_and_json_load_only_for_their_output():
+    report = _run_fresh([
+        [["check", "--ring", "4:2,9:1"], ["classify", "--srg", "25,12,5,6"],
+         ["spectrum", "--family", "crown", "--t", "5"], ["verify", "table3"]],
+        [["check", "--ring", "4:2,9:1", "--json"]],
+        [["rings-search", "--s", "3", "--qmax", "8", "--csv"]],
+    ])
+    assert [[code for code, _ in stage["runs"]] for stage in report[1:]] == [[1, 0, 0, 0],
+                                                                             [1], [0]]
+    assert [stage["formats"] for stage in report] == [[], [], ["json"], ["csv", "json"]]
+
+
+_RUN_CLI = "from equigraph.cli import main; main(prog_name='equigraph')"
+
+# the texts that read the srg cap or list every command, as a new process
+# prints them: building a command at its first lookup leaves each the same
+_LOOKUP_TEXTS = {
+    "enumerate-help": (["enumerate", "--help"], 0, """\
+Usage: equigraph enumerate [OPTIONS]
+
+  Stream every equienergetic parameter tuple with n <= N as CSV/JSON.
+
+Options:
+  --n-max INTEGER RANGE  largest vertex count  [x<=10000; required]
+  --jobs INTEGER RANGE   worker processes  [default: 1; x>=1]
+  --json                 emit JSON
+  --csv                  emit CSV
+  --help                 Show this message and exit.
+""", ""),
+    "help": (["--help"], 0, """\
+Usage: equigraph [OPTIONS] COMMAND [ARGS]...
+
+  Exact equienergy analysis of regular graphs and their complements.
+
+Options:
+  --help  Show this message and exit.
+
+Commands:
+  check         Equienergy verdict for a graph against its complement.
+  classify      Classify an srg tuple under the complementary-equienergy...
+  enumerate     Stream every equienergetic parameter tuple with n <= N as...
+  rings-search  Search products of s fields that are equienergetic with...
+  spectrum      Spectrum, energy and discrepancy breakdown of a graph...
+  verify        Run one verification suite; nonzero exit when any claim...
+""", ""),
+    "above-the-cap": (["enumerate", "--n-max", "10001"], 2, "", """\
+Usage: equigraph enumerate [OPTIONS]
+Try 'equigraph enumerate --help' for help.
+
+Error: Invalid value for '--n-max': 10001 is not in the range x<=10000.
+"""),
+    "misspelt": (["enumrate"], 2, "", """\
+Usage: equigraph [OPTIONS] COMMAND [ARGS]...
+Try 'equigraph --help' for help.
+
+Error: No such command 'enumrate'. Did you mean 'enumerate'?
+"""),
+}
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", _LOOKUP_TEXTS.values(),
+                         ids=_LOOKUP_TEXTS.keys())
+def test_lazily_built_commands_print_the_same_texts(argv, code, stdout, stderr):
+    result = _fresh_run("-c", _RUN_CLI, *argv, COLUMNS="80")
+    assert (result.returncode, result.stdout, result.stderr) == (code, stdout, stderr)
