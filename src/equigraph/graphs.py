@@ -61,9 +61,10 @@ __all__ = [
     "read_graph",
 ]
 
-# random 0/1 matrices take 0.45-0.8 s at n = 600 on a 2-core machine
-# (Paley(601) about 0.3 s); the derived radius sets the cap: it stays
-# below 1e-7, a tenth of spectra.APPROX_RADIUS_CAP, up to about n = 650
+# with one BLAS thread on a 2-core x86_64 machine, a random 0/1 matrix
+# takes 0.49-0.54 s at n = 600 and Paley(593) 0.18-0.19 s; the derived
+# radius sets the cap: it stays below 1e-7, a tenth of
+# spectra.APPROX_RADIUS_CAP, up to about n = 650
 MAX_EIGEN_N = 600
 NUMERIC_RADIUS = 1e-8
 
@@ -442,7 +443,7 @@ def numeric_spectrum(g: Graph) -> Spectrum:
     gap = 4.1 * NUMERIC_RADIUS
     groups: list[list[float]] = []
     last = None
-    for v in result.values:
+    for v in result.values.tolist():
         if last is not None and v - last <= gap:
             groups[-1].append(v)
         else:

@@ -8,7 +8,13 @@ in the package, so it deliberately avoids LAPACK.  It works in two steps.
   the trailing block per column.  A column whose entries below the
   subdiagonal are already zero needs no reflection; graphs with several
   components and the complements of complete multipartite graphs have
-  such columns.
+  such columns.  The update v w^T + w v^T is formed as two products,
+  v_i w_j into entry (i, j) and then w_i v_j added to it.  Entry (j, i)
+  gets v_j w_i and w_j v_i: the same two rounded products, since IEEE
+  multiplication commutes, added in the other order, which IEEE
+  addition does not notice.  So the block stays exactly symmetric, as
+  the bound below requires.  One BLAS product V W^T would not do: with
+  fused multiply-adds, (i, j) and (j, i) can round differently.
 * T's eigenvalues come from the implicit-shift QL sweeps of EISPACK
   ``imtql1`` (Dubrulle, Martin & Wilkinson, Numer. Math. 12, 1968) in
   plain Python floats.  Each sweep chases one rotation per row of the
@@ -46,6 +52,21 @@ value, and both terms are derived from the run:
     update 9; the new subdiagonal entry m/2 + 2.  The sum, 10.5m + 55,
     is below 12m + 60 for every m >= 2, so a reflection adds
     (6m + 30) eps ||A_k||_F.
+  - ||A_k||_F is kept as a running value rather than read from the
+    block.  Write A_k = [[a_kk, x^T], [x, B]], so that ||A_k||_F^2 =
+    a_kk^2 + 2 ||x||^2 + ||B||_F^2.  The next trailing block is P B P,
+    whose Frobenius norm is ||B||_F because P is orthogonal, or B itself
+    when the tail is dropped.  Either way ||A_{k+1}||_F^2 = ||A_k||_F^2 -
+    a_kk^2 - 2 ||x||^2, starting from ||A||_F^2.  The running value
+    differs from the norm of the computed block only by rounding: that
+    of the subtractions, and the gap between the computed block and the
+    exact P B P, which the terms above bound.  Both are eps ||A||_F^2
+    times a polynomial in n.  Where the value does not cancel, the scale
+    of each reflection's term moves by O(eps) relative; where it
+    cancels, by at most the square root of the gap.  Each term is
+    already a multiple of eps, so the bound moves by O(eps^2), or
+    O(eps^(3/2)) under cancellation: below the first order kept here.
+    A value that cancels below 0 is clamped at 0.
   - A QL step is a two-sided plane rotation of rows and columns i and
     i + 1.  With (c, s) and the rotated pairs within gamma_6 = 6u of
     exact (Higham, Lemma 19.9), it is exact for a perturbation of
@@ -91,42 +112,52 @@ class JacobiResult(NamedTuple):
     rounding: float
 
 
-def _tridiagonalize(a: np.ndarray, tol: float) -> tuple[list[float], list[float], float, float]:
-    """Reduces the symmetric ``a`` in place by Householder reflections.
+def _tridiagonalize(a: np.ndarray, tol: float,
+                    norm_sq: float) -> tuple[list[float], list[float], float, float]:
+    """Reduces the symmetric ``a``, with ||a||_F^2 = ``norm_sq``, in place
+    by Householder reflections.
 
     Returns T's diagonal, its n - 1 off-diagonal entries, the summed norms
     of the column tails dropped and the reflections' rounding bound in
-    units of eps (see the module docstring).
+    units of eps (see the module docstring).  The bound scales each
+    reflection by ||A_k||_F, which is kept as a running value: column k
+    takes a_kk^2 + 2 ||x||^2 out of ||A_k||_F^2, since P B P keeps
+    ||B||_F and a dropped tail leaves B as it is.  The value is clamped at
+    0 because it can cancel below its own rounding.  Row k right of the
+    diagonal is not read again, so the reflector is built there.
     """
     import numpy as np
+    dot, sqrt, hypot, copysign = np.dot, math.sqrt, math.hypot, math.copysign
     n = a.shape[0]
     e = [0.0] * max(n - 1, 0)
     dropped = 0.0
     units = 0.0
+    trailing_sq = norm_sq               # ||A_k||_F^2, the trailing block of column k
     for k in range(n - 2):
+        akk = float(a[k, k])
         x = a[k, k + 1:]                # row k, which is column k
         x0 = float(x[0])
-        tail = math.sqrt(float(x[1:] @ x[1:]))
+        tail_sq = float(dot(x[1:], x[1:]))
+        tail = sqrt(tail_sq)
         if tail <= tol:
             dropped += tail
             e[k] = x0
-            continue
-        trailing = a[k:, k:]
-        trailing_norm = math.sqrt(float(np.einsum("ij,ij->", trailing, trailing)))
-        mu = math.copysign(math.hypot(x0, tail), x0)
-        v = x.copy()
-        v[0] = v0 = x0 + mu
-        beta = 1.0 / (mu * v0)
-        block = a[k + 1:, k + 1:]
-        w = block @ v
-        w *= beta
-        w -= (0.5 * beta * float(w @ v)) * v
-        # v w^T + w v^T, exactly symmetric
-        update = np.multiply.outer(v, w)
-        update += update.T
-        block -= update
-        e[k] = -mu
-        units += (6 * (n - k - 1) + 30) * trailing_norm
+        else:
+            mu = copysign(hypot(x0, tail), x0)
+            x[0] = v0 = x0 + mu         # x is now the reflector v
+            beta = 1.0 / (mu * v0)
+            block = a[k + 1:, k + 1:]
+            w = block @ x
+            w *= beta
+            w -= (0.5 * beta * float(dot(w, x))) * x
+            # v w^T + w v^T: entry (i, j) is v_i w_j + w_i v_j and entry
+            # (j, i) is v_j w_i + w_j v_i, the same two rounded products
+            update = x[:, None] * w
+            update += w[:, None] * x
+            block -= update
+            e[k] = -mu
+            units += (6 * (n - k - 1) + 30) * sqrt(trailing_sq)
+        trailing_sq = max(trailing_sq - akk * akk - 2.0 * (x0 * x0 + tail_sq), 0.0)
     if n >= 2:
         e[n - 2] = float(a[n - 2, n - 1])
     return a.diagonal().tolist(), e, dropped, units
@@ -203,9 +234,10 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> JacobiResult:
         raise ValueError("matrix must be square")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix must be symmetric")
-    norm = math.sqrt(float(np.vdot(a, a)))
+    norm_sq = float(np.vdot(a, a))
+    norm = math.sqrt(norm_sq)
     eps = sys.float_info.epsilon
-    d, e, skipped, reflection_units = _tridiagonalize(a, eps * norm)
+    d, e, skipped, reflection_units = _tridiagonalize(a, eps * norm, norm_sq)
     deflated, rotation_units = _implicit_ql(d, e, eps * norm)
     values = np.array(sorted(d), dtype=np.float64)
     rounding = (reflection_units + rotation_units * norm) * eps

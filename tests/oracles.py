@@ -5,13 +5,16 @@ parameters from common-neighbour counts, isospectrality from LAPACK,
 surds parsed back from their canonical text, multiplicative orders by
 trying every divisor of q - 1, factorizations from a sieve.  The
 exceptions are the generic exact route, which is the surd path itself,
-kept as the reference for the int values that bypass it, and the
+kept as the reference for the int values that bypass it, the
 theorem's tuples listed one vertex count at a time, kept as the
-reference for the generator that lists a range.
+reference for the generator that lists a range, and the Householder
+column loop that read each trailing norm from the block, kept as the
+bit-for-bit reference for the loop that keeps a running norm.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from functools import cmp_to_key
@@ -24,6 +27,43 @@ from equigraph.exact import ExactValue, Surd, exact_sum
 from equigraph.graphs import Graph, regularity
 from equigraph.spectra import Eig, Spectrum, _point, delta_branch
 from equigraph.srg import Conference, SrgParams, family_params, latin_square_params
+
+
+def tridiagonalize_reference(a: np.ndarray, tol: float) -> tuple[list[float], list[float], float, float]:
+    """``jacobi._tridiagonalize`` as it was before it kept a running trailing
+    norm: each reflection reads ||A_k||_F from the block, and the rank-2
+    update adds its own transpose.  Reduces ``a`` in place."""
+    n = a.shape[0]
+    e = [0.0] * max(n - 1, 0)
+    dropped = 0.0
+    units = 0.0
+    for k in range(n - 2):
+        x = a[k, k + 1:]                # row k, which is column k
+        x0 = float(x[0])
+        tail = math.sqrt(float(x[1:] @ x[1:]))
+        if tail <= tol:
+            dropped += tail
+            e[k] = x0
+            continue
+        trailing = a[k:, k:]
+        trailing_norm = math.sqrt(float(np.einsum("ij,ij->", trailing, trailing)))
+        mu = math.copysign(math.hypot(x0, tail), x0)
+        v = x.copy()
+        v[0] = v0 = x0 + mu
+        beta = 1.0 / (mu * v0)
+        block = a[k + 1:, k + 1:]
+        w = block @ v
+        w *= beta
+        w -= (0.5 * beta * float(w @ v)) * v
+        # v w^T + w v^T, exactly symmetric
+        update = np.multiply.outer(v, w)
+        update += update.T
+        block -= update
+        e[k] = -mu
+        units += (6 * (n - k - 1) + 30) * trailing_norm
+    if n >= 2:
+        e[n - 2] = float(a[n - 2, n - 1])
+    return a.diagonal().tolist(), e, dropped, units
 
 
 def srg_counts(g: Graph) -> Optional[tuple[int, int, int, int]]:

@@ -1,5 +1,7 @@
+import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -42,7 +44,8 @@ from equigraph import graphs, jacobi
 from equigraph.jacobi import JacobiConvergenceError, JacobiResult, jacobi_eigenvalues
 from equigraph.spectra import APPROX_RADIUS_CAP, Spectrum, spectra_match
 
-from oracles import is_isospectral, multiplicative_order, srg_counts, write_graph
+from oracles import (is_isospectral, multiplicative_order, srg_counts, tridiagonalize_reference,
+                     write_graph)
 
 
 # -- fields ------------------------------------------------------------------
@@ -203,20 +206,77 @@ def test_jacobi_property_against_lapack(n, seed, kind):
             assert eig.lo <= group[0] and group[-1] <= eig.hi
 
 
-@pytest.mark.parametrize("graph", [
+# few distinct eigenvalues, high multiplicities: T splits or carries
+# rounding-level entries that only the norm-based tolerance drops
+_NAMED_GRAPHS = [
     crown(9), crown(16),
     complete_multipartite(4, 14), complete_multipartite(7, 5), complete_multipartite(3, 1),
     paley(13), paley(49), paley(61),
     triangular(8), triangular(11),
     cycle(7), complete(6),
-], ids=lambda g: f"n={g.n}")
-def test_jacobi_bound_on_relabelled_named_graphs(graph):
-    # few distinct eigenvalues, high multiplicities: T splits or carries
-    # rounding-level entries that only the norm-based tolerance drops
+]
+
+
+def _relabellings(graph: Graph):
     rng = np.random.default_rng(graph.n)
     for _ in range(3):
         p = rng.permutation(graph.n)
-        _assert_bound_covers_lapack(graph.adj[np.ix_(p, p)].astype(np.float64))
+        yield graph.adj[np.ix_(p, p)].astype(np.float64)
+
+
+@pytest.mark.parametrize("graph", _NAMED_GRAPHS, ids=lambda g: f"n={g.n}")
+def test_jacobi_bound_on_relabelled_named_graphs(graph):
+    for m in _relabellings(graph):
+        _assert_bound_covers_lapack(m)
+
+
+def _assert_tridiagonal_matches_reference(m: np.ndarray) -> None:
+    """d, e and the dropped norm equal the former column loop's bit for
+    bit; only the rounding units, scaled by the running trailing norm,
+    may differ, and then by rounding."""
+    norm_sq = float(np.vdot(m, m))
+    tol = np.finfo(float).eps * np.sqrt(norm_sq)
+    d, e, dropped, units = jacobi._tridiagonalize(m.copy(), tol, norm_sq)
+    ref_d, ref_e, ref_dropped, ref_units = tridiagonalize_reference(m.copy(), tol)
+    assert d == ref_d and e == ref_e and dropped == ref_dropped
+    assert abs(units - ref_units) <= 1e-12 * ref_units
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["normal", "adjacency", "zero", "diagonal", "blocks", "disconnected"]))
+def test_tridiagonal_is_bit_identical_to_the_reference(n, seed, kind):
+    _assert_tridiagonal_matches_reference(_property_matrix(kind, n, seed))
+
+
+@pytest.mark.parametrize("graph", _NAMED_GRAPHS, ids=lambda g: f"n={g.n}")
+def test_tridiagonal_is_bit_identical_on_relabelled_named_graphs(graph):
+    for m in _relabellings(graph):
+        _assert_tridiagonal_matches_reference(m)
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e6, 1e9])
+def test_running_trailing_norm_is_clamped_where_it_cancels(monkeypatch, scale):
+    # two blocks far apart in scale, relabelled: once the large block is
+    # reduced, ||A_k||_F^2 is what is left of ||A||_F^2 after subtracting
+    # terms of about its own size, so rounding can take it below 0
+    arguments = []
+
+    def sqrt(x):
+        arguments.append(x)
+        return math.sqrt(x)
+
+    monkeypatch.setattr(jacobi, "math", SimpleNamespace(
+        sqrt=sqrt, hypot=math.hypot, copysign=math.copysign))
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        large, small = rng.normal(size=(12, 12)), rng.normal(size=(20, 20))
+        m = np.zeros((32, 32))
+        m[:12, :12] = (large + large.T) / 2
+        m[12:, 12:] = (small + small.T) / 2 / scale
+        p = rng.permutation(32)
+        _assert_bound_covers_lapack(m[np.ix_(p, p)])
+    assert min(arguments) >= 0.0
 
 
 @pytest.mark.parametrize("d", [1.0, -3.5, 1e6, 2.0 ** -30])
