@@ -43,14 +43,15 @@ __all__ = [
     "ds_nonconference_params",
 ]
 
+BISECT_RADIUS = 1e-10
 
-def bisect_root(coeffs: list[int], lo: Fraction, hi: Fraction,
-                radius: float = 1e-10) -> Union[Surd, Eig]:
+
+def bisect_root(coeffs: list[int], lo: Fraction, hi: Fraction) -> Union[Surd, Eig]:
     """Isolate one root of an integer polynomial by bisection.
 
     ``coeffs`` are ascending; the interval must bracket a sign change.
     Returns a rational root that an endpoint or a midpoint hits exactly as
-    a Surd, and otherwise a certified interval of the given radius.
+    a Surd, and otherwise a certified interval of radius ``BISECT_RADIUS``.
     """
     def value(x: Fraction) -> Fraction:
         acc = Fraction(0)
@@ -65,7 +66,7 @@ def bisect_root(coeffs: list[int], lo: Fraction, hi: Fraction,
         return Surd(hi)
     if (flo > 0) == (fhi > 0):
         raise ValueError("interval does not bracket a root")
-    width = Fraction(radius).limit_denominator(10 ** 15)
+    width = Fraction(BISECT_RADIUS).limit_denominator(10 ** 15)
     while hi - lo > width:
         mid = (lo + hi) / 2
         fmid = value(mid)
@@ -76,7 +77,7 @@ def bisect_root(coeffs: list[int], lo: Fraction, hi: Fraction,
         else:
             hi = mid
     mid = (lo + hi) / 2
-    return Eig.from_approx(float(mid), radius)
+    return Eig.from_approx(float(mid), BISECT_RADIUS)
 
 
 @dataclass(frozen=True)
@@ -154,8 +155,8 @@ def _sqrt_entries(c: int, d: int, mult: int) -> list[tuple[Surd, int]]:
 
 
 def _distance_transitive_rows() -> list[CuratedGraph]:
-    biggs_quad = [-4, -1, 1]    # x^2 - x - 4, ascending
-    biggs_cubic = [-3, 0, 3, 1]  # x^3 + 3x^2 - 3
+    biggs_cubic = [-3, 0, 3, 1]  # x^3 + 3x^2 - 3, ascending
+    half = Fraction(1, 2)
     rows = [
         _K4,
         _K33,
@@ -196,18 +197,18 @@ def _distance_transitive_rows() -> list[CuratedGraph]:
         CuratedGraph("Biggs-Smith", 102, 3,
                      Spectrum([
                          (3, 1),
-                         (bisect_root(biggs_quad, Fraction(2), Fraction(3)), 9),
+                         (Surd(half, half, 17), 9),
                          (2, 18),
                          (bisect_root(biggs_cubic, Fraction(0), Fraction(1)), 16),
                          (0, 17),
                          (bisect_root(biggs_cubic, Fraction(-3, 2), Fraction(-1)), 16),
-                         (bisect_root(biggs_quad, Fraction(-2), Fraction(-3, 2)), 9),
+                         (Surd(half, -half, 17), 9),
                          (bisect_root(biggs_cubic, Fraction(-3), Fraction(-2)), 16),
                      ]),
                      None, False,
-                     note="irrational eigenvalues carried as isolating "
-                          "intervals of the polynomials x^2 - x - 4 and "
-                          "x^3 + 3x^2 - 3, bisected to radius 1e-10"),
+                     note="the roots (1 +- sqrt(17))/2 of x^2 - x - 4 carried "
+                          "exactly; the roots of x^3 + 3x^2 - 3 carried as "
+                          "isolating intervals, bisected to radius 1e-10"),
         CuratedGraph("Tutte 12-cage", 126, 3,
                      Spectrum([(Surd(3), 1)] + _sqrt_entries(1, 6, 21)
                               + _sqrt_entries(1, 2, 27)

@@ -61,10 +61,10 @@ __all__ = [
     "read_graph",
 ]
 
-# with one BLAS thread on a 2-core x86_64 machine, a random 0/1 matrix
-# takes 0.49-0.54 s at n = 600 and Paley(593) 0.18-0.19 s; the derived
-# radius sets the cap: it stays below 1e-7, a tenth of
-# spectra.APPROX_RADIUS_CAP, up to about n = 650
+# a time and memory bound: with one BLAS thread on a 2-core x86_64 machine
+# a random 0/1 matrix takes 0.49-0.54 s at n = 600 and Paley(593) 0.18-0.19 s,
+# and each n x n float64 array the solver holds is 2.9 MB; the derived radius
+# stays at most 1e-7 here (test_graphs.py::test_numeric_radius_at_the_eigensolver_cap)
 MAX_EIGEN_N = 600
 NUMERIC_RADIUS = 1e-8
 

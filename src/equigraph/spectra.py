@@ -4,9 +4,9 @@ A regular graph and its loopless complement are equienergetic exactly
 when ``n == 2k + 1 - Delta`` where ``Delta`` is the spectral
 discrepancy: the sum of ``|1 + x| - |x|`` over the spectrum with one
 copy of the degree removed.  Everything here is decided in exact
-arithmetic whenever the eigenvalues are exact; certified floating
-entries are admitted only when their intervals stay clear of the
-branch-relevant region ``(-1, 0)`` and its endpoints.
+arithmetic whenever the eigenvalues are exact; a certified floating entry
+is admitted only when its interval lies in (-inf, -1] or [0, inf), and is
+compared with another value only within its certified radius (``_agree``).
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ __all__ = [
     "check_equienergetic",
     "spectra_match",
 ]
-
-APPROX_RADIUS_CAP = 1e-6
-
 
 class UncertifiableBranch(Exception):
     """A floating eigenvalue interval cannot be assigned a branch of delta."""
@@ -92,6 +89,15 @@ def _value(x) -> Value:
 
 def _float(x: Value) -> float:
     return x.value if type(x) is Eig else float(x)
+
+
+def _agree(x, y) -> bool:
+    """Whether two values can be equal: |x - y| is at most the sum of their
+    certified radii, radius 0 for an exact int, Surd or ExactValue."""
+    if type(x) is not Eig and type(y) is not Eig:
+        return x == y
+    radius = (x.radius if type(x) is Eig else 0.0) + (y.radius if type(y) is Eig else 0.0)
+    return abs(_float(x) - _float(y)) <= radius
 
 
 class Spectrum:
@@ -175,7 +181,7 @@ def _assumed_value(e: Eig) -> Fraction:
     nearest integer when that integer lies within the interval's own radius
     (numeric spectra of integral graphs land there)."""
     nearest = round(e.value)
-    if abs(e.value - nearest) <= e.radius:
+    if _agree(e, nearest):
         return Fraction(nearest)
     return Fraction(e.value)
 
@@ -195,20 +201,16 @@ def delta_branch(x: Union[Surd, Eig], assume_exact: bool = False) -> str:
 
     ``x`` is a Surd or an interval Eig (``discrepancy`` decides an int by
     its sign).  A Surd is decided by its exact sign and its exact
-    comparison with 1 or -1.  An interval of radius at most
-    ``APPROX_RADIUS_CAP`` is decided when it lies in (-inf, -1] or
-    [0, inf); one in [0, inf) that reaches 1 counts as 'sigma+' whatever
-    its midpoint's last digits, so the sigma/T split does not depend on the
-    vertex labelling (both add +1).  Any other interval raises
+    comparison with 1 or -1.  An interval is decided by containment, at
+    any radius: every value in (-inf, -1] adds -1 to delta and every value
+    in [0, inf) adds +1.  One in [0, inf) that reaches 1 counts as 'sigma+'
+    whatever its midpoint's last digits, so the sigma/T split does not
+    depend on the vertex labelling.  Any other interval raises
     ``UncertifiableBranch``, unless ``assume_exact`` reads it as the point
     ``_assumed_value`` and decides that exactly.
     """
     if type(x) is Eig:
         e = x
-        if e.radius > APPROX_RADIUS_CAP and not assume_exact:
-            raise UncertifiableBranch(
-                f"interval radius {e.radius!r} exceeds the decision cap {APPROX_RADIUS_CAP}"
-            )
         if e.hi <= -1:
             return "sigma-"
         if not assume_exact:
@@ -358,14 +360,10 @@ class EquienReport:
 
 
 def _energies_consistent(equal: bool, e1, e2) -> bool:
-    if type(e1) is not Eig and type(e2) is not Eig:  # exact: an int or an ExactValue
-        return (e1 == e2) == equal
-    v1, r1 = (e1.value, e1.radius) if type(e1) is Eig else (float(e1), 0.0)
-    v2, r2 = (e2.value, e2.radius) if type(e2) is Eig else (float(e2), 0.0)
-    overlap = abs(v1 - v2) <= r1 + r2 + 1e-12
-    if equal:
-        return overlap
-    return True  # intervals cannot refute a strict inequality verdict
+    agree = _agree(e1, e2)
+    if type(e1) is Eig or type(e2) is Eig:
+        return agree or not equal  # intervals cannot refute a strict inequality verdict
+    return agree == equal  # exact: an int or an ExactValue
 
 
 def check_equienergetic(s: Spectrum, k: int, loops: bool = False,
@@ -393,13 +391,10 @@ def check_equienergetic(s: Spectrum, k: int, loops: bool = False,
                         energy_complement=e_comp, routes_agree=agree)
 
 
-def spectra_match(numeric: Spectrum, exact: Spectrum, tol: float = 1e-7) -> bool:
-    """Entrywise agreement with multiplicity grouping at tolerance ``tol``."""
+def spectra_match(numeric: Spectrum, exact: Spectrum) -> bool:
+    """Whether two spectra can be equal: each value of ``exact`` has the total
+    multiplicity of the values of ``numeric`` that ``_agree`` with it."""
     if numeric.n != exact.n:
         return False
-    for x, mult in exact.values:
-        target = _float(x)
-        got = sum(m for y, m in numeric.values if abs(_float(y) - target) <= tol)
-        if got != mult:
-            return False
-    return True
+    return all(sum(m for y, m in numeric.values if _agree(y, x)) == mult
+               for x, mult in exact.values)

@@ -486,8 +486,8 @@ def verify_oracle_coherence() -> list[CheckResult]:
             failures.append(name)
     return [
         _all("numeric spectra match the exact spectra of every constructed graph "
-             "(1e-7 per eigenvalue, exact multiplicity grouping)", failures,
-             f"{total} graphs"),
+             "(within each eigenvalue's certified radius, exact multiplicity "
+             "grouping)", failures, f"{total} graphs"),
     ]
 
 

@@ -172,7 +172,7 @@ def test_criterion_10_remaining_clauses():
 def test_criterion_11_oracle_coherence():
     results, elapsed = _suite("coherence", V.verify_oracle_coherence)
     _record("criterion 11: numeric eigensolver matches every exact spectrum "
-            "(1e-7, exact multiplicity grouping)", results, elapsed)
+            "(within certified radii, exact multiplicity grouping)", results, elapsed)
     assert elapsed < 1.0
 
 

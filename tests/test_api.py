@@ -152,3 +152,21 @@ def test_click_parses_the_family_parameters_and_numpy_the_edge_lines():
 
     assert not calls("cli.py", "click.NoSuchOption", "click.BadParameter", "ctx.fail")
     assert not calls("graphs.py", "np.fromstring")
+
+
+def test_no_function_takes_a_float_defaulted_parameter():
+    # a numeric value is judged by its certified radius alone, so no caller
+    # sets a tolerance, a radius or a slack through a float default
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            for default in node.args.defaults + [d for d in node.args.kw_defaults if d]:
+                try:
+                    value = ast.literal_eval(default)
+                except ValueError:
+                    continue
+                if isinstance(value, float):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, found

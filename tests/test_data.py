@@ -115,13 +115,18 @@ def test_bisect_root_returns_a_root_it_hits_as_a_surd(lo, hi):
 
 
 def test_biggs_smith_row_intervals():
+    # the cubic's roots are intervals; the quadratic's are exact surds
     row = next(r for r in TABLE_DISTANCE_TRANSITIVE_CUBIC if r.name == "Biggs-Smith")
     approx = [(e.value, m) for e, m in row.spectrum.entries if e.exact is None]
-    assert len(approx) == 5
+    assert len(approx) == 3
     values = sorted(v for v, _ in approx)
-    expect = [-2.532, -1.562, -1.347, 0.879, 2.562]
+    expect = [-2.532, -1.347, 0.879]
     for got, want in zip(values, expect):
         assert abs(got - want) < 1e-3
+    half = Fraction(1, 2)
+    for root in (Surd(half, half, 17), Surd(half, -half, 17)):
+        assert root * root == root + 4  # a root of x^2 - x - 4
+        assert (root, 9) in row.spectrum.values
 
 
 def test_mixed_radicand_catalog_spectra_keep_their_entry_order():
@@ -133,9 +138,9 @@ def test_mixed_radicand_catalog_spectra_keep_their_entry_order():
         ("3", 1), ("sqrt(6)", 12), ("2", 9), ("1", 18), ("0", 10), ("-1", 18), ("-2", 9),
         ("-sqrt(6)", 12), ("-3", 1)]
     assert [(str(e), m) for e, m in rows["Biggs-Smith"].spectrum.entries] == [
-        ("3", 1), ("2.5615528127818834(+-1e-10)", 9), ("2", 18),
+        ("3", 1), ("1/2 + 1/2*sqrt(17)", 9), ("2", 18),
         ("0.8793852415692527(+-1e-10)", 16), ("0", 17), ("-1.3472963553213049(+-1e-10)", 16),
-        ("-1.5615528127818834(+-1e-10)", 9), ("-2.532088886218844(+-1e-10)", 16)]
+        ("1/2 - 1/2*sqrt(17)", 9), ("-2.532088886218844(+-1e-10)", 16)]
     k23 = exact_spectrum_of_family("complete_bipartite", a=2, b=3)
     assert [(str(e), m) for e, m in k23.entries] == [("sqrt(6)", 1), ("0", 3), ("-sqrt(6)", 1)]
 

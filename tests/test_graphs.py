@@ -42,7 +42,7 @@ from equigraph.graphs import (
 )
 from equigraph import graphs, jacobi
 from equigraph.jacobi import JacobiConvergenceError, JacobiResult, jacobi_eigenvalues
-from equigraph.spectra import APPROX_RADIUS_CAP, Spectrum, spectra_match
+from equigraph.spectra import Spectrum, spectra_match
 
 from oracles import (is_isospectral, multiplicative_order, srg_counts, tridiagonalize_reference,
                      write_graph)
@@ -308,7 +308,7 @@ def test_jacobi_iteration_cap_raises(monkeypatch):
 def test_numeric_radius_at_the_eigensolver_cap(density):
     adj = _random_adjacency(np.random.default_rng(600), MAX_EIGEN_N, density)
     result = jacobi_eigenvalues(adj)
-    assert result.off_norm + result.rounding <= APPROX_RADIUS_CAP / 10
+    assert result.off_norm + result.rounding <= 1e-7
 
 
 @settings(max_examples=100, deadline=None)

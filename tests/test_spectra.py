@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from equigraph import graphs as G
 from equigraph.exact import ExactValue, Surd, exact_sum
 from equigraph.spectra import (
-    APPROX_RADIUS_CAP,
     Eig,
     Spectrum,
     UncertifiableBranch,
@@ -23,7 +22,7 @@ from equigraph.spectra import (
     energy,
     spectra_match,
 )
-from equigraph.spectra import _sp_prime
+from equigraph.spectra import _agree, _energies_consistent, _sp_prime
 
 from oracles import delta_of, generic_exact_route, read_spectrum_json
 
@@ -479,8 +478,6 @@ def _reference_assumed_value(e):
 
 
 def _reference_region(e, assume_exact):
-    if e.radius > APPROX_RADIUS_CAP and not assume_exact:
-        raise UncertifiableBranch("radius")
     if e.lo >= 0:
         return "nonneg"
     if e.hi <= -1:
@@ -571,8 +568,7 @@ def _outcome(fn, *args):
 
 
 _OFFSETS = [0.0, 1e-15, 1e-12, 5e-9, 1e-8, 1e-7, 1e-6, 2e-6, 1e-3, 0.3, 0.5, 0.7]
-_RADII = [0.0, 1e-12, 1e-9, 1e-8, 5e-7, APPROX_RADIUS_CAP, 1.5 * APPROX_RADIUS_CAP,
-          1e-3, 0.2, 0.5, 0.6]
+_RADII = [0.0, 1e-12, 1e-9, 1e-8, 5e-7, 1e-6, 1.5e-6, 1e-3, 0.2, 0.5, 0.6]
 _branch_point_intervals = st.builds(
     lambda c, off, sign, r: Eig.from_approx(c + sign * off, r),
     st.sampled_from([-1.0, 0.0, 1.0]), st.sampled_from(_OFFSETS),
@@ -650,12 +646,15 @@ def test_one_loop_consumers_match_the_references_on_mixed_values(values, assume_
     assert got.n == s.n
 
 
-def test_delta_refuses_an_interval_wider_than_the_cap():
-    clear = Eig.from_approx(2.5, 2 * APPROX_RADIUS_CAP)
-    with pytest.raises(UncertifiableBranch, match="cap"):
-        delta_of(clear)
-    assert delta_of(clear, assume_exact=True) == ExactValue.from_rational(1)
-    assert delta_branch(Eig.from_approx(2.5, APPROX_RADIUS_CAP)) == "sigma+"
+def test_delta_decides_a_wide_interval_by_containment():
+    # every value in [0, inf) adds +1 and every value in (-inf, -1] adds -1,
+    # so containment fixes the term at any radius
+    wide = Eig.from_approx(2.5, 2e-6)
+    assert discrepancy(Spectrum([(3, 1), (wide, 1)])).delta_total == 1
+    assert delta_of(wide) == delta_of(wide, assume_exact=True) == ExactValue.from_rational(1)
+    assert delta_branch(Eig.from_approx(-2.5, 1.4)) == "sigma-"
+    with pytest.raises(UncertifiableBranch, match="not certifiably clear"):
+        delta_branch(Eig.from_approx(0.5, 0.6))
 
 
 @pytest.mark.parametrize("eig, branch", [
@@ -1014,3 +1013,83 @@ def test_relabelled_numeric_complements_keep_the_exact_discrepancy():
             assert _breakdown_fields(discrepancy(c, assume_exact=True)) == _breakdown_fields(
                 discrepancy(exact)), (a, m, seed)
     assert interval_first > 0
+
+
+# -- the agreement rule: |x - y| within the sum of the certified radii --------------
+
+
+def test_agreement_is_within_the_sum_of_both_radii():
+    just_above = Surd(Fraction(math.nextafter(1.5, 2)))
+    for x, y, agree in [
+        (Eig.from_approx(1.0, 0.5), Surd(Fraction(3, 2)), True),   # |x - y| == radius
+        (Eig.from_approx(1.0, 0.5), just_above, False),            # one ulp beyond it
+        (Eig.from_approx(1.0, 0.25), Eig.from_approx(1.5, 0.25), True),
+        (Eig.from_approx(1.0, 0.25), Eig.from_approx(math.nextafter(1.5, 2), 0.25), False),
+        (Eig.from_approx(2.0, 0.0), 2, True),
+        (Surd(0, 1, 2), Surd(0, 1, 2), True),
+        # exact values agree only when equal, even where their floats tie
+        (10 ** 17, 10 ** 17 + 1, False),
+    ]:
+        assert _agree(x, y) is agree and _agree(y, x) is agree, (x, y)
+        one, other = Spectrum([(x, 1)]), Spectrum([(y, 1)])
+        assert spectra_match(one, other) is agree and spectra_match(other, one) is agree
+
+
+def test_energies_are_consistent_within_their_radii():
+    e, touching = Eig.from_approx(10.0, 0.25), Eig.from_approx(10.5, 0.25)
+    apart = Eig.from_approx(math.nextafter(10.5, 11), 0.25)
+    assert _energies_consistent(True, e, touching) and _energies_consistent(True, touching, e)
+    assert not _energies_consistent(True, e, apart) and not _energies_consistent(True, apart, e)
+    # intervals cannot refute "not equal"
+    assert _energies_consistent(False, e, touching) and _energies_consistent(False, e, apart)
+    four = ExactValue.from_rational(4)
+    assert _energies_consistent(True, four, 4) and not _energies_consistent(False, four, 4)
+    assert _energies_consistent(False, 4, 5) and not _energies_consistent(True, 4, 5)
+
+
+# families small enough to solve numerically in a test, each with its closed form
+_SMALL_FAMILIES = st.one_of(
+    st.builds(lambda t: ("crown", {"t": t}), st.integers(2, 12)),
+    st.builds(lambda n: ("cycle", {"n": n}), st.integers(3, 6)),
+    st.builds(lambda n: ("complete", {"n": n}), st.integers(2, 16)),
+    st.builds(lambda a, b: ("complete_bipartite", {"a": a, "b": b}),
+              st.integers(1, 6), st.integers(1, 6)),
+    st.builds(lambda a, m: ("complete_multipartite", {"a": a, "m": m}),
+              st.integers(2, 5), st.integers(1, 5)),
+    st.builds(lambda n: ("lattice", {"n": n}), st.integers(2, 5)),
+    st.builds(lambda n: ("triangular", {"n": n}), st.integers(4, 8)),
+    st.sampled_from([("petersen", {}), ("shrikhande", {}), ("q3", {}), ("k3_prism", {})]),
+    st.sampled_from([("gp", {"k": k, "q": q}) for k, q in _GP_CLOSED if q <= 40]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_SMALL_FAMILIES, st.integers(0, 2 ** 32 - 1), st.data())
+def test_spectra_match_accepts_relabelled_families_and_rejects_their_mutations(drawn, seed,
+                                                                                 data):
+    fam, args = G.family_args(*drawn)
+    g, closed = fam.build(*args), fam.spectrum(*args)
+    perm = np.random.default_rng(seed).permutation(g.n)
+    numeric = G.numeric_spectrum(G.Graph(g.adj[np.ix_(perm, perm)]))
+    assert spectra_match(numeric, closed) and spectra_match(closed, numeric)
+
+    # one value moved by twice its entry's radius
+    values = list(numeric.values)
+    i = data.draw(st.integers(0, len(values) - 1))
+    (y, mult), sign = values[i], data.draw(st.sampled_from([-1, 1]))
+    values[i] = (Eig.from_approx(y.value + sign * 2 * y.radius, y.radius), mult)
+    moved = Spectrum(values)
+    assert not spectra_match(moved, closed) and not spectra_match(closed, moved)
+
+    # one multiplicity off by one, alone or with another's changed to keep n
+    exact = list(closed.values)
+    j = data.draw(st.integers(0, len(exact) - 1))
+    bumped = exact.copy()
+    bumped[j] = (bumped[j][0], bumped[j][1] + 1)
+    assert not spectra_match(numeric, Spectrum(bumped))
+    if len(exact) > 1:
+        other = data.draw(st.integers(0, len(exact) - 1).filter(lambda l: l != j))
+        bumped[other] = (bumped[other][0], bumped[other][1] - 1)
+        shifted = Spectrum([(x, m) for x, m in bumped if m])
+        assert shifted.n == numeric.n
+        assert not spectra_match(numeric, shifted) and not spectra_match(shifted, numeric)
