@@ -38,12 +38,23 @@ __all__ = [
     "DS_NONCONFERENCE",
     "MOORE_TUPLES",
     "TRIANGLE_FREE_SPORADIC",
+    "BIGGS_SMITH_CUBIC",
+    "polynomial_value",
     "bisect_root",
     "exact_spectrum_of_family",
     "ds_nonconference_params",
 ]
 
 BISECT_RADIUS = 1e-10
+BIGGS_SMITH_CUBIC = [-3, 0, 3, 1]  # x^3 + 3x^2 - 3, ascending
+
+
+def polynomial_value(coeffs: list[int], x: Fraction) -> Fraction:
+    """The integer polynomial with ascending ``coeffs`` at x, exactly."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def bisect_root(coeffs: list[int], lo: Fraction, hi: Fraction) -> Union[Surd, Eig]:
@@ -53,13 +64,7 @@ def bisect_root(coeffs: list[int], lo: Fraction, hi: Fraction) -> Union[Surd, Ei
     Returns a rational root that an endpoint or a midpoint hits exactly as
     a Surd, and otherwise a certified interval of radius ``BISECT_RADIUS``.
     """
-    def value(x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc
-
-    flo, fhi = value(lo), value(hi)
+    flo, fhi = polynomial_value(coeffs, lo), polynomial_value(coeffs, hi)
     if flo == 0:
         return Surd(lo)
     if fhi == 0:
@@ -69,7 +74,7 @@ def bisect_root(coeffs: list[int], lo: Fraction, hi: Fraction) -> Union[Surd, Ei
     width = Fraction(BISECT_RADIUS).limit_denominator(10 ** 15)
     while hi - lo > width:
         mid = (lo + hi) / 2
-        fmid = value(mid)
+        fmid = polynomial_value(coeffs, mid)
         if fmid == 0:
             return Surd(mid)
         if (fmid > 0) == (flo > 0):
@@ -155,7 +160,6 @@ def _sqrt_entries(c: int, d: int, mult: int) -> list[tuple[Surd, int]]:
 
 
 def _distance_transitive_rows() -> list[CuratedGraph]:
-    biggs_cubic = [-3, 0, 3, 1]  # x^3 + 3x^2 - 3, ascending
     half = Fraction(1, 2)
     rows = [
         _K4,
@@ -199,11 +203,11 @@ def _distance_transitive_rows() -> list[CuratedGraph]:
                          (3, 1),
                          (Surd(half, half, 17), 9),
                          (2, 18),
-                         (bisect_root(biggs_cubic, Fraction(0), Fraction(1)), 16),
+                         (bisect_root(BIGGS_SMITH_CUBIC, Fraction(0), Fraction(1)), 16),
                          (0, 17),
-                         (bisect_root(biggs_cubic, Fraction(-3, 2), Fraction(-1)), 16),
+                         (bisect_root(BIGGS_SMITH_CUBIC, Fraction(-3, 2), Fraction(-1)), 16),
                          (Surd(half, -half, 17), 9),
-                         (bisect_root(biggs_cubic, Fraction(-3), Fraction(-2)), 16),
+                         (bisect_root(BIGGS_SMITH_CUBIC, Fraction(-3), Fraction(-2)), 16),
                      ]),
                      None, False,
                      note="the roots (1 +- sqrt(17))/2 of x^2 - x - 4 carried "

@@ -84,9 +84,9 @@ class Graph:
         adj = np.array(adj, dtype=bool)  # a copy, so the caller's array stays writable
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValueError("adjacency must be square")
-        if not np.array_equal(adj, adj.T):
+        if not (adj == adj.T).all():
             raise ValueError("adjacency must be symmetric")
-        if not loops_allowed and np.any(np.diag(adj)):
+        if not loops_allowed and adj.diagonal().any():
             raise ValueError("diagonal entries present but loops are not allowed")
         self.n = adj.shape[0]
         self.adj = adj

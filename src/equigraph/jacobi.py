@@ -8,13 +8,14 @@ in the package, so it deliberately avoids LAPACK.  It works in two steps.
   the trailing block per column.  A column whose entries below the
   subdiagonal are already zero needs no reflection; graphs with several
   components and the complements of complete multipartite graphs have
-  such columns.  The update v w^T + w v^T is formed as two products,
-  v_i w_j into entry (i, j) and then w_i v_j added to it.  Entry (j, i)
-  gets v_j w_i and w_j v_i: the same two rounded products, since IEEE
-  multiplication commutes, added in the other order, which IEEE
-  addition does not notice.  So the block stays exactly symmetric, as
-  the bound below requires.  One BLAS product V W^T would not do: with
-  fused multiply-adds, (i, j) and (j, i) can round differently.
+  such columns.  The update v w^T + w v^T is formed as U + U^T from one
+  outer product U = v w^T, whose entry U_ij is the rounded product
+  v_i w_j.  Entry (i, j) of the sum is U_ij + U_ji and entry (j, i) is
+  U_ji + U_ij: the same two rounded products added in the other order,
+  which IEEE addition does not notice.  So the block stays exactly
+  symmetric, as the bound below requires.  One BLAS product V W^T would
+  not do: with fused multiply-adds, (i, j) and (j, i) can round
+  differently.
 * T's eigenvalues come from the implicit-shift QL sweeps of EISPACK
   ``imtql1`` (Dubrulle, Martin & Wilkinson, Numer. Math. 12, 1968) in
   plain Python floats.  Each sweep chases one rotation per row of the
@@ -123,8 +124,14 @@ def _tridiagonalize(a: np.ndarray, tol: float,
     reflection by ||A_k||_F, which is kept as a running value: column k
     takes a_kk^2 + 2 ||x||^2 out of ||A_k||_F^2, since P B P keeps
     ||B||_F and a dropped tail leaves B as it is.  The value is clamped at
-    0 because it can cancel below its own rounding.  Row k right of the
-    diagonal is not read again, so the reflector is built there.
+    0 because it can cancel below its own rounding.
+
+    A dropped column reads a_kk and a_{k,k+1} as scalars and its tail as
+    one slice; only a reflected column takes the view of row k, the
+    trailing block and the reflector.  Row k right of the diagonal is not
+    read again, so the reflector is built there.  The update is U + U^T
+    with U = v w^T, exactly symmetric since entries (i, j) and (j, i) add
+    the same two rounded products.
     """
     import numpy as np
     dot, sqrt, hypot, copysign = np.dot, math.sqrt, math.hypot, math.copysign
@@ -134,27 +141,27 @@ def _tridiagonalize(a: np.ndarray, tol: float,
     units = 0.0
     trailing_sq = norm_sq               # ||A_k||_F^2, the trailing block of column k
     for k in range(n - 2):
-        akk = float(a[k, k])
-        x = a[k, k + 1:]                # row k, which is column k
-        x0 = float(x[0])
-        tail_sq = float(dot(x[1:], x[1:]))
+        akk = a.item(k, k)
+        x0 = a.item(k, k + 1)
+        y = a[k, k + 2:]                # the tail of row k, which is column k
+        tail_sq = float(dot(y, y))
         tail = sqrt(tail_sq)
         if tail <= tol:
             dropped += tail
             e[k] = x0
         else:
             mu = copysign(hypot(x0, tail), x0)
+            x = a[k, k + 1:]
             x[0] = v0 = x0 + mu         # x is now the reflector v
             beta = 1.0 / (mu * v0)
             block = a[k + 1:, k + 1:]
             w = block @ x
             w *= beta
             w -= (0.5 * beta * float(dot(w, x))) * x
-            # v w^T + w v^T: entry (i, j) is v_i w_j + w_i v_j and entry
-            # (j, i) is v_j w_i + w_j v_i, the same two rounded products
+            # v w^T + w v^T as U + U^T with U = v w^T: entry (i, j) is
+            # U_ij + U_ji and entry (j, i) is U_ji + U_ij, the same sum
             update = x[:, None] * w
-            update += w[:, None] * x
-            block -= update
+            block -= update + update.T
             e[k] = -mu
             units += (6 * (n - k - 1) + 30) * sqrt(trailing_sq)
         trailing_sq = max(trailing_sq - akk * akk - 2.0 * (x0 * x0 + tail_sq), 0.0)
@@ -232,7 +239,7 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> JacobiResult:
     a = np.array(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.array_equal(a, a.T):
+    if not (a == a.T).all():
         raise ValueError("matrix must be symmetric")
     norm_sq = float(np.vdot(a, a))
     norm = math.sqrt(norm_sq)

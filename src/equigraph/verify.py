@@ -9,6 +9,7 @@ the embedded catalogs in ``data``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 from . import data as D
@@ -102,12 +103,20 @@ def verify_table1() -> list[CheckResult]:
     ]
 
 
+def _brackets_a_root(coeffs: list[int], x: Eig) -> bool:
+    """Whether the integer polynomial with ascending ``coeffs`` changes sign
+    on [value - radius, value + radius], in exact arithmetic."""
+    lo = D.polynomial_value(coeffs, Fraction(x.value) - Fraction(x.radius))
+    hi = D.polynomial_value(coeffs, Fraction(x.value) + Fraction(x.radius))
+    return lo * hi <= 0
+
+
 def verify_table2() -> list[CheckResult]:
     # the cube is the crown graph with t = 4, so the bipartite theorem makes
     # it the one row of this census that must pass
     crown4 = D.exact_spectrum_of_family("crown", t=4)
     twelve = ExactValue.from_rational(12)
-    passing, cube_fail, radius_fail = [], [], []
+    passing, cube_fail, certify_fail = [], [], []
     for row in D.TABLE_DISTANCE_TRANSITIVE_CUBIC:
         report = check_equienergetic(row.spectrum, k=3)
         if report.equal:
@@ -117,8 +126,12 @@ def verify_table2() -> list[CheckResult]:
                 and report.energy == twelve and report.energy_complement == twelve):
             cube_fail.append("Q_3 is not crown(4) with E = 12 on both sides")
         for x, _ in row.spectrum.values:
-            if type(x) is Eig and x.radius > 1e-10:
-                radius_fail.append(f"{row.name}: radius {x.radius}")
+            if type(x) is not Eig:
+                continue
+            if x.radius > 1e-10:
+                certify_fail.append(f"{row.name}: radius {x.radius}")
+            if row.name != "Biggs-Smith" or not _brackets_a_root(D.BIGGS_SMITH_CUBIC, x):
+                certify_fail.append(f"{row.name}: {x} brackets no root of x^3 + 3x^2 - 3")
     if passing != ["Q_3"]:
         cube_fail.append(f"passing rows: {passing}")
     results = [
@@ -127,7 +140,7 @@ def verify_table2() -> list[CheckResult]:
              "with E = 12 on both sides", cube_fail,
              f"{len(D.TABLE_DISTANCE_TRANSITIVE_CUBIC) - 1} other rows fail"),
         _all("every approximate eigenvalue is certified to radius 1e-10",
-             radius_fail),
+             certify_fail),
     ]
     # the detector for irrational eigenvalues inside (-1, 0): sound on a
     # synthetic witness; the corrected Coxeter and Biggs-Smith spectra have

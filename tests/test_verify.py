@@ -6,14 +6,17 @@ inverted: every case then misses, and the details list the first six
 labels of each failure list in case order.
 """
 
+import dataclasses
 import json
 
 import pytest
 from click.testing import CliRunner
 
+from equigraph import data as D
 from equigraph import srg as S
 from equigraph import verify as V
 from equigraph.cli import main
+from equigraph.spectra import Eig, Spectrum
 
 CAMERON = [
     ("negative-Latin-square tuples carry orthogonal-array parameters exactly when "
@@ -139,3 +142,22 @@ def test_the_scan_row_names_an_imprimitive_tuple_the_scan_admits(monkeypatch):
     row = V.verify_srg_enumeration(n_max=60, oracle_n_max=20)[-1]
     assert row.claim == "the primitive scan hits equal enumerate_equien for n <= 60"
     assert (row.passed, row.details) == (False, "srg(9,6,3,6)")
+
+
+@pytest.mark.parametrize("shift", [3e-10, -3e-10])
+@pytest.mark.parametrize("root", [0, 1, 2])
+def test_table2_refuses_an_interval_that_brackets_no_root(monkeypatch, root, shift):
+    # bisection leaves each root within half the radius of its interval's
+    # centre, so a shift of three radii moves the root outside the interval
+    rows = list(D.TABLE_DISTANCE_TRANSITIVE_CUBIC)
+    i = next(i for i, r in enumerate(rows) if r.name == "Biggs-Smith")
+    intervals = [x for x, _ in rows[i].spectrum.entries if x.exact is None]
+    moved = intervals[root]
+    shifted = Eig.from_approx(moved.value + shift, moved.radius)
+    entries = [(shifted if x is moved else x, m) for x, m in rows[i].spectrum.entries]
+    rows[i] = dataclasses.replace(rows[i], spectrum=Spectrum(entries))
+    monkeypatch.setattr(D, "TABLE_DISTANCE_TRANSITIVE_CUBIC", rows)
+    row = V.verify_table2()[1]
+    assert row.claim == "every approximate eigenvalue is certified to radius 1e-10"
+    assert (row.passed, row.details) == (
+        False, f"Biggs-Smith: {shifted} brackets no root of x^3 + 3x^2 - 3")
