@@ -97,6 +97,11 @@ class Surd:
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0, d: int = 1):
+        if type(a) is int and not b and d == 1:  # a plain int is canonical as it stands
+            self.a = Fraction(a)
+            self.b = _ZERO
+            self.d = 1
+            return
         if type(a) is not Fraction:
             a = Fraction(a)
         if type(b) is not Fraction:

@@ -7,15 +7,18 @@ trying every divisor of q - 1, factorizations from a sieve.  The
 exceptions are the generic exact route, which is the surd path itself,
 kept as the reference for the int values that bypass it, the
 theorem's tuples listed one vertex count at a time, kept as the
-reference for the generator that lists a range, and the Householder
+reference for the generator that lists a range, the Householder
 column loop that read each trailing norm from the block, kept as the
-bit-for-bit reference for the loop that keeps a running norm.
+bit-for-bit reference for the loop that keeps a running norm, and the
+frozen dataclasses that the srg records were, kept as the reference for
+their validation and rendering.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import isqrt
@@ -26,7 +29,8 @@ import numpy as np
 from equigraph.exact import ExactValue, Surd, exact_sum
 from equigraph.graphs import Graph, regularity
 from equigraph.spectra import Eig, Spectrum, _point, delta_branch
-from equigraph.srg import Conference, SrgParams, family_params, latin_square_params
+from equigraph.srg import (Conference, InfeasibleParams, SrgParams, family_params,
+                           latin_square_params)
 
 
 def tridiagonalize_reference(a: np.ndarray, tol: float) -> tuple[list[float], list[float], float, float]:
@@ -246,3 +250,55 @@ def generic_exact_route(values: list[tuple[Surd, int]], k: int, loops: bool = Fa
         "complement": complement,
         "equal": equal, "routes_agree": (e_graph == e_comp) == equal,
     }
+
+
+# -- the srg records as frozen dataclasses, verbatim but for the names ----------------
+
+
+@dataclass(frozen=True)
+class FormerSrgParams:
+    n: int
+    k: int
+    e: int
+    d: int
+
+    def __post_init__(self):
+        if not 0 < self.k < self.n - 1:
+            raise InfeasibleParams("need 0 < k < n - 1, got {}", self)
+        if self.e < 0 or self.d < 0:
+            raise InfeasibleParams("negative common-neighbor count in {}", self)
+        if self.e > self.k - 1 or self.d > self.k:
+            raise InfeasibleParams("common-neighbor counts exceed degree in {}", self)
+
+    def identity_holds(self) -> bool:
+        """The counting identity k(k - e - 1) = d(n - k - 1)."""
+        return self.k * (self.k - self.e - 1) == self.d * (self.n - self.k - 1)
+
+    def __str__(self):
+        return f"srg({self.n},{self.k},{self.e},{self.d})"
+
+
+@dataclass(frozen=True)
+class FormerCaseB:
+    """Even e - d = 2h; vertex count 4*l^2 and sqrt(alpha) = 2*l."""
+
+    h: int
+    l: int
+
+    def __post_init__(self):
+        if self.l in {self.h, -self.h, self.h + 1, -(self.h + 1)}:
+            raise InfeasibleParams("excluded l for CaseB(h={}): {}", self.h, self.l)
+
+
+@dataclass(frozen=True)
+class FormerCaseC:
+    """Odd e - d = 2h - 1 with h != 0; vertex count (2*l+1)^2 and sqrt(alpha) = 2*l + 1."""
+
+    h: int
+    l: int
+
+    def __post_init__(self):
+        if self.h == 0:
+            raise InfeasibleParams("CaseC requires h != 0")
+        if self.l in {self.h, -self.h, -(self.h + 1), self.h - 1}:
+            raise InfeasibleParams("excluded l for CaseC(h={}): {}", self.h, self.l)

@@ -572,6 +572,13 @@ def test_enumerate_10000_csv_fingerprint(runner):
     assert hashlib.md5(result.stdout_bytes).hexdigest() == "2a758e466c0a06d41811b6dd30ad6e1b"
 
 
+def test_enumerate_2500_json_fingerprint(runner):
+    """Every row of the n <= 2500 enumeration as JSON, with a pinned md5."""
+    result = runner.invoke(main, ["enumerate", "--n-max", "2500", "--json"])
+    assert result.exit_code == 0
+    assert hashlib.md5(result.stdout_bytes).hexdigest() == "a879c5d4aff47b5e592ba3cb10b10ac0"
+
+
 def test_rings_search_fingerprint(runner):
     result = runner.invoke(main, ["rings-search", "--s", "3", "--qmax", "64", "--csv"])
     assert result.exit_code == 0
@@ -821,6 +828,19 @@ def test_srg_check_factors_its_radicand_once(runner, monkeypatch):
      "Error: bad srg tuple '10,3,1,1': counting identity fails for srg(10,3,1,1)\n"),
     (["check", "--srg", "10,10,1,1"],
      "Error: bad srg tuple '10,10,1,1': need 0 < k < n - 1, got srg(10,10,1,1)\n"),
+    # classify's text for each of the other ways a tuple is refused
+    (["classify", "--srg", "10,10,1,1"],
+     "Error: bad srg tuple '10,10,1,1': need 0 < k < n - 1, got srg(10,10,1,1)\n"),
+    (["classify", "--srg", "10,3,-1,1"],
+     "Error: bad srg tuple '10,3,-1,1': negative common-neighbor count in srg(10,3,-1,1)\n"),
+    (["classify", "--srg", "10,3,3,1"],
+     "Error: bad srg tuple '10,3,3,1': common-neighbor counts exceed degree in srg(10,3,3,1)\n"),
+    (["classify", "--srg", "21,5,1,1"],
+     "Error: bad srg tuple '21,5,1,1': non-integral or negative multiplicities for "
+     "srg(21,5,1,1)\n"),
+    (["classify", "--srg", "7,3,0,2"],
+     "Error: bad srg tuple '7,3,0,2': irrational eigenvalues with unbalanced multiplicities "
+     "for srg(7,3,0,2)\n"),
 ])
 def test_srg_refusals_print_the_formatted_tuple(runner, argv, output):
     result = runner.invoke(main, argv)

@@ -325,6 +325,31 @@ def test_a_rational_value_hashes_as_the_number_it_equals(q):
         assert len({value, q}) == 1 and len({q, value}) == 1
 
 
+# -- the direct path for a plain int ------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(-10 ** 30, 10 ** 30), st.integers(2 ** 63 - 2, 2 ** 64)),
+       st.sampled_from([(), (0,), (0, 1), (Fraction(0), 1)]))
+@example(0, ())
+@example(-1, ())
+@example(2 ** 63, ())
+@example(-(2 ** 63) - 1, (0, 1))
+def test_an_int_surd_equals_the_general_construction(x, rest):
+    direct = Surd(x, *rest)
+    general = Surd(Fraction(x), Fraction(0), 1)  # a Fraction takes the general path
+    assert (direct.a, direct.b, direct.d) == (general.a, general.b, general.d) == (x, 0, 1)
+    assert type(direct.a) is type(direct.b) is Fraction and type(direct.d) is int
+    assert hash(direct) == hash(general) == hash(x)
+    assert str(direct) == str(general) == str(x) and direct == general
+
+
+def test_an_int_with_a_radicand_takes_the_general_path():
+    assert (Surd(3, 0, 5).d, Surd(3, 2, 4), Surd(3, 1, 0)) == (1, Surd(7), Surd(3))
+    with pytest.raises(ValueError, match="radicand must be nonnegative"):
+        Surd(3, 0, -1)
+
+
 # -- factoring against a sieve ------------------------------------------------------
 
 

@@ -252,22 +252,52 @@ def test_jacobi_bound_on_relabelled_named_graphs(graph):
         _assert_bound_covers_lapack(m)
 
 
+def _units_tolerance(n: int, norm_sq: float, ref_units: float) -> float:
+    """The most the running trailing norm can move the rounding units, by
+    the ``jacobi`` module docstring's argument with its polynomial written
+    out.  Each reflection's term is (6m + 30) ||A_k||_F, and the running
+    ||A_k||_F^2 and the reference's, read from the block, differ by at
+    most a gap G, to first order in eps:
+
+    * the running value's subtractions: two per column, each within
+      eps / 2 of ||A||_F^2, and terms taken out with relative error at most
+      (n + 3) eps / 2, which sum to ||A||_F^2;
+    * the computed block against the exact P B P: within eps * ref_units
+      in norm, which moves a squared norm by twice that times ||A||_F;
+    * the reference's own sum of at most n^2 squares, within n^2 eps / 2
+      of ||A||_F^2.
+
+    So G <= eps (2 ref_units ||A||_F + (n + 2)^2 ||A||_F^2).  Where the
+    value cancels, its square root moves by up to sqrt(G), not by O(eps)
+    relative, and so each term by up to (6m + 30) sqrt(G)."""
+    norm = math.sqrt(norm_sq)
+    gap = np.finfo(float).eps * (2.0 * ref_units * norm + (n + 2) ** 2 * norm_sq)
+    return sum(6 * (n - k - 1) + 30 for k in range(n - 2)) * math.sqrt(gap)
+
+
 def _assert_tridiagonal_matches_reference(m: np.ndarray) -> float:
     """d, e and the dropped norm equal the former column loop's bit for
     bit; only the rounding units, scaled by the running trailing norm,
-    may differ, and then by rounding.  Returns the dropped norm."""
+    may differ, and then within ``_units_tolerance``.  Returns the
+    dropped norm."""
     norm_sq = float(np.vdot(m, m))
     tol = np.finfo(float).eps * np.sqrt(norm_sq)
     d, e, dropped, units = jacobi._tridiagonalize(m.copy(), tol, norm_sq)
     ref_d, ref_e, ref_dropped, ref_units = tridiagonalize_reference(m.copy(), tol)
     assert d == ref_d and e == ref_e and dropped == ref_dropped
-    assert abs(units - ref_units) <= 1e-12 * ref_units
+    assert abs(units - ref_units) <= _units_tolerance(m.shape[0], norm_sq, ref_units)
     return dropped
 
 
 @settings(max_examples=120, deadline=None)
 @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
        kind=st.sampled_from(["normal", "adjacency", "zero", "diagonal", "blocks", "disconnected"]))
+# the running trailing norm cancels in these, and the units differ by
+# 5e-10 relative or less, far above the first-order rounding
+@example(n=26, seed=702, kind="disconnected")
+@example(n=25, seed=182, kind="disconnected")
+@example(n=26, seed=177326, kind="disconnected")
+@example(n=40, seed=3166167028, kind="disconnected")
 def test_tridiagonal_is_bit_identical_to_the_reference(n, seed, kind):
     _assert_tridiagonal_matches_reference(_property_matrix(kind, n, seed))
 

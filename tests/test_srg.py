@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -42,7 +44,8 @@ from equigraph.srg import (
 )
 from equigraph.verify import _oracle_direct_energy, verify_srg_enumeration
 
-from oracles import per_n_theorem_tuples, srg_counts
+from oracles import (FormerCaseB, FormerCaseC, FormerSrgParams, per_n_theorem_tuples,
+                     srg_counts)
 
 
 # -- eigen data ----------------------------------------------------------------
@@ -661,6 +664,114 @@ def test_infeasible_messages_are_formatted_when_read():
         CaseB(h=0, l=1)
     assert str(info.value) == "excluded l for CaseB(h=0): 1"
     assert str(InfeasibleParams("no fields {}")) == "no fields {}"
+
+
+# -- the tuple-backed records ------------------------------------------------------
+
+
+def _assert_built_as_the_former_dataclass(record, former, args):
+    """``record(*args)`` raises the former dataclass's InfeasibleParams text,
+    or has its fields, repr and str."""
+    try:
+        want = former(*args)
+    except InfeasibleParams as exc:
+        with pytest.raises(InfeasibleParams) as info:
+            record(*args)
+        assert str(info.value) == str(exc)
+        return
+    got = record(*args)
+    assert type(got) is record
+    assert tuple(got) == tuple(getattr(want, name) for name in got._fields)
+    assert repr(got) == repr(want).removeprefix("Former")
+    assert str(got) == str(want).removeprefix("Former")
+
+
+_wide_int_st = st.integers(-2 ** 70, 2 ** 70)
+
+
+@st.composite
+def _near_feasible_st(draw):
+    """(n, k, e, d) around the feasible region, so that about half are refused."""
+    n = draw(st.integers(-3, 60))
+    k = draw(st.integers(-2, max(n + 1, -2)))
+    return n, k, draw(st.integers(-2, max(k + 1, -2))), draw(st.integers(-2, max(k + 2, -2)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_near_feasible_st(), st.tuples(*[_wide_int_st] * 4)))
+@example((5, 2, 0, 1))
+@example((10, 10, 1, 1))
+@example((10, 3, -1, 1))
+@example((10, 3, 3, 1))
+def test_srg_params_validate_as_the_former_dataclass(args):
+    _assert_built_as_the_former_dataclass(SrgParams, FormerSrgParams, args)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([(CaseB, FormerCaseB), (CaseC, FormerCaseC)]),
+       st.one_of(st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+                 st.tuples(_wide_int_st, _wide_int_st)))
+@example((CaseC, FormerCaseC), (0, 3))
+def test_case_records_validate_as_the_former_dataclasses(pair, args):
+    _assert_built_as_the_former_dataclass(*pair, args)
+
+
+_RECORDS = [
+    (SrgParams(5, 2, 0, 1), "SrgParams(n=5, k=2, e=0, d=1)"),
+    (eigen_data(SrgParams(16, 6, 2, 2)),
+     "SrgEigenData(alpha=16, r=Surd(2), s=Surd(-2), m_r=6, m_s=9, conference=False)"),
+    (eigen_data(SrgParams(5, 2, 0, 1)),
+     "SrgEigenData(alpha=5, r=Surd(-1/2 + 1/2*sqrt(5)), s=Surd(-1/2 - 1/2*sqrt(5)),"
+     " m_r=2, m_s=2, conference=True)"),
+    (NotEquien(), "NotEquien(reason='')"),
+    (NotEquien("condition fails"), "NotEquien(reason='condition fails')"),
+    (Conference(d=6), "Conference(d=6)"),
+    (CaseB(h=0, l=2), "CaseB(h=0, l=2)"),
+    (CaseC(h=1, l=3), "CaseC(h=1, l=3)"),
+]
+_RECORD_IDS = [f"{type(r).__name__}-{i}" for i, (r, _) in enumerate(_RECORDS)]
+
+
+@pytest.mark.parametrize("record, text", _RECORDS, ids=_RECORD_IDS)
+def test_a_record_keeps_the_dataclass_repr(record, text):
+    assert repr(record) == text
+    assert str(record) == ("srg(5,2,0,1)" if type(record) is SrgParams else text)
+
+
+@pytest.mark.parametrize("record, _text", _RECORDS, ids=_RECORD_IDS)
+def test_a_record_is_immutable(record, _text):
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], 0)
+    with pytest.raises(AttributeError):
+        record.extra = 0
+
+
+@pytest.mark.parametrize("record, _text", _RECORDS, ids=_RECORD_IDS)
+def test_a_record_survives_pickle_and_copy(record, _text):
+    for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(twin) is type(record) and twin == record and not twin != record
+        assert hash(twin) == hash(record) and repr(twin) == repr(record)
+
+
+def test_equal_records_hash_equal():
+    for make in (lambda: SrgParams(16, 6, 2, 2), lambda: eigen_data(SrgParams(16, 6, 2, 2)),
+                 lambda: classify(SrgParams(16, 6, 2, 2)), lambda: classify(SrgParams(25, 12, 5, 6)),
+                 lambda: classify(SrgParams(10, 3, 0, 1)), lambda: CaseC(h=1, l=3)):
+        a, b = make(), make()
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b) and len({a, b}) == 1
+
+
+def test_a_record_equals_only_its_own_type():
+    p = SrgParams(5, 2, 0, 1)
+    assert p != (5, 2, 0, 1) and not p == (5, 2, 0, 1)
+    assert (5, 2, 0, 1) != p and not (5, 2, 0, 1) == p
+    b, c = CaseB(h=1, l=3), CaseC(h=1, l=3)
+    assert tuple(b) == tuple(c)
+    assert b != c and c != b and not b == c and len({b, c}) == 2
+    assert Conference(d=3) != (3,) and NotEquien("x") != ("x",)
+    assert SrgParams(16, 6, 2, 2) in {SrgParams(16, 6, 2, 2)}
+    assert (16, 6, 2, 2) not in {SrgParams(16, 6, 2, 2)}
 
 
 def test_enumeration_closed_under_complement():
