@@ -126,11 +126,6 @@ class Surd:
         self.d = d
 
     @classmethod
-    def from_int(cls, x: int) -> "Surd":
-        """``Surd(x)`` for an int, which is canonical as it stands."""
-        return cls._canonical(Fraction(x), _ZERO, 1)
-
-    @classmethod
     def _canonical(cls, a: Fraction, b: Fraction, d: int) -> "Surd":
         """``Surd(a, b, d)`` for Fraction parts over a radicand ``d`` that is
         already squarefree, so nothing is factored; d becomes 1 when b == 0."""

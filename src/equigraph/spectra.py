@@ -46,10 +46,8 @@ class Eig:
 
     @classmethod
     def from_exact(cls, x: Union[Surd, int, Fraction]) -> "Eig":
-        if type(x) is int:
-            return cls(Surd.from_int(x), float(x), 0.0)
         s = x if isinstance(x, Surd) else Surd(x)
-        return cls(exact=s, value=float(s), radius=0.0)
+        return cls(s, float(x), 0.0)
 
     @classmethod
     def from_approx(cls, value: float, radius: float) -> "Eig":

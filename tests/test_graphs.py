@@ -269,7 +269,12 @@ def _units_tolerance(n: int, norm_sq: float, ref_units: float) -> float:
 
     So G <= eps (2 ref_units ||A||_F + (n + 2)^2 ||A||_F^2).  Where the
     value cancels, its square root moves by up to sqrt(G), not by O(eps)
-    relative, and so each term by up to (6m + 30) sqrt(G)."""
+    relative, and so each term by up to (6m + 30) sqrt(G).
+
+    The bound is applied to every matrix, not only where the norm cancels,
+    so it is loose where nothing cancels (there the units move by O(eps)
+    relative).  It comes to about 1.5e-6 relative on these matrices, some
+    3000 times the worst difference seen, 5e-10 relative."""
     norm = math.sqrt(norm_sq)
     gap = np.finfo(float).eps * (2.0 * ref_units * norm + (n + 2) ** 2 * norm_sq)
     return sum(6 * (n - k - 1) + 30 for k in range(n - 2)) * math.sqrt(gap)
