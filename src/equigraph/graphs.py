@@ -66,7 +66,6 @@ __all__ = [
 # and each n x n float64 array the solver holds is 2.9 MB; the derived radius
 # stays at most 1e-7 here (test_graphs.py::test_numeric_radius_at_the_eigensolver_cap)
 MAX_EIGEN_N = 600
-NUMERIC_RADIUS = 1e-8
 
 
 def _check_eigen_cap(n: int) -> None:
@@ -188,13 +187,8 @@ def shrikhande() -> Graph:
 
 
 def cube_q3() -> Graph:
-    import numpy as np
-    adj = np.zeros((8, 8), dtype=bool)
-    for x in range(8):
-        for bit in range(3):
-            y = x ^ (1 << bit)
-            adj[x, y] = adj[y, x] = True
-    return Graph(adj)
+    """The 3-cube K_2 x K_2 x K_2; vertex x is adjacent to x with one bit flipped."""
+    return cartesian(cartesian(complete(2), complete(2)), complete(2))
 
 
 def prism_k3() -> Graph:
@@ -430,27 +424,23 @@ def numeric_spectrum(g: Graph) -> Spectrum:
     """All eigenvalues by Householder tridiagonalisation and implicit QL
     (``jacobi.jacobi_eigenvalues``), merged into a Spectrum of certified entries.
 
-    A merged group sits at the midpoint of its computed values.  Its radius
-    is the solver's error bound (each true eigenvalue lies that close to its
-    computed value) plus half the group's spread, and never below
-    ``NUMERIC_RADIUS``.
+    With b = ``off_norm + rounding``, the solver's error bound, each
+    computed value v stands for the interval [v - b, v + b], which holds a
+    true eigenvalue.  Values whose intervals overlap, each at most 2b above
+    the one before, chain into one entry, the hull of their intervals: it
+    sits at the midpoint of the group's computed values and its radius is b
+    plus half their spread.
     """
     _check_eigen_cap(g.n)
     result = jacobi_eigenvalues(g.adj)
     bound = result.off_norm + result.rounding
-    # adjacent values that would overlap at the certified radius scale
-    # collapse into one entry
-    gap = 4.1 * NUMERIC_RADIUS
     groups: list[list[float]] = []
-    last = None
     for v in result.values.tolist():
-        if last is not None and v - last <= gap:
+        if groups and v - groups[-1][-1] <= 2 * bound:
             groups[-1].append(v)
         else:
             groups.append([v])
-        last = v
-    entries = [(Eig.from_approx((grp[0] + grp[-1]) / 2,
-                                max(NUMERIC_RADIUS, bound + (grp[-1] - grp[0]) / 2)), len(grp))
+    entries = [(Eig.from_approx((grp[0] + grp[-1]) / 2, bound + (grp[-1] - grp[0]) / 2), len(grp))
                for grp in groups]
     return Spectrum(entries)
 

@@ -170,3 +170,19 @@ def test_no_function_takes_a_float_defaulted_parameter():
                 if isinstance(value, float):
                     found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_no_module_binds_a_float_constant_but_the_bisection_width():
+    # a numeric radius comes from the solver that computed the value, so no
+    # module asserts one; data.BISECT_RADIUS is the width bisection narrows
+    # an interval to, not a bound on an error
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in _tree(path).body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)) or node.value is None:
+                continue
+            if any(isinstance(c, ast.Constant) and isinstance(c.value, float)
+                   for c in ast.walk(node.value)):
+                target = node.targets[0] if isinstance(node, ast.Assign) else node.target
+                found.append(f"{path.stem}.{ast.unparse(target)}")
+    assert found == ["data.BISECT_RADIUS"], found

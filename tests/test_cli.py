@@ -50,6 +50,29 @@ def test_spectrum_from_file(runner, tmp_path):
     assert mults == [1, 5, 4]
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 9])
+def test_an_edgeless_graph_file_is_answered_exactly(runner, tmp_path, n):
+    # a zero matrix gives the solver nothing to drop or round, so every value
+    # is 0 with radius 0: m0 = n - 1 and Delta = n - 1, which equals
+    # 2k + 1 - n = 1 - n at n = 1 alone
+    path = tmp_path / "edgeless.g"
+    path.write_text(f"{n} 0\n")
+    result = runner.invoke(main, ["check", "--file", str(path), "--json"])
+    assert result.exit_code == (0 if n == 1 else 1)
+    payload = json.loads(result.output)
+    assert payload["delta"] == str(n - 1) and payload["routes_agree"]
+    assert payload["energy"] == {"approx": 0.0, "radius": 0.0}
+    # K_n: the exact degree n - 1 once and -1 - 0 with multiplicity n - 1
+    assert payload["energy_complement"] == ("0" if n == 1 else
+                                            {"approx": 2.0 * (n - 1), "radius": 0.0})
+    assert payload["provenance"] == "numeric (certified intervals)"
+    spectrum = json.loads(runner.invoke(main, ["spectrum", "--file", str(path), "--json"]).output)
+    assert spectrum["spectrum"]["entries"] == [{"value": {"approx": 0.0, "radius": 0.0},
+                                                "mult": n}]
+    assert spectrum["discrepancy"] == {"sigma": 0, "T": 0, "m0": n - 1, "S": "0",
+                                       "total": str(n - 1)}
+
+
 def test_check_srg_exit_codes(runner):
     equal = runner.invoke(main, ["check", "--srg", "16,6,2,2"])
     assert equal.exit_code == 0

@@ -16,7 +16,6 @@ from equigraph.exact import TRIAL_DIVISION_MAX, squarefree_decompose
 from equigraph.fields import GF, is_prime_power, prime_power_decompose
 from equigraph.graphs import (
     MAX_EIGEN_N,
-    NUMERIC_RADIUS,
     Graph,
     cayley,
     cartesian,
@@ -45,7 +44,7 @@ from equigraph.graphs import (
 )
 from equigraph import graphs, jacobi
 from equigraph.jacobi import JacobiConvergenceError, JacobiResult, jacobi_eigenvalues
-from equigraph.spectra import Spectrum, spectra_match
+from equigraph.spectra import Spectrum, complement_spectrum, spectra_match
 
 from oracles import (is_isospectral, multiplicative_order, srg_counts, tridiagonalize_reference,
                      write_graph)
@@ -397,24 +396,69 @@ def test_numeric_radius_at_the_eigensolver_cap(density):
     assert result.off_norm + result.rounding <= 1e-7
 
 
-@settings(max_examples=100, deadline=None)
-@given(steps=st.lists(st.sampled_from([0.0, 1e-12, 2e-8, 4e-8, 1e-3, 1.0]), max_size=30),
-       off_norm=st.sampled_from([0.0, 1e-13, 3e-9]))
-def test_numeric_spectrum_radius_covers_group_spread(steps, off_norm):
-    # values 2e-8..4e-8 apart chain into one group however wide it grows
-    values = np.cumsum([-2.0] + steps)
-    rounding = 1e-12
-    fake = JacobiResult(values, off_norm, rounding)
+# steps and bounds are multiples of 2^-33, so every sum below is exact
+_QUANTUM = 2.0 ** -33
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(st.sampled_from([0, 1, 3, 9, 10, 11, 2 ** 20, 2 ** 33]), max_size=30),
+       off_norm=st.sampled_from([0, 1, 4]), rounding=st.sampled_from([0, 1]))
+@example(steps=[10, 11, 9, 10], off_norm=4, rounding=1)  # gaps at 2b, above and below it
+def test_numeric_spectrum_entries_are_the_hulls_of_overlapping_intervals(steps, off_norm,
+                                                                          rounding):
+    # each computed value v stands for [v - b, v + b]; values at most 2b
+    # apart chain into one entry however wide it grows, values further
+    # apart split, and an entry is the hull of its group's intervals
+    values = np.cumsum([-2.0] + [step * _QUANTUM for step in steps])
+    bound = (off_norm + rounding) * _QUANTUM
+    expected = [[values[0]]]
+    for last, v in zip(values, values[1:]):
+        if v - bound <= last + bound:  # [v - b, v + b] meets [last - b, last + b]
+            expected[-1].append(v)
+        else:
+            expected.append([v])
+    fake = JacobiResult(values, off_norm * _QUANTUM, rounding * _QUANTUM)
     with mock.patch("equigraph.graphs.jacobi_eigenvalues", return_value=fake):
         spec = numeric_spectrum(Graph(np.zeros((len(values), len(values)), dtype=bool)))
-    start = 0
-    for eig, mult in reversed(spec.entries):
-        group = values[start:start + mult]
-        start += mult
-        half_spread = (group[-1] - group[0]) / 2
-        assert eig.radius >= max(NUMERIC_RADIUS, off_norm + rounding + half_spread)
-        assert eig.lo <= group[0] and group[-1] <= eig.hi
-    assert start == len(values)
+    assert [m for _, m in reversed(spec.values)] == [len(group) for group in expected]
+    for (eig, _), group in zip(reversed(spec.values), expected):
+        assert eig.value == (group[0] + group[-1]) / 2
+        assert eig.radius == bound + (group[-1] - group[0]) / 2
+        assert eig.lo == group[0] - bound and eig.hi == group[-1] + bound
+
+
+def _closed_form_graphs():
+    """A named graph with n <= 64 and its closed-form spectrum."""
+    def family(name, args):
+        return st.tuples(st.just(name), args)
+
+    return st.one_of(
+        family("crown", st.tuples(st.integers(2, 32))),
+        family("complete_multipartite", st.integers(1, 64).flatmap(
+            lambda a: st.tuples(st.just(a), st.integers(1, 64 // a)))),
+        family("lattice", st.tuples(st.integers(2, 8))),
+        family("triangular", st.tuples(st.integers(4, 11))),
+        family("paley", st.tuples(st.sampled_from([5, 9, 13, 17, 25, 29, 37, 41, 49, 53, 61]))),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(named=_closed_form_graphs(), side=st.sampled_from(["graph", "complement"]),
+       data=st.data())
+@example(named=("complete_multipartite", (1, 7)), side="graph", data=None)  # edgeless
+@example(named=("complete_multipartite", (14, 4)), side="graph", data=None)  # 0 with mult 42
+@example(named=("paley", (61,)), side="complement", data=None)
+def test_numeric_spectrum_of_a_relabelled_named_graph_is_its_closed_form(named, side, data):
+    name, args = named
+    fam = graphs.FAMILIES[name]
+    g, exact = fam.build(*args), fam.spectrum(*args)
+    if side == "complement":
+        exact = complement_spectrum(exact, regularity(g))
+        g = complement(g)
+    perm = np.arange(g.n) if data is None else np.array(data.draw(st.permutations(range(g.n))))
+    numeric = numeric_spectrum(Graph(g.adj[np.ix_(perm, perm)]))
+    assert spectra_match(numeric, exact)
+    assert len(numeric.values) == len(exact.values)
 
 
 # -- constructions -----------------------------------------------------------------
